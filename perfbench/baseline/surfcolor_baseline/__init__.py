@@ -1,0 +1,52 @@
+"""Coloring surface-embedded graphs through nowhere-zero dual flows
+with prescribed homology, plus the hollow-polygon width verifier."""
+
+from .surface_map import (
+    CombinatorialMap,
+    FaceProfile,
+    build_map,
+    dual,
+    face_profile,
+    is_isomorphic,
+    load_surfmap,
+    save_surfmap,
+)
+from .chains import Chain0, Chain1, Chain2
+from .homology import CohomologyBasis, Copath, cohomology_basis, copaths_from
+from .flows import Flow, RelevantBoundary
+from .circulation import Certificate, Circulation, HomologyTarget
+from .lattice import HomologyPoint, ResidueSpec, RhsTable, Separator
+from .solver import ColoringResult, Precoloring, extend_precoloring, verify_homomorphism
+
+__all__ = [
+    "CombinatorialMap",
+    "FaceProfile",
+    "build_map",
+    "dual",
+    "face_profile",
+    "is_isomorphic",
+    "load_surfmap",
+    "save_surfmap",
+    "Chain0",
+    "Chain1",
+    "Chain2",
+    "CohomologyBasis",
+    "Copath",
+    "cohomology_basis",
+    "copaths_from",
+    "Flow",
+    "RelevantBoundary",
+    "Certificate",
+    "Circulation",
+    "HomologyTarget",
+    "HomologyPoint",
+    "ResidueSpec",
+    "RhsTable",
+    "Separator",
+    "ColoringResult",
+    "Precoloring",
+    "extend_precoloring",
+    "verify_homomorphism",
+]
+
+__version__ = "0.1.0"

@@ -1,0 +1,286 @@
+"""Circulations with prescribed pairings, or a violated-copath certificate.
+
+Given a reference 1-chain f and prescribed pairings against the basis
+cocycles and a family of copaths, the engine first builds a 1-cycle b
+realizing the pairings, then repairs it into an f-circulation by adding
+the boundary of a 2-chain of shortest-path distances on the dual.  When
+no circulation exists, a negative cycle or negative source-to-source
+path in the dual yields a simple copath certifying infeasibility.
+"""
+
+from __future__ import annotations
+
+from . import chains, homology
+from .chains import Chain1, Chain2, pair, pair_plus
+
+
+class HomologyTarget:
+    """Prescribed pairings: a over the basis, a_prime over a face set S.
+
+    copaths maps each y in S to a copath from the distinguished face x
+    (the copath at x is the zero chain), and a_prime[x] must be 0.
+    """
+
+    __slots__ = ("a", "S", "x", "copaths", "a_prime")
+
+    def __init__(self, a, S, x, copaths, a_prime):
+        self.a = tuple(a)
+        self.S = tuple(sorted(S))
+        self.x = x
+        self.copaths = copaths
+        self.a_prime = dict(a_prime)
+        if x not in self.S:
+            raise ValueError("x must belong to S")
+        if self.a_prime.get(x, 0) != 0:
+            raise ValueError("a_prime must vanish at x")
+        self.a_prime[x] = 0
+        if not copaths[x].chain.is_zero():
+            raise ValueError("the copath at x must be the zero chain")
+
+    def scaled(self, mu):
+        return HomologyTarget(
+            tuple(mu * ai for ai in self.a),
+            self.S,
+            self.x,
+            self.copaths,
+            {y: mu * v for y, v in self.a_prime.items()},
+        )
+
+
+class Circulation:
+    """A 1-cycle c with 0 <= c[h] <= f[h] wherever the reference f[h] >= 0."""
+
+    __slots__ = ("chain",)
+
+    def __init__(self, chain):
+        self.chain = chain
+
+    def __repr__(self):
+        return "Circulation(%r)" % (self.chain,)
+
+
+class Certificate:
+    """A simple copath D from y to y_prime whose one-sided capacity is
+    exceeded by the prescribed pairings: lhs > rhs proves no circulation
+    can satisfy the target."""
+
+    __slots__ = ("D", "y", "y_prime", "z", "lhs", "rhs")
+
+    def __init__(self, D, y, y_prime, z, lhs, rhs):
+        self.D = D
+        self.y = y
+        self.y_prime = y_prime
+        self.z = z
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __repr__(self):
+        return "Certificate(%d -> %d, lhs=%d > rhs=%d)" % (
+            self.y,
+            self.y_prime,
+            self.lhs,
+            self.rhs,
+        )
+
+
+def prescribed_cycle(m, basis, target):
+    """The 1-cycle b with pair(b, K_e) = a(e) and pair(b, P(y)) = a_prime(y).
+
+    b is the a-combination of the basis cycles plus per-face multiples of
+    face boundaries chosen to fix the copath pairings without disturbing
+    the cocycle pairings.
+    """
+    b = Chain1(m)
+    for ai, f_e in zip(target.a, basis.cycles):
+        if ai:
+            b = b + ai * f_e
+    for y in target.S:
+        if y == target.x:
+            continue
+        gamma = target.a_prime[y] - sum(
+            ai * pair(f_e, target.copaths[y].chain)
+            for ai, f_e in zip(target.a, basis.cycles)
+        )
+        if gamma:
+            b = b + gamma * chains.face_boundary(m, y)
+    return b
+
+
+def _arc_lengths(m, f, b):
+    """Length of the dual arc carried by each half-edge h (the arc from
+    left(opp(h)) into left(h)): f[h] - b[h] where f[h] > 0, else -b[h]."""
+    ell = [0] * m.half_edge_count
+    for h in m.half_edges():
+        fh = f[h]
+        ell[h] = fh - b[h] if fh > 0 else -b[h]
+    return ell
+
+
+def _pred_cycle(m, pred, start):
+    """Arcs of a predecessor-graph cycle reachable from start, or None
+    when the predecessor chain roots out first."""
+    seen = {}
+    order = []
+    v = start
+    while True:
+        h = pred[v]
+        if h is None:
+            return None
+        if v in seen:
+            arcs = order[seen[v]:]
+            arcs.reverse()
+            return arcs
+        seen[v] = len(order)
+        order.append(h)
+        v = m.left[m.opp[h]]
+
+
+def _negative_cycle(m, ell):
+    """Arcs of a negative-length directed cycle in the dual, or None.
+
+    Bellman-Ford with an implicit super-source (all distances start at
+    zero).  A relaxation in pass |F| proves a negative cycle exists; any
+    cycle that closes in the predecessor graph is strictly negative, so
+    sweeping continues until one is reachable from a freshly relaxed
+    face (in practice the very next sweep).
+    """
+    nf = m.num_faces
+    dist = [0] * nf
+    pred = [None] * nf
+
+    def sweep():
+        changed = []
+        for h in m.half_edges():
+            u = m.left[m.opp[h]]
+            v = m.left[h]
+            nd = dist[u] + ell[h]
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = h
+                changed.append(v)
+        return changed
+
+    for _ in range(nf):
+        if not sweep():
+            return None
+    # distances diverge only by circling a negative cycle, so a
+    # predecessor cycle forms within the guarded number of sweeps
+    guard = nf * (nf * max(1, max(abs(l) for l in ell)) + 2)
+    for _ in range(guard):
+        changed = sweep()
+        if not changed:
+            return None
+        for v0 in sorted(set(changed)):
+            arcs = _pred_cycle(m, pred, v0)
+            if arcs is not None:
+                assert sum(ell[h] for h in arcs) < 0
+                return arcs
+    raise AssertionError("negative-cycle extraction failed to converge")
+
+
+def _multi_source_distances(m, ell, sources):
+    """Exact shortest distances from a face set (no negative cycles)."""
+    nf = m.num_faces
+    inf = None
+    dist = [inf] * nf
+    pred = [None] * nf
+    for s in sources:
+        dist[s] = 0
+    for _ in range(nf):
+        changed = False
+        for h in m.half_edges():
+            u = m.left[m.opp[h]]
+            if dist[u] is None:
+                continue
+            v = m.left[h]
+            nd = dist[u] + ell[h]
+            if dist[v] is None or nd < dist[v]:
+                dist[v] = nd
+                pred[v] = h
+                changed = True
+        if not changed:
+            break
+    return dist, pred
+
+
+def circulation_or_certificate(m, basis, f, target):
+    """Find an f-circulation realizing the target pairings, or a
+    certificate that none exists.  The two outcomes are exhaustive."""
+    b = prescribed_cycle(m, basis, target)
+    ell = _arc_lengths(m, f, b)
+
+    cyc = _negative_cycle(m, ell)
+    if cyc is not None:
+        D = chains.walk_chain(m, cyc)
+        z = homology.homology_class(D, basis)
+        lhs = sum(zi * ai for zi, ai in zip(z, target.a))
+        rhs = pair_plus(f, D)
+        cert = Certificate(D, target.x, target.x, z, lhs, rhs)
+        if __debug__:
+            validate_certificate(m, basis, f, target, cert)
+        return cert
+
+    dist, pred = _multi_source_distances(m, ell, target.S)
+    assert all(d is not None for d in dist)
+    neg = [y for y in target.S if dist[y] < 0]
+    if neg:
+        y_prime = min(neg)
+        arcs = []
+        v = y_prime
+        while pred[v] is not None:
+            arcs.append(pred[v])
+            v = m.left[m.opp[pred[v]]]
+        arcs.reverse()
+        y = v
+        D = chains.walk_chain(m, arcs)
+        z = homology.homology_class(
+            D - (target.copaths[y_prime].chain - target.copaths[y].chain), basis
+        )
+        lhs = (
+            sum(zi * ai for zi, ai in zip(z, target.a))
+            + target.a_prime[y_prime]
+            - target.a_prime[y]
+        )
+        rhs = pair_plus(f, D)
+        cert = Certificate(D, y, y_prime, z, lhs, rhs)
+        if __debug__:
+            validate_certificate(m, basis, f, target, cert)
+        return cert
+
+    assert all(dist[y] == 0 for y in target.S)
+    L = Chain2(m, {x: d for x, d in enumerate(dist) if d})
+    c = Circulation(b + chains.boundary2(L))
+    if __debug__:
+        validate_circulation(m, basis, f, target, c)
+    return c
+
+
+def validate_circulation(m, basis, f, target, c):
+    """Assert the full contract of a returned circulation."""
+    chain = c.chain
+    assert chains.is_cycle(chain), "circulation is not a 1-cycle"
+    for h in m.half_edges():
+        fh = f[h]
+        if fh >= 0:
+            assert 0 <= chain[h] <= fh, "dominance violated at half-edge %d" % h
+    for ai, k in zip(target.a, basis.cocycles):
+        assert pair(chain, k) == ai, "cocycle pairing mismatch"
+    for y in target.S:
+        assert pair(chain, target.copaths[y].chain) == target.a_prime[y], (
+            "copath pairing mismatch at face %d" % y
+        )
+
+
+def validate_certificate(m, basis, f, target, cert):
+    """Assert the full contract of a returned certificate."""
+    assert cert.D.is_simple(), "certificate copath is not simple"
+    bnd = chains.coboundary1(cert.D)
+    expect = Chain2(m, {cert.y_prime: 1}) - Chain2(m, {cert.y: 1})
+    assert bnd == expect, "certificate endpoints do not match its coboundary"
+    assert cert.lhs > cert.rhs, "certificate inequality is not strict"
+    recomputed = homology.homology_class(
+        cert.D
+        - (target.copaths[cert.y_prime].chain - target.copaths[cert.y].chain),
+        basis,
+    )
+    assert tuple(cert.z) == recomputed, "certificate homology class mismatch"

@@ -1,0 +1,81 @@
+"""Exception types shared across the package."""
+
+
+class SurfcolorError(ValueError):
+    """Base class for all errors raised by this package."""
+
+
+class NotInvolution(SurfcolorError):
+    pass
+
+
+class DanglingHalfEdge(SurfcolorError):
+    pass
+
+
+class Disconnected(SurfcolorError):
+    pass
+
+
+class OddEulerGenus(SurfcolorError):
+    pass
+
+
+class SurfMapFormatError(SurfcolorError):
+    pass
+
+
+class EvenModulus(SurfcolorError):
+    pass
+
+
+class ModulusTooSmall(SurfcolorError):
+    pass
+
+
+class MapMismatch(SurfcolorError):
+    pass
+
+
+class NotACycle(SurfcolorError):
+    pass
+
+
+class NotACocycle(SurfcolorError):
+    pass
+
+
+class NotAZeroBoundary(SurfcolorError):
+    pass
+
+
+class ParityViolation(SurfcolorError):
+    pass
+
+
+class AnchorOutsidePolytope(SurfcolorError):
+    pass
+
+
+class BudgetExceeded(SurfcolorError):
+    pass
+
+
+class NotAHomomorphism(SurfcolorError):
+    pass
+
+
+class DivisibilityViolation(SurfcolorError):
+    pass
+
+
+class ZeroDirection(SurfcolorError):
+    pass
+
+
+class NotUnimodular(SurfcolorError):
+    pass
+
+
+class BadDimensions(SurfcolorError):
+    pass

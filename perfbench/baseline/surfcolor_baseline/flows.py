@@ -1,0 +1,208 @@
+"""Flows with prescribed boundary and enumeration of relevant boundaries.
+
+A flow is a 1-chain with coefficients in {-1, 0, 1}; its boundary is the
+0-chain of vertex excesses.  Realizing a prescribed boundary reduces to
+a unit-capacity maximum flow; upgrading to a nowhere-zero flow orients
+the leftover all-even-degree subgraph along Eulerian circuits.
+"""
+
+from __future__ import annotations
+
+from . import chains
+from .chains import Chain0, Chain1
+from .errors import NotAZeroBoundary, ParityViolation
+from .surface_map import face_candidates
+
+
+class Flow:
+    """A 1-chain with every coefficient in {-1, 0, 1}."""
+
+    __slots__ = ("chain", "nowhere_zero")
+
+    def __init__(self, chain):
+        if any(abs(c) > 1 for _, c in chain.coeffs.items()):
+            raise ValueError("flow coefficients must lie in {-1, 0, 1}")
+        self.chain = chain
+        self.nowhere_zero = len(chain.coeffs) == chain.map.num_edges
+
+    def boundary(self):
+        return chains.boundary1(self.chain)
+
+    def __repr__(self):
+        return "Flow(%r, nowhere_zero=%s)" % (self.chain, self.nowhere_zero)
+
+
+class RelevantBoundary:
+    """A parity-compliant 0-boundary with m | d[v] and |d[v]| <= deg(v)."""
+
+    __slots__ = ("chain", "modulus")
+
+    def __init__(self, chain, modulus):
+        self.chain = chain
+        self.modulus = modulus
+
+    def __repr__(self):
+        return "RelevantBoundary(%r, m=%d)" % (self.chain, self.modulus)
+
+
+def is_parity_compliant(m, d):
+    """True iff d[v] and deg(v) have the same parity at every vertex."""
+    return all((d[v] - m.degree(v)) % 2 == 0 for v in range(m.num_vertices))
+
+
+def flow_with_boundary(m, d):
+    """A flow f1 with boundary d, or None if none exists.
+
+    Auxiliary network: each edge becomes two opposite unit-capacity arcs;
+    a super-source feeds every vertex with d[v] < 0 and every vertex with
+    d[v] > 0 drains into a super-sink.  A flow with boundary d exists iff
+    the max-flow value reaches half the 1-norm of d.
+    """
+    if chains.boundary0(d) != 0:
+        raise NotAZeroBoundary("boundary entries must sum to zero")
+
+    need = d.norm() // 2
+    g = [0] * m.half_edge_count        # unit flow on the half-edge arcs
+    g_src = {}                         # flow on s->v arcs
+    g_snk = {}                         # flow on v->t arcs
+    cap_src = {v: -c for v, c in d.coeffs.items() if c < 0}
+    cap_snk = {v: c for v, c in d.coeffs.items() if c > 0}
+    out_arcs = [sorted(m.opp[h] for h in m.rot[v]) for v in range(m.num_vertices)]
+
+    sent = 0
+    while sent < need:
+        # BFS for an augmenting path in the residual network
+        parent = {}
+        frontier = []
+        for v in sorted(cap_src):
+            if cap_src[v] - g_src.get(v, 0) > 0:
+                parent[v] = None
+                frontier.append(v)
+        goal = None
+        while frontier and goal is None:
+            nxt = []
+            for v in frontier:
+                if cap_snk.get(v, 0) - g_snk.get(v, 0) > 0:
+                    goal = v
+                    break
+                for a in out_arcs[v]:
+                    w = m.tgt[a]
+                    if w in parent:
+                        continue
+                    if (1 - g[a]) + g[m.opp[a]] > 0:
+                        parent[w] = a
+                        nxt.append(w)
+            frontier = nxt
+        if goal is None:
+            return None
+        # push one unit back along the path
+        v = goal
+        g_snk[v] = g_snk.get(v, 0) + 1
+        while parent[v] is not None:
+            a = parent[v]
+            if g[m.opp[a]] > 0:
+                g[m.opp[a]] -= 1
+            else:
+                g[a] = 1
+            v = m.tgt[m.opp[a]]
+        g_src[v] = g_src.get(v, 0) + 1
+        sent += 1
+
+    f1 = Chain1(m, {h: g[h] - g[m.opp[h]] for h in m.canonical_half_edges()})
+    return Flow(f1)
+
+
+def nowhere_zero_completion(m, f1):
+    """Extend a flow to a nowhere-zero flow with the same boundary.
+
+    The edges where f1 vanishes form an all-even-degree subgraph when the
+    boundary is parity-compliant; orienting each component along an
+    Eulerian circuit (Hierholzer) and adding the resulting unit chain
+    fills in every zero without touching the boundary.
+    """
+    chain = f1.chain
+    zero_out = [[] for _ in range(m.num_vertices)]
+    for h in m.canonical_half_edges():
+        if chain[h] == 0:
+            zero_out[m.tgt[h]].append(m.opp[h])
+            zero_out[m.tgt[m.opp[h]]].append(h)
+    for v in range(m.num_vertices):
+        if len(zero_out[v]) % 2 != 0:
+            raise ParityViolation("zero-edge subgraph has odd degree at vertex %d" % v)
+        zero_out[v].sort()
+
+    edge_used = set()
+    pos = [0] * m.num_vertices
+    circuit_arcs = []
+    for v0 in range(m.num_vertices):
+        if pos[v0] >= len(zero_out[v0]):
+            continue
+        stack = [(v0, None)]
+        while stack:
+            v, arc_in = stack[-1]
+            advanced = False
+            while pos[v] < len(zero_out[v]):
+                a = zero_out[v][pos[v]]
+                pos[v] += 1
+                e = m.canonical(a)
+                if e in edge_used:
+                    continue
+                edge_used.add(e)
+                stack.append((m.tgt[a], a))
+                advanced = True
+                break
+            if not advanced:
+                stack.pop()
+                if arc_in is not None:
+                    circuit_arcs.append(arc_in)
+
+    f0 = chain + chains.walk_chain(m, circuit_arcs)
+    flow = Flow(f0)
+    assert flow.nowhere_zero
+    return flow
+
+
+def nowhere_zero_flow_with_boundary(m, d):
+    """A nowhere-zero flow with boundary d, or None if none exists."""
+    if not is_parity_compliant(m, d):
+        return None
+    f1 = flow_with_boundary(m, d)
+    if f1 is None:
+        return None
+    return nowhere_zero_completion(m, f1)
+
+
+def relevant_boundaries(m, modulus):
+    """Stream every relevant 0-boundary divisible by the modulus.
+
+    Per vertex the candidate excesses are the integers i with
+    modulus | i, i = deg(v) (mod 2) and |i| <= deg(v); selections are
+    emitted in lexicographic vertex-id order, pruned by partial-sum
+    bounds so only zero-sum selections are walked to the bottom.
+    """
+    nv = m.num_vertices
+    cands = [face_candidates(m.degree(v), modulus) for v in range(nv)]
+    if any(not c for c in cands):
+        return
+    suffix_min = [0] * (nv + 1)
+    suffix_max = [0] * (nv + 1)
+    for v in range(nv - 1, -1, -1):
+        suffix_min[v] = suffix_min[v + 1] + cands[v][0]
+        suffix_max[v] = suffix_max[v + 1] + cands[v][-1]
+
+    chosen = [0] * nv
+
+    def rec(v, partial):
+        if v == nv:
+            yield RelevantBoundary(
+                Chain0(m, {u: c for u, c in enumerate(chosen) if c}), modulus
+            )
+            return
+        for c in cands[v]:
+            s = partial + c
+            if s + suffix_min[v + 1] <= 0 <= s + suffix_max[v + 1]:
+                chosen[v] = c
+                yield from rec(v + 1, s)
+        chosen[v] = 0
+
+    yield from rec(0, 0)

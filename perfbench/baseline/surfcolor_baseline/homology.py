@@ -1,0 +1,202 @@
+"""Tree-cotree homology/cohomology bases, class extraction, and copaths.
+
+The basis construction: take a spanning tree T of the graph, then a
+spanning tree T' of the dual avoiding the duals of T's edges.  The g
+leftover edges Y index paired simple chains: f_e is the fundamental
+cycle of e in T and K_e the fundamental cocycle of e in the cotree, with
+f_e and K_e' pairing to the g x g identity matrix.
+"""
+
+from __future__ import annotations
+
+from . import chains
+from .chains import Chain1, pair
+from .errors import NotACocycle, NotACycle
+
+
+class Copath:
+    """A 1-chain whose dual boundary is to_face - from_face."""
+
+    __slots__ = ("from_face", "to_face", "chain")
+
+    def __init__(self, from_face, to_face, chain):
+        self.from_face = from_face
+        self.to_face = to_face
+        self.chain = chain
+
+    def __repr__(self):
+        return "Copath(%d -> %d, %r)" % (self.from_face, self.to_face, self.chain)
+
+
+class CohomologyBasis:
+    """Paired bases of the first homology and cohomology groups.
+
+    Y lists g edge ids (by canonical half-edge), and cycles[i],
+    cocycles[i] are the chains paired with Y[i]; chosen[i] is the
+    canonical half-edge of Y[i] that both chains take value 1 on.
+    """
+
+    __slots__ = ("map", "Y", "cycles", "cocycles", "chosen", "tree_edges", "cotree_edges")
+
+    def __init__(self, m, Y, cycles, cocycles, chosen, tree_edges, cotree_edges):
+        self.map = m
+        self.Y = Y
+        self.cycles = cycles
+        self.cocycles = cocycles
+        self.chosen = chosen
+        self.tree_edges = tree_edges
+        self.cotree_edges = cotree_edges
+
+    def __len__(self):
+        return len(self.Y)
+
+    def combination(self, z):
+        """The cocycle sum_i z[i] * K_i."""
+        out = Chain1(self.map)
+        for zi, k in zip(z, self.cocycles):
+            if zi:
+                out = out + zi * k
+        return out
+
+
+def _bfs_tree(num_nodes, root, arcs_of):
+    """BFS spanning tree, visiting arcs in the deterministic order given
+    by arcs_of(node) -> iterable of (arc_id, neighbour).
+
+    Returns (parent_arc, order) where parent_arc[v] is the arc that
+    discovered v (None at the root).
+    """
+    parent_arc = [None] * num_nodes
+    seen = [False] * num_nodes
+    seen[root] = True
+    queue = [root]
+    qi = 0
+    while qi < len(queue):
+        v = queue[qi]
+        qi += 1
+        for arc, w in arcs_of(v):
+            if not seen[w]:
+                seen[w] = True
+                parent_arc[w] = arc
+                queue.append(w)
+    return parent_arc, queue
+
+
+def _primal_tree(m, root=0):
+    """Spanning tree of the graph.  parent_arc[v] is the half-edge from v
+    to its parent (tgt = parent), so walking parent arcs ascends to root."""
+
+    def arcs_of(v):
+        # h points into v, so h itself is the arc neighbour -> v
+        for h in sorted(m.rot[v]):
+            yield h, m.tgt[m.opp[h]]
+
+    return _bfs_tree(m.num_vertices, root, arcs_of)
+
+
+def _dual_tree(m, root, excluded_edges):
+    """Spanning tree of the dual avoiding excluded edge ids.
+    parent_arc[x] is the half-edge with left = parent(x) and
+    left(opp) = x, the dual arc from x toward the root."""
+    incoming = [[] for _ in range(m.num_faces)]
+    for h in m.half_edges():
+        incoming[m.left[h]].append(h)
+
+    def arcs_of(x):
+        for h in sorted(incoming[x]):
+            if m.canonical(h) in excluded_edges:
+                continue
+            # h is the dual arc (other side -> x); it serves the face on
+            # the other side as its arc toward x
+            yield h, m.left[m.opp[h]]
+
+    return _bfs_tree(m.num_faces, root, arcs_of)
+
+
+def _walk_to_root_vertex(m, parent_arc, v):
+    hs = []
+    while parent_arc[v] is not None:
+        h = parent_arc[v]
+        hs.append(h)
+        v = m.tgt[h]
+    return hs
+
+
+def _walk_to_root_face(m, parent_arc, x):
+    hs = []
+    while parent_arc[x] is not None:
+        h = parent_arc[x]
+        hs.append(h)
+        x = m.left[h]
+    return hs
+
+
+def cohomology_basis(m):
+    """Construct the paired tree-cotree basis of a map.
+
+    Deterministic: both spanning trees are BFS trees rooted at id 0 with
+    smallest-id tie-breaking, and each basis edge uses its canonical
+    half-edge.
+    """
+    parent_v, _ = _primal_tree(m, 0)
+    tree_edges = {m.canonical(h) for h in parent_v if h is not None}
+    parent_f, _ = _dual_tree(m, 0, tree_edges)
+    cotree_edges = {m.canonical(h) for h in parent_f if h is not None}
+    assert not (tree_edges & cotree_edges)
+
+    Y = sorted(
+        h for h in m.canonical_half_edges() if h not in tree_edges and h not in cotree_edges
+    )
+    assert len(Y) == m.euler_genus
+
+    cycles = []
+    cocycles = []
+    for h in Y:
+        o = m.opp[h]
+        # fundamental cycle: h plus the tree path from tgt(h) back to tgt(opp(h))
+        up = chains.walk_chain(m, _walk_to_root_vertex(m, parent_v, m.tgt[h]))
+        down = chains.walk_chain(m, _walk_to_root_vertex(m, parent_v, m.tgt[o]))
+        f_e = chains.unit_chain1(m, h) + up - down
+        # fundamental cocycle: h plus the dual tree path from left(h) back
+        # to left(opp(h))
+        dup = chains.walk_chain(m, _walk_to_root_face(m, parent_f, m.left[h]))
+        ddown = chains.walk_chain(m, _walk_to_root_face(m, parent_f, m.left[o]))
+        k_e = chains.unit_chain1(m, h) + dup - ddown
+        cycles.append(f_e)
+        cocycles.append(k_e)
+
+    return CohomologyBasis(m, Y, cycles, cocycles, list(Y), tree_edges, cotree_edges)
+
+
+def homology_class(k, basis):
+    """Coordinates of a cocycle over the basis: z[i] = pair(f_i, K)."""
+    if not chains.is_cocycle(k):
+        raise NotACocycle("homology_class requires a cocycle")
+    return tuple(pair(f, k) for f in basis.cycles)
+
+
+def is_1boundary(f, basis):
+    """A 1-cycle is a boundary iff it pairs to zero with every basis cocycle."""
+    if not chains.is_cycle(f):
+        raise NotACycle("is_1boundary requires a 1-cycle")
+    return all(pair(f, k) == 0 for k in basis.cocycles)
+
+
+def copaths_from(m, x, targets=None):
+    """Copaths from face x to each target face, along a BFS dual tree.
+
+    Each tree step from face f1 to face f2 contributes the half-edge
+    with left = f2; the returned chains are simple and the copath to x
+    itself is the zero chain.  With targets=None, all faces are covered.
+    """
+    parent_f, _ = _dual_tree(m, x, frozenset())
+    if targets is None:
+        targets = range(m.num_faces)
+    out = {}
+    for y in targets:
+        hs = _walk_to_root_face(m, parent_f, y)
+        # hs walks y -> x; each parent arc has left = the face nearer x,
+        # so flip each half-edge to point along x -> y instead.
+        chain = chains.walk_chain(m, [m.opp[h] for h in hs])
+        out[y] = Copath(x, y, chain)
+    return out

@@ -1,0 +1,377 @@
+"""The allowed-homology polytope: membership oracle, coordinate bounds,
+right-hand-side tables for the precolored sub-polytope, a modular
+difference-constraint solver, and the lattice search for circulations
+with prescribed residues.
+
+All arithmetic is exact: rational queries are scaled to integers by the
+lcm of their denominators and handed to the circulation engine.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+from fractions import Fraction
+from math import gcd
+
+from . import chains, circulation
+from .chains import pair, pair_plus
+from .circulation import Circulation, HomologyTarget
+from .errors import AnchorOutsidePolytope, BudgetExceeded
+
+
+class HomologyPoint:
+    """A rational candidate point: u over the basis, u_prime over S."""
+
+    __slots__ = ("u", "u_prime")
+
+    def __init__(self, u, u_prime):
+        self.u = tuple(Fraction(c) for c in u)
+        self.u_prime = {y: Fraction(c) for y, c in u_prime.items()}
+
+    def __repr__(self):
+        return "HomologyPoint(u=%r, u_prime=%r)" % (self.u, self.u_prime)
+
+
+class Separator:
+    """An integer vector (z, z_prime) cutting the query off the polytope:
+    <(z, z'), (a, a')> <= rhs < <(z, z'), (u, u')> for all members (a, a')."""
+
+    __slots__ = ("z", "z_prime")
+
+    def __init__(self, z, z_prime):
+        self.z = tuple(z)
+        self.z_prime = dict(z_prime)
+
+    def dot(self, u, u_prime):
+        return sum(zi * ui for zi, ui in zip(self.z, u)) + sum(
+            zv * u_prime.get(y, 0) for y, zv in self.z_prime.items()
+        )
+
+    def __repr__(self):
+        return "Separator(z=%r, z_prime=%r)" % (self.z, self.z_prime)
+
+
+class RhsTable:
+    """Right-hand sides beta(y, y') of the inequalities
+    a'(y') - a'(y) <= beta(y, y') of the precolored sub-polytope."""
+
+    __slots__ = ("beta",)
+
+    def __init__(self, beta):
+        self.beta = dict(beta)
+
+    def __repr__(self):
+        return "RhsTable(%r)" % (self.beta,)
+
+
+class ResidueSpec:
+    """Prescribed residues modulo an odd m for the lattice search."""
+
+    __slots__ = ("m", "r0", "r0_prime")
+
+    def __init__(self, m, r0, r0_prime):
+        self.m = m
+        self.r0 = tuple(c % m for c in r0)
+        self.r0_prime = {y: c % m for y, c in r0_prime.items()}
+
+    def __repr__(self):
+        return "ResidueSpec(m=%d, r0=%r, r0_prime=%r)" % (self.m, self.r0, self.r0_prime)
+
+
+def pairing_bounds(f, basis, copaths):
+    """Per-coordinate intervals confining every polytope point:
+    -pair_plus(-f, K) <= a(K) <= pair_plus(f, K), and likewise for the
+    copath coordinates."""
+    neg_f = -f
+    box = [(-pair_plus(neg_f, k), pair_plus(f, k)) for k in basis.cocycles]
+    box_s = {
+        y: (-pair_plus(neg_f, p.chain), pair_plus(f, p.chain))
+        for y, p in copaths.items()
+    }
+    return box, box_s
+
+
+def _lcm(a, b):
+    return a // gcd(a, b) * b
+
+
+def membership(m, basis, f, S, x, copaths, point):
+    """Decide whether a rational point lies in the allowed-homology
+    polytope.  Returns None when inside, else a strict Separator.
+
+    The query is scaled integral by the lcm mu of its denominators and
+    tested by running the circulation engine against mu * f.
+    """
+    up_x = point.u_prime.get(x, 0)
+    if up_x != 0:
+        sign = 1 if up_x > 0 else -1
+        return Separator((0,) * len(basis), {x: sign})
+    mu = 1
+    for c in point.u:
+        mu = _lcm(mu, Fraction(c).denominator)
+    for c in point.u_prime.values():
+        mu = _lcm(mu, Fraction(c).denominator)
+    a = [int(mu * c) for c in point.u]
+    a_prime = {y: int(mu * c) for y, c in point.u_prime.items()}
+    for y in S:
+        a_prime.setdefault(y, 0)
+    target = HomologyTarget(a, S, x, copaths, a_prime)
+    res = circulation.circulation_or_certificate(m, basis, mu * f, target)
+    if isinstance(res, Circulation):
+        return None
+    z_prime = {}
+    if res.y != res.y_prime:
+        z_prime[res.y_prime] = 1
+        z_prime[res.y] = -1
+    return Separator(res.z, z_prime)
+
+
+def _johnson_potentials(m, ell):
+    """Super-source Bellman-Ford potentials; None when a negative cycle
+    makes the lengths inconsistent."""
+    nf = m.num_faces
+    dist = [0] * nf
+    for _ in range(nf):
+        changed = False
+        for h in m.half_edges():
+            nd = dist[m.left[m.opp[h]]] + ell[h]
+            if nd < dist[m.left[h]]:
+                dist[m.left[h]] = nd
+                changed = True
+        if not changed:
+            return dist
+    for h in m.half_edges():
+        if dist[m.left[m.opp[h]]] + ell[h] < dist[m.left[h]]:
+            return None
+    return dist
+
+
+def rhs_table(m, basis, f, a, S, x, copaths):
+    """Compute all beta(y, y') for an integral anchor a inside the
+    polytope: beta(y, y') = pair(b, P(y')) - pair(b, P(y)) + dist(y, y')
+    where b realizes the anchor pairings and dist runs over the dual with
+    the repair lengths.  Johnson reweighting plus one Dijkstra per
+    element of S keeps this near-linear per source.
+
+    Raises AnchorOutsidePolytope when the lengths admit a negative cycle.
+    """
+    target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
+    b = circulation.prescribed_cycle(m, basis, target)
+    ell = circulation._arc_lengths(m, f, b)
+    pot = _johnson_potentials(m, ell)
+    if pot is None:
+        raise AnchorOutsidePolytope("anchor admits a negative dual cycle")
+
+    adj = [[] for _ in range(m.num_faces)]
+    for h in m.half_edges():
+        u = m.left[m.opp[h]]
+        v = m.left[h]
+        adj[u].append((ell[h] + pot[u] - pot[v], v))
+    for rows in adj:
+        rows.sort()
+
+    pairings = {y: pair(b, copaths[y].chain) for y in S}
+    beta = {}
+    for y in sorted(S):
+        dist = [None] * m.num_faces
+        dist[y] = 0
+        heap = [(0, y)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if dist[u] is not None and d > dist[u]:
+                continue
+            for w, v in adj[u]:
+                nd = d + w
+                if dist[v] is None or nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+        for y2 in sorted(S):
+            assert dist[y2] is not None
+            true_dist = dist[y2] - pot[y] + pot[y2]
+            beta[(y, y2)] = pairings[y2] - pairings[y] + true_dist
+    return RhsTable(beta)
+
+
+def residue_difference_solve(S, x, m, d, r):
+    """Find ell: S -> Z with ell(x) = 0, ell(y') - ell(y) <= d(y, y') and
+    ell(y) = r(y) (mod m), or None when the system is infeasible.
+
+    Each bound is first tightened to the largest value congruent to the
+    required residue difference; Bellman-Ford distances from x over the
+    complete digraph then solve the difference constraints.
+    """
+    nodes = sorted(S)
+    dd = {}
+    for y in nodes:
+        for y2 in nodes:
+            key = (y, y2)
+            base = d[key]
+            tight = base - ((base - (r[y2] - r[y])) % m)
+            if y == y2 and tight < 0:
+                return None
+            dd[key] = tight
+
+    dist = {y: None for y in nodes}
+    dist[x] = 0
+    for _ in range(len(nodes)):
+        changed = False
+        for y in nodes:
+            if dist[y] is None:
+                continue
+            for y2 in nodes:
+                if y2 == y:
+                    continue
+                nd = dist[y] + dd[(y, y2)]
+                if dist[y2] is None or nd < dist[y2]:
+                    dist[y2] = nd
+                    changed = True
+        if not changed:
+            break
+    else:
+        # still relaxing after |S| passes: negative cycle
+        for y in nodes:
+            for y2 in nodes:
+                if y2 != y and dist[y] is not None:
+                    if dist[y2] is None or dist[y] + dd[(y, y2)] < dist[y2]:
+                        return None
+
+    assert all(v is not None for v in dist.values())
+    if dist[x] < 0:
+        return None
+    ell = dict(dist)
+    if __debug__:
+        assert ell[x] == 0
+        for y in nodes:
+            assert (ell[y] - r[y]) % m == 0
+            for y2 in nodes:
+                assert ell[y2] - ell[y] <= d[(y, y2)]
+    return ell
+
+
+def lex_box_points(box, r0, m):
+    """Integer vectors of the box congruent to r0 (componentwise, mod m),
+    in lexicographic order."""
+    axes = []
+    for (lo, hi), res in zip(box, r0):
+        start = lo + ((res - lo) % m)
+        axes.append(range(start, hi + 1, m))
+    return itertools.product(*axes)
+
+
+class SearchStats:
+    """Counters filled in by the lattice search."""
+
+    __slots__ = ("points_tested", "points_inside")
+
+    def __init__(self):
+        self.points_tested = 0
+        self.points_inside = 0
+
+
+def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, strategy=None, stats=None):
+    """Search the bounded homology lattice for an f0-circulation whose
+    pairings match the prescribed residues (componentwise mod m).
+
+    Iterates the residue-aligned integer vectors of the coordinate box in
+    lexicographic order; for each vector inside the polytope, the
+    precolored sub-polytope is solved by the modular difference-constraint
+    solver, and a concrete circulation is extracted on success.  Returns
+    None when the box is exhausted.
+
+    ``strategy`` may replace the box scan: it is called with the box, the
+    residue spec, and a membership callback, and must yield candidate
+    integer vectors in the order they should be tried.
+    """
+    fchain = f0.chain if hasattr(f0, "chain") else f0
+    box, _ = pairing_bounds(fchain, basis, copaths)
+    x_copaths = {x: copaths[x]}
+
+    def is_inside(u):
+        pt = HomologyPoint(u, {x: 0})
+        return membership(m, basis, fchain, (x,), x, x_copaths, pt) is None
+
+    if strategy is None:
+        candidates = lex_box_points(box, spec.r0, spec.m)
+    else:
+        candidates = strategy(box, spec, is_inside)
+
+    for u in candidates:
+        if stats is not None:
+            stats.points_tested += 1
+        if not is_inside(u):
+            continue
+        if stats is not None:
+            stats.points_inside += 1
+        rhs = rhs_table(m, basis, fchain, u, S, x, copaths)
+        r = dict(spec.r0_prime)
+        r[x] = 0
+        for y in S:
+            r.setdefault(y, 0)
+        ell = residue_difference_solve(S, x, spec.m, rhs.beta, r)
+        if ell is None:
+            continue
+        target = HomologyTarget(u, S, x, copaths, ell)
+        res = circulation.circulation_or_certificate(m, basis, fchain, target)
+        assert isinstance(res, Circulation), "feasible target must yield a circulation"
+        return res
+    return None
+
+
+def integer_points_bruteforce(m, basis, f, S, x, copaths, edge_budget=14):
+    """All integer points of the allowed-homology polytope, by exhausting
+    the f-circulations (testing oracle for small maps).
+
+    For a flow f every circulation takes value 0 or f[h] on each edge, so
+    a pruned subset walk over the canonical edges enumerates them all;
+    the pairing vectors collected are exactly the integer points.
+    """
+    if m.num_edges > edge_budget:
+        raise BudgetExceeded(
+            "map has %d edges, brute-force budget is %d" % (m.num_edges, edge_budget)
+        )
+    fchain = f.chain if hasattr(f, "chain") else f
+    edges = m.canonical_half_edges()
+    s_order = sorted(S)
+
+    remaining = [0] * m.num_vertices
+    for h in edges:
+        remaining[m.tgt[h]] += 1
+        remaining[m.tgt[m.opp[h]]] += 1
+
+    excess = [0] * m.num_vertices
+    points = set()
+    chosen = {}
+
+    def close_ok(v):
+        return remaining[v] > 0 or excess[v] == 0
+
+    def rec(i):
+        if i == len(edges):
+            c = chains.Chain1(m, dict(chosen))
+            a = tuple(pair(c, k) for k in basis.cocycles)
+            a_prime = tuple(pair(c, copaths[y].chain) for y in s_order)
+            points.add((a, a_prime))
+            return
+        h = edges[i]
+        v, u = m.tgt[h], m.tgt[m.opp[h]]
+        remaining[v] -= 1
+        remaining[u] -= 1
+        for val in (0, fchain[h]):
+            if val == 0 and fchain[h] == 0 and h in chosen:
+                continue
+            if val:
+                chosen[h] = val
+                excess[v] += val
+                excess[u] -= val
+            if close_ok(v) and close_ok(u):
+                rec(i + 1)
+            if val:
+                del chosen[h]
+                excess[v] -= val
+                excess[u] += val
+        remaining[v] += 1
+        remaining[u] += 1
+
+    rec(0)
+    return points

@@ -1,0 +1,380 @@
+"""Combinatorial maps: 2-cell embeddings of graphs in orientable surfaces.
+
+An embedding is encoded by half-edges.  Half-edge ids are 0..2k-1; ``opp``
+is a fixed-point-free involution pairing the two halves of each edge;
+``tgt`` sends a half-edge to the vertex it points into; and every vertex
+carries the counterclockwise cyclic sequence of half-edges directed into
+it.  Faces are the orbits of the face-tracing permutation
+
+    sigma(h) = successor of opp(h) in the rotation at tgt(opp(h)),
+
+and ``left(h)`` is the face whose orbit contains h.  The Euler genus is
+derived from |V| - |E| + |F| = 2 - g and must come out even (orientable).
+"""
+
+from __future__ import annotations
+
+from . import errors
+
+
+class CombinatorialMap:
+    """Immutable 2-cell embedding.  Build with :func:`build_map`."""
+
+    __slots__ = (
+        "half_edge_count",
+        "opp",
+        "tgt",
+        "rot",
+        "left",
+        "faces",
+        "rot_index",
+        "euler_genus",
+    )
+
+    def __init__(self, half_edge_count, opp, tgt, rot, left, faces, rot_index, euler_genus):
+        self.half_edge_count = half_edge_count
+        self.opp = opp              # list: half-edge -> half-edge
+        self.tgt = tgt              # list: half-edge -> vertex
+        self.rot = rot              # list of lists: vertex -> CCW cycle of incoming half-edges
+        self.left = left            # list: half-edge -> face
+        self.faces = faces          # list of lists: face -> orbit of sigma, cyclic
+        self.rot_index = rot_index  # list: half-edge -> position in rot[tgt[h]]
+        self.euler_genus = euler_genus
+
+    @property
+    def num_vertices(self):
+        return len(self.rot)
+
+    @property
+    def num_edges(self):
+        return self.half_edge_count // 2
+
+    @property
+    def num_faces(self):
+        return len(self.faces)
+
+    @property
+    def size(self):
+        return self.num_vertices + self.num_edges + self.num_faces
+
+    def half_edges(self):
+        return range(self.half_edge_count)
+
+    def canonical(self, h):
+        """The canonical member of the pair {h, opp(h)} (the smaller id;
+        under the standard pairing opp(2i) = 2i+1 this is the even one)."""
+        o = self.opp[h]
+        return h if h < o else o
+
+    def canonical_half_edges(self):
+        return [h for h in range(self.half_edge_count) if h < self.opp[h]]
+
+    def degree(self, v):
+        return len(self.rot[v])
+
+    def face_length(self, x):
+        return len(self.faces[x])
+
+    def face_lengths(self):
+        return [len(orbit) for orbit in self.faces]
+
+    def rot_next(self, h):
+        """Successor of h in the rotation at tgt(h)."""
+        cyc = self.rot[self.tgt[h]]
+        i = self.rot_index[h]
+        return cyc[(i + 1) % len(cyc)]
+
+    def face_sigma(self, h):
+        """Face-tracing permutation."""
+        return self.rot_next(self.opp[h])
+
+    def vertices_of_edge(self, h):
+        return self.tgt[h], self.tgt[self.opp[h]]
+
+    def is_loop(self, h):
+        return self.tgt[h] == self.tgt[self.opp[h]]
+
+    def __repr__(self):
+        return "CombinatorialMap(V=%d, E=%d, F=%d, genus=%d)" % (
+            self.num_vertices,
+            self.num_edges,
+            self.num_faces,
+            self.euler_genus,
+        )
+
+
+def build_map(rotations, opp=None):
+    """Build and validate a combinatorial map.
+
+    ``rotations`` is a sequence indexed by vertex id; entry v is the
+    counterclockwise cyclic sequence of half-edges with tgt = v.  ``opp``
+    is the opposition pairing as a sequence or mapping; if omitted,
+    opp(2i) = 2i+1 is assumed.
+
+    Raises NotInvolution, DanglingHalfEdge, Disconnected or OddEulerGenus.
+    """
+    n = sum(len(cyc) for cyc in rotations)
+    if n % 2 != 0:
+        raise errors.DanglingHalfEdge("odd number of half-edges")
+
+    if opp is None:
+        opp_list = [h ^ 1 for h in range(n)]
+    else:
+        opp_list = [opp[h] for h in range(n)]
+        for h in range(n):
+            o = opp_list[h]
+            if not (0 <= o < n):
+                raise errors.NotInvolution("opp(%d) = %r out of range" % (h, o))
+            if o == h:
+                raise errors.NotInvolution("opp(%d) = %d is a fixed point" % (h, h))
+            if opp_list[o] != h:
+                raise errors.NotInvolution("opp(opp(%d)) = %d != %d" % (h, opp_list[o], h))
+
+    tgt = [-1] * n
+    rot_index = [-1] * n
+    rot = []
+    for v, cyc in enumerate(rotations):
+        cyc = list(cyc)
+        rot.append(cyc)
+        for i, h in enumerate(cyc):
+            if not (0 <= h < n):
+                raise errors.DanglingHalfEdge("half-edge %r out of range 0..%d" % (h, n - 1))
+            if tgt[h] != -1:
+                raise errors.DanglingHalfEdge("half-edge %d appears in two rotations" % h)
+            tgt[h] = v
+            rot_index[h] = i
+    if any(t == -1 for t in tgt):
+        missing = tgt.index(-1)
+        raise errors.DanglingHalfEdge("half-edge %d appears in no rotation" % missing)
+
+    num_vertices = len(rot)
+    if num_vertices == 0:
+        raise errors.Disconnected("empty map")
+
+    # connectivity of the underlying graph
+    seen = [False] * num_vertices
+    stack = [0]
+    seen[0] = True
+    while stack:
+        v = stack.pop()
+        for h in rot[v]:
+            w = tgt[opp_list[h]]
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    if not all(seen):
+        raise errors.Disconnected("underlying graph is not connected")
+
+    # trace faces: orbits of h -> rot_next(opp(h))
+    left = [-1] * n
+    faces = []
+    for h0 in range(n):
+        if left[h0] != -1:
+            continue
+        orbit = []
+        h = h0
+        while left[h] == -1:
+            left[h] = len(faces)
+            orbit.append(h)
+            o = opp_list[h]
+            cyc = rot[tgt[o]]
+            h = cyc[(rot_index[o] + 1) % len(cyc)]
+        faces.append(orbit)
+    if n == 0:
+        # the edgeless single-vertex map is drawn on the sphere with one
+        # face whose boundary walk is empty
+        faces = [[]]
+
+    genus = 2 - (num_vertices - n // 2 + len(faces))
+    if genus < 0 or genus % 2 != 0:
+        raise errors.OddEulerGenus(
+            "computed Euler genus %d; only orientable surfaces (even genus) supported" % genus
+        )
+
+    return CombinatorialMap(n, opp_list, tgt, rot, left, faces, rot_index, genus)
+
+
+def dual(m):
+    """The dual map: vertices are the faces of m, sharing half-edge ids.
+
+    A half-edge h of the dual points into the face left(h) of m, so the
+    dual's tgt is m.left and its rotation at face x is the face orbit of
+    x.  The face orbits of the dual are exactly the vertex rotations of
+    m, and the dual's face ids are relabelled to m's vertex ids, so that
+    dual(dual(m)) reproduces m and the dual's left equals m.tgt.
+    """
+    d = build_map([list(orbit) for orbit in m.faces], m.opp)
+    # relabel dual faces by the primal vertices they correspond to
+    relabel = [-1] * d.num_faces
+    for x, orbit in enumerate(d.faces):
+        relabel[x] = m.tgt[orbit[0]] if orbit else 0
+    assert sorted(relabel) == list(range(m.num_vertices))
+    new_left = [relabel[x] for x in d.left]
+    new_faces = [None] * d.num_faces
+    for x, orbit in enumerate(d.faces):
+        new_faces[relabel[x]] = orbit
+    return CombinatorialMap(
+        d.half_edge_count, d.opp, d.tgt, d.rot, new_left, new_faces, d.rot_index, d.euler_genus
+    )
+
+
+def _canonical_form(m, root):
+    """Canonical labelling of an oriented rooted map, as a traversal code."""
+    label = {root: 0}
+    order = [root]
+    code = []
+    i = 0
+    while i < len(order):
+        h = order[i]
+        i += 1
+        for nxt in (m.opp[h], m.rot_next(h)):
+            if nxt not in label:
+                label[nxt] = len(order)
+                order.append(nxt)
+            code.append(label[nxt])
+    return tuple(code)
+
+
+def is_isomorphic(m1, m2):
+    """Orientation-preserving isomorphism of connected maps.
+
+    Compares canonical forms: m2 is canonicalized from one fixed root and
+    m1 from every possible root.
+    """
+    if (
+        m1.half_edge_count != m2.half_edge_count
+        or m1.num_vertices != m2.num_vertices
+        or m1.num_faces != m2.num_faces
+    ):
+        return False
+    if m1.half_edge_count == 0:
+        return True
+    ref = _canonical_form(m2, 0)
+    return any(_canonical_form(m1, r) == ref for r in m1.half_edges())
+
+
+class FaceProfile:
+    """Per-face counts of feasible flow excesses for an odd modulus m.
+
+    For a face of length n, q counts the integers i with m | i,
+    i = n (mod 2) and |i| <= n, and b is the largest such i (0 when no i
+    qualifies).  q_star is the product of the per-face q values and
+    b_star is 1 plus the sum of the per-face b values.
+    """
+
+    __slots__ = ("m", "face_lengths", "q_values", "b_values", "q_star", "b_star")
+
+    def __init__(self, m, face_lengths, q_values, b_values):
+        self.m = m
+        self.face_lengths = list(face_lengths)
+        self.q_values = list(q_values)
+        self.b_values = list(b_values)
+        q_star = 1
+        for q in self.q_values:
+            q_star *= q
+        self.q_star = q_star
+        self.b_star = 1 + sum(self.b_values)
+
+
+def face_candidates(n, m):
+    """Sorted list of integers i with m | i, i = n (mod 2), |i| <= n."""
+    out = []
+    k0 = -(n // m)
+    for k in range(k0, n // m + 1):
+        i = k * m
+        if (i - n) % 2 == 0:
+            out.append(i)
+    return out
+
+
+def q_of(n, m):
+    return len(face_candidates(n, m))
+
+def b_of(n, m):
+    cand = face_candidates(n, m)
+    return cand[-1] if cand else 0
+
+
+def face_profile(m, modulus):
+    """Face profile of a map for an odd modulus >= 3."""
+    if modulus % 2 == 0:
+        raise errors.EvenModulus("modulus must be odd, got %d" % modulus)
+    if modulus < 3:
+        raise errors.ModulusTooSmall("modulus must be >= 3, got %d" % modulus)
+    lengths = m.face_lengths()
+    qs = [q_of(n, modulus) for n in lengths]
+    bs = [b_of(n, modulus) for n in lengths]
+    return FaceProfile(modulus, lengths, qs, bs)
+
+
+def save_surfmap(m, comment=None):
+    """Serialize to SURF-MAP v1 text.
+
+    The format fixes opp(2i) = 2i+1, so half-edges are relabelled to that
+    pairing first (edges ordered by their smaller half-edge id); a map
+    already using the standard pairing round-trips byte-identically.
+    """
+    new_id = [-1] * m.half_edge_count
+    next_edge = 0
+    for h in range(m.half_edge_count):
+        if new_id[h] == -1:
+            new_id[h] = 2 * next_edge
+            new_id[m.opp[h]] = 2 * next_edge + 1
+            next_edge += 1
+    lines = []
+    if comment:
+        lines.append("# " + comment)
+    lines.append("surfmap 1")
+    lines.append("halfedges %d" % m.half_edge_count)
+    for v, cyc in enumerate(m.rot):
+        lines.append("vertex %d: %s" % (v, " ".join(str(new_id[h]) for h in cyc)))
+    return "\n".join(lines) + "\n"
+
+
+def load_surfmap(text):
+    """Parse SURF-MAP v1 text and build the map."""
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    if not lines or lines[0].split() != ["surfmap", "1"]:
+        raise errors.SurfMapFormatError("missing 'surfmap 1' header")
+    if len(lines) < 2 or not lines[1].startswith("halfedges"):
+        raise errors.SurfMapFormatError("missing 'halfedges' line")
+    parts = lines[1].split()
+    if len(parts) != 2:
+        raise errors.SurfMapFormatError("malformed halfedges line: %r" % lines[1])
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise errors.SurfMapFormatError("bad half-edge count: %r" % parts[1])
+    if n < 0 or n % 2 != 0:
+        raise errors.SurfMapFormatError("half-edge count must be even and >= 0")
+
+    rotations = {}
+    for line in lines[2:]:
+        if not line.startswith("vertex"):
+            raise errors.SurfMapFormatError("unexpected line: %r" % line)
+        head, _, tail = line.partition(":")
+        head_parts = head.split()
+        if len(head_parts) != 2:
+            raise errors.SurfMapFormatError("malformed vertex line: %r" % line)
+        try:
+            vid = int(head_parts[1])
+        except ValueError:
+            raise errors.SurfMapFormatError("bad vertex id: %r" % head_parts[1])
+        if vid in rotations:
+            raise errors.SurfMapFormatError("duplicate vertex %d" % vid)
+        try:
+            rotations[vid] = [int(tok) for tok in tail.split()]
+        except ValueError:
+            raise errors.SurfMapFormatError("bad half-edge id on vertex %d" % vid)
+    if sorted(rotations) != list(range(len(rotations))):
+        raise errors.SurfMapFormatError("vertex ids must be 0..%d" % (len(rotations) - 1))
+    rot = [rotations[v] for v in range(len(rotations))]
+    if sum(len(c) for c in rot) != n:
+        raise errors.SurfMapFormatError(
+            "rotations list %d half-edges, header says %d" % (sum(len(c) for c in rot), n)
+        )
+    return build_map(rot)

@@ -118,14 +118,6 @@ class Chain1:
         """(canonical half-edge, coefficient) pairs, ascending ids."""
         return sorted(self.coeffs.items())
 
-    def support_half_edges(self):
-        """All half-edges h (both orientations) with K[h] != 0."""
-        out = []
-        for h in sorted(self.coeffs):
-            out.append(h)
-            out.append(self.map.opp[h])
-        return out
-
     def is_zero(self):
         return not self.coeffs
 

@@ -3,15 +3,18 @@
 Given a reference 1-chain f and prescribed pairings against the basis
 cocycles and a family of copaths, the engine first builds a 1-cycle b
 realizing the pairings, then repairs it into an f-circulation by adding
-the boundary of a 2-chain of shortest-path distances on the dual.  When
-no circulation exists, a negative cycle or negative source-to-source
-path in the dual yields a simple copath certifying infeasibility.
+the boundary of a 2-chain of shortest-path distances on the dual, taken
+by one call of the ``paths.shortest_paths`` kernel from the faces of S.
+When no circulation exists, the negative cycle or negative
+source-to-source path that call finds yields a simple copath certifying
+infeasibility.
 """
 
 from __future__ import annotations
 
 from . import chains, homology
 from .chains import Chain1, Chain2, pair, pair_plus
+from .paths import dual_arcs, shortest_paths
 
 
 class HomologyTarget:
@@ -116,100 +119,15 @@ def _arc_lengths(m, f, b):
     return ell
 
 
-def _pred_cycle(m, pred, start):
-    """Arcs of a predecessor-graph cycle reachable from start, or None
-    when the predecessor chain roots out first."""
-    seen = {}
-    order = []
-    v = start
-    while True:
-        h = pred[v]
-        if h is None:
-            return None
-        if v in seen:
-            arcs = order[seen[v]:]
-            arcs.reverse()
-            return arcs
-        seen[v] = len(order)
-        order.append(h)
-        v = m.left[m.opp[h]]
-
-
-def _negative_cycle(m, ell):
-    """Arcs of a negative-length directed cycle in the dual, or None.
-
-    Bellman-Ford with an implicit super-source (all distances start at
-    zero).  A relaxation in pass |F| proves a negative cycle exists; any
-    cycle that closes in the predecessor graph is strictly negative, so
-    sweeping continues until one is reachable from a freshly relaxed
-    face (in practice the very next sweep).
-    """
-    nf = m.num_faces
-    dist = [0] * nf
-    pred = [None] * nf
-
-    def sweep():
-        changed = []
-        for h in m.half_edges():
-            u = m.left[m.opp[h]]
-            v = m.left[h]
-            nd = dist[u] + ell[h]
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = h
-                changed.append(v)
-        return changed
-
-    for _ in range(nf):
-        if not sweep():
-            return None
-    # distances diverge only by circling a negative cycle, so a
-    # predecessor cycle forms within the guarded number of sweeps
-    guard = nf * (nf * max(1, max(abs(l) for l in ell)) + 2)
-    for _ in range(guard):
-        changed = sweep()
-        if not changed:
-            return None
-        for v0 in sorted(set(changed)):
-            arcs = _pred_cycle(m, pred, v0)
-            if arcs is not None:
-                assert sum(ell[h] for h in arcs) < 0
-                return arcs
-    raise AssertionError("negative-cycle extraction failed to converge")
-
-
-def _multi_source_distances(m, ell, sources):
-    """Exact shortest distances from a face set (no negative cycles)."""
-    nf = m.num_faces
-    inf = None
-    dist = [inf] * nf
-    pred = [None] * nf
-    for s in sources:
-        dist[s] = 0
-    for _ in range(nf):
-        changed = False
-        for h in m.half_edges():
-            u = m.left[m.opp[h]]
-            if dist[u] is None:
-                continue
-            v = m.left[h]
-            nd = dist[u] + ell[h]
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-                pred[v] = h
-                changed = True
-        if not changed:
-            break
-    return dist, pred
-
-
 def circulation_or_certificate(m, basis, f, target):
     """Find an f-circulation realizing the target pairings, or a
     certificate that none exists.  The two outcomes are exhaustive."""
     b = prescribed_cycle(m, basis, target)
     ell = _arc_lengths(m, f, b)
 
-    cyc = _negative_cycle(m, ell)
+    # every edge gives dual arcs both ways, so the sources reach every
+    # negative cycle
+    dist, pred, cyc = shortest_paths(m.num_faces, dual_arcs(m, ell), target.S)
     if cyc is not None:
         D = chains.walk_chain(m, cyc)
         z = homology.homology_class(D, basis)
@@ -220,7 +138,6 @@ def circulation_or_certificate(m, basis, f, target):
             validate_certificate(m, basis, f, target, cert)
         return cert
 
-    dist, pred = _multi_source_distances(m, ell, target.S)
     assert all(d is not None for d in dist)
     neg = [y for y in target.S if dist[y] < 0]
     if neg:
@@ -228,8 +145,8 @@ def circulation_or_certificate(m, basis, f, target):
         arcs = []
         v = y_prime
         while pred[v] is not None:
-            arcs.append(pred[v])
-            v = m.left[m.opp[pred[v]]]
+            v, _, h = pred[v]
+            arcs.append(h)
         arcs.reverse()
         y = v
         D = chains.walk_chain(m, arcs)

@@ -279,7 +279,6 @@ def _build_parser():
     p.add_argument("--modulus", type=int, default=3, help="odd cycle length (default 3)")
     p.add_argument("--precolor", metavar="FILE", help="file of '<vertex> <color>' lines")
     p.add_argument("--oracle", action="store_true", help="cross-check against brute force (<= 13 vertices)")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; solving is sequential")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("stats", help="print genus, face profile and q*/b*")

@@ -190,19 +190,30 @@ def relevant_boundaries(m, modulus):
         suffix_min[v] = suffix_min[v + 1] + cands[v][0]
         suffix_max[v] = suffix_max[v + 1] + cands[v][-1]
 
+    # explicit-stack DFS, so the depth is not bounded by the recursion
+    # limit: pos[v] is the next candidate index to try at v, and
+    # partial[v] the sum chosen over the vertices before v
     chosen = [0] * nv
-
-    def rec(v, partial):
+    pos = [0] * (nv + 1)
+    partial = [0] * (nv + 1)
+    v = 0
+    while v >= 0:
         if v == nv:
             yield RelevantBoundary(
                 Chain0(m, {u: c for u, c in enumerate(chosen) if c}), modulus
             )
-            return
-        for c in cands[v]:
-            s = partial + c
+            v -= 1
+            continue
+        row = cands[v]
+        while pos[v] < len(row):
+            c = row[pos[v]]
+            pos[v] += 1
+            s = partial[v] + c
             if s + suffix_min[v + 1] <= 0 <= s + suffix_max[v + 1]:
                 chosen[v] = c
-                yield from rec(v + 1, s)
-        chosen[v] = 0
-
-    yield from rec(0, 0)
+                partial[v + 1] = s
+                pos[v + 1] = 0
+                v += 1
+                break
+        else:
+            v -= 1

@@ -32,18 +32,17 @@ class CohomologyBasis:
     """Paired bases of the first homology and cohomology groups.
 
     Y lists g edge ids (by canonical half-edge), and cycles[i],
-    cocycles[i] are the chains paired with Y[i]; chosen[i] is the
-    canonical half-edge of Y[i] that both chains take value 1 on.
+    cocycles[i] are the chains paired with Y[i]; both take value 1 on
+    the canonical half-edge Y[i].
     """
 
-    __slots__ = ("map", "Y", "cycles", "cocycles", "chosen", "tree_edges", "cotree_edges")
+    __slots__ = ("map", "Y", "cycles", "cocycles", "tree_edges", "cotree_edges")
 
-    def __init__(self, m, Y, cycles, cocycles, chosen, tree_edges, cotree_edges):
+    def __init__(self, m, Y, cycles, cocycles, tree_edges, cotree_edges):
         self.map = m
         self.Y = Y
         self.cycles = cycles
         self.cocycles = cocycles
-        self.chosen = chosen
         self.tree_edges = tree_edges
         self.cotree_edges = cotree_edges
 
@@ -165,7 +164,7 @@ def cohomology_basis(m):
         cycles.append(f_e)
         cocycles.append(k_e)
 
-    return CohomologyBasis(m, Y, cycles, cocycles, list(Y), tree_edges, cotree_edges)
+    return CohomologyBasis(m, Y, cycles, cocycles, tree_edges, cotree_edges)
 
 
 def homology_class(k, basis):

@@ -9,7 +9,6 @@ lcm of their denominators and handed to the circulation engine.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -18,6 +17,7 @@ from . import chains, circulation
 from .chains import pair, pair_plus
 from .circulation import Circulation, HomologyTarget
 from .errors import AnchorOutsidePolytope, BudgetExceeded
+from .paths import dual_arcs, shortest_paths
 
 
 class HomologyPoint:
@@ -127,69 +127,26 @@ def membership(m, basis, f, S, x, copaths, point):
     return Separator(res.z, z_prime)
 
 
-def _johnson_potentials(m, ell):
-    """Super-source Bellman-Ford potentials; None when a negative cycle
-    makes the lengths inconsistent."""
-    nf = m.num_faces
-    dist = [0] * nf
-    for _ in range(nf):
-        changed = False
-        for h in m.half_edges():
-            nd = dist[m.left[m.opp[h]]] + ell[h]
-            if nd < dist[m.left[h]]:
-                dist[m.left[h]] = nd
-                changed = True
-        if not changed:
-            return dist
-    for h in m.half_edges():
-        if dist[m.left[m.opp[h]]] + ell[h] < dist[m.left[h]]:
-            return None
-    return dist
-
-
 def rhs_table(m, basis, f, a, S, x, copaths):
     """Compute all beta(y, y') for an integral anchor a inside the
     polytope: beta(y, y') = pair(b, P(y')) - pair(b, P(y)) + dist(y, y')
     where b realizes the anchor pairings and dist runs over the dual with
-    the repair lengths.  Johnson reweighting plus one Dijkstra per
-    element of S keeps this near-linear per source.
+    the repair lengths, one shortest-path call per element of S.
 
     Raises AnchorOutsidePolytope when the lengths admit a negative cycle.
     """
     target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
     b = circulation.prescribed_cycle(m, basis, target)
-    ell = circulation._arc_lengths(m, f, b)
-    pot = _johnson_potentials(m, ell)
-    if pot is None:
-        raise AnchorOutsidePolytope("anchor admits a negative dual cycle")
-
-    adj = [[] for _ in range(m.num_faces)]
-    for h in m.half_edges():
-        u = m.left[m.opp[h]]
-        v = m.left[h]
-        adj[u].append((ell[h] + pot[u] - pot[v], v))
-    for rows in adj:
-        rows.sort()
-
+    out = dual_arcs(m, circulation._arc_lengths(m, f, b))
     pairings = {y: pair(b, copaths[y].chain) for y in S}
+    ys = sorted(S)
     beta = {}
-    for y in sorted(S):
-        dist = [None] * m.num_faces
-        dist[y] = 0
-        heap = [(0, y)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if dist[u] is not None and d > dist[u]:
-                continue
-            for w, v in adj[u]:
-                nd = d + w
-                if dist[v] is None or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        for y2 in sorted(S):
-            assert dist[y2] is not None
-            true_dist = dist[y2] - pot[y] + pot[y2]
-            beta[(y, y2)] = pairings[y2] - pairings[y] + true_dist
+    for y in ys:
+        dist, _, cyc = shortest_paths(m.num_faces, out, (y,))
+        if cyc is not None:
+            raise AnchorOutsidePolytope("anchor admits a negative dual cycle")
+        for y2 in ys:
+            beta[(y, y2)] = pairings[y2] - pairings[y] + dist[y2]
     return RhsTable(beta)
 
 
@@ -198,48 +155,28 @@ def residue_difference_solve(S, x, m, d, r):
     ell(y) = r(y) (mod m), or None when the system is infeasible.
 
     Each bound is first tightened to the largest value congruent to the
-    required residue difference; Bellman-Ford distances from x over the
-    complete digraph then solve the difference constraints.
+    required residue difference; shortest distances from x over the
+    complete digraph on S, by the ``paths.shortest_paths`` kernel, then
+    solve the difference constraints, and a negative cycle means none.
     """
     nodes = sorted(S)
-    dd = {}
+    out = []
     for y in nodes:
-        for y2 in nodes:
-            key = (y, y2)
-            base = d[key]
+        arcs = []
+        for j, y2 in enumerate(nodes):
+            base = d[(y, y2)]
             tight = base - ((base - (r[y2] - r[y])) % m)
-            if y == y2 and tight < 0:
-                return None
-            dd[key] = tight
+            if y == y2:
+                if tight < 0:
+                    return None
+            else:
+                arcs.append((j, tight, None))
+        out.append(arcs)
 
-    dist = {y: None for y in nodes}
-    dist[x] = 0
-    for _ in range(len(nodes)):
-        changed = False
-        for y in nodes:
-            if dist[y] is None:
-                continue
-            for y2 in nodes:
-                if y2 == y:
-                    continue
-                nd = dist[y] + dd[(y, y2)]
-                if dist[y2] is None or nd < dist[y2]:
-                    dist[y2] = nd
-                    changed = True
-        if not changed:
-            break
-    else:
-        # still relaxing after |S| passes: negative cycle
-        for y in nodes:
-            for y2 in nodes:
-                if y2 != y and dist[y] is not None:
-                    if dist[y2] is None or dist[y] + dd[(y, y2)] < dist[y2]:
-                        return None
-
-    assert all(v is not None for v in dist.values())
-    if dist[x] < 0:
+    dist, _, cyc = shortest_paths(len(nodes), out, (nodes.index(x),))
+    if cyc is not None:
         return None
-    ell = dict(dist)
+    ell = dict(zip(nodes, dist))
     if __debug__:
         assert ell[x] == 0
         for y in nodes:

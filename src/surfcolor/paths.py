@@ -1,0 +1,111 @@
+"""Shortest paths with negative-cycle detection: the one kernel behind
+the circulation engine, the rhs tables and the residue solver.
+
+FIFO queue-based Bellman-Ford with subtree disassembly (Tarjan 1981; see
+Cherkassky & Goldberg, "Negative-cycle detection algorithms", 1999): the
+shortest-path tree is kept as a preorder thread, and lowering a node's
+label first detaches its subtree.  A node whose subtree holds the arc's
+tail closes a cycle of negative length, so a cycle is reported as soon as
+it forms in the tree, and the tree stays acyclic otherwise.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+
+def shortest_paths(n, out, sources):
+    """Shortest paths over nodes 0..n-1 with integer arc lengths, where
+    out[u] lists the arcs (v, length, arc) leaving u.
+
+    Returns (dist, pred, None): dist[v] is the exact distance from the
+    sources (None when unreachable) and pred[v] the (tail, length, arc)
+    entry that last lowered v (None at unreached nodes and at sources
+    still at 0).  When a negative cycle is reachable, returns
+    (None, None, cycle) instead, cycle being the arc ids of one such
+    cycle in walk order.
+    """
+    root = n
+    dist = [None] * n
+    pred = [None] * n
+    depth = [-1] * (n + 1)            # -1 marks nodes outside the tree
+    nxt = [root] * (n + 1)            # preorder thread, circular at root
+    prv = [root] * (n + 1)
+    depth[root] = 0
+    queue = deque()
+    queued = [False] * n
+
+    def attach(v, u):
+        depth[v] = depth[u] + 1
+        w = nxt[u]
+        nxt[u], prv[v], nxt[v], prv[w] = v, u, w, v
+        if not queued[v]:
+            queued[v] = True
+            queue.append(v)
+
+    for s in sources:
+        if dist[s] is None:
+            dist[s] = 0
+            attach(s, root)
+
+    # a label is the length of a simple tree path, within n * span of 0,
+    # and only falls, so no node is lowered more than 2 * n * span + 1
+    # times; that bound costs a scan of all arcs, so it is worked out only
+    # once a run has made more than n * n lowerings
+    lowered = 0
+    limit = n * n
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        if depth[u] < 0:
+            continue
+        du = dist[u]
+        for v, length, arc in out[u]:
+            d = du + length
+            if dist[v] is not None and d >= dist[v]:
+                continue
+            lowered += 1
+            if lowered > limit:
+                span = max(abs(step) for arcs in out for _, step, _ in arcs)
+                limit = n * (2 * n * span + 1)
+                if lowered > limit:
+                    raise AssertionError("shortest-path labels failed to converge")
+            dv = depth[v]
+            if dv >= 0:
+                # detach v's subtree: v and the thread run below its depth
+                w = v
+                while True:
+                    if w == u:
+                        return None, None, _cycle(pred, v, u, length, arc)
+                    depth[w] = -1
+                    w = nxt[w]
+                    if depth[w] <= dv:
+                        break
+                p = prv[v]
+                nxt[p], prv[w] = w, p
+            dist[v] = d
+            pred[v] = (u, length, arc)
+            attach(v, u)
+    return dist, pred, None
+
+
+def _cycle(pred, v, u, length, arc):
+    """Arcs of the tree path v -> u closed by the arc u -> v."""
+    arcs = [arc]
+    total = length
+    while u != v:
+        u, step, a = pred[u]
+        arcs.append(a)
+        total += step
+    assert total < 0, "extracted cycle is not negative"
+    arcs.reverse()
+    return arcs
+
+
+def dual_arcs(m, ell):
+    """The dual adjacency: half-edge h is the arc left(opp(h)) -> left(h)
+    of length ell[h]."""
+    out = [[] for _ in range(m.num_faces)]
+    for h in m.half_edges():
+        out[m.left[m.opp[h]]].append((m.left[h], ell[h], h))
+    return out

@@ -53,10 +53,6 @@ class CombinatorialMap:
     def num_faces(self):
         return len(self.faces)
 
-    @property
-    def size(self):
-        return self.num_vertices + self.num_edges + self.num_faces
-
     def half_edges(self):
         return range(self.half_edge_count)
 
@@ -83,13 +79,6 @@ class CombinatorialMap:
         cyc = self.rot[self.tgt[h]]
         i = self.rot_index[h]
         return cyc[(i + 1) % len(cyc)]
-
-    def face_sigma(self, h):
-        """Face-tracing permutation."""
-        return self.rot_next(self.opp[h])
-
-    def vertices_of_edge(self, h):
-        return self.tgt[h], self.tgt[self.opp[h]]
 
     def is_loop(self, h):
         return self.tgt[h] == self.tgt[self.opp[h]]

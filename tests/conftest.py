@@ -7,6 +7,7 @@ import pytest
 
 from surfcolor import build_map, chains
 from surfcolor.chains import Chain1, pair
+from surfcolor.cli import brute_force_extendable as backtrack_extendable  # noqa: F401
 from surfcolor.cli import gen_bouquet, gen_grid, gen_q13
 
 
@@ -77,35 +78,3 @@ def brute_feasible(m, basis, f, target):
         ):
             return True
     return False
-
-
-def backtrack_extendable(m, modulus, psi=None):
-    """Exhaustive search over all homomorphism extensions of the map."""
-    n = m.num_vertices
-    adj = [[] for _ in range(n)]
-    for h in m.canonical_half_edges():
-        u, v = m.tgt[h], m.tgt[m.opp[h]]
-        adj[u].append(v)
-        adj[v].append(u)
-    psi = psi or {}
-    colors = [None] * n
-
-    def consistent(v, c):
-        for w in adj[v]:
-            cw = colors[w]
-            if cw is not None and (cw - c) % modulus not in (1, modulus - 1):
-                return False
-        return True
-
-    def rec(v):
-        if v == n:
-            return True
-        for c in (psi[v],) if v in psi else range(modulus):
-            if consistent(v, c):
-                colors[v] = c
-                if rec(v + 1):
-                    return True
-                colors[v] = None
-        return False
-
-    return rec(0)

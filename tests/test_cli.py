@@ -75,6 +75,20 @@ def test_solve_deterministic(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def test_solve_grid_32x32_streams_without_recursion(capsys):
+    # 1,024 faces: a recursive boundary stream would exceed Python's
+    # default recursion limit here
+    code, out, _ = run_cli(capsys, "solve", "--grid", "32", "32")
+    assert code == 0
+    assert len(out.splitlines()) == 1024
+
+
+def test_solve_has_no_jobs_flag(capsys):
+    code, _, err = run_cli(capsys, "solve", "--grid", "3", "3", "--jobs", "2")
+    assert code == 2
+    assert "--jobs" in err
+
+
 def test_stats_q13(capsys):
     code, out, _ = run_cli(capsys, "stats", "--q13")
     assert code == 0

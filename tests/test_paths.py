@@ -1,0 +1,92 @@
+"""The shortest-path kernel against a plain Bellman-Ford."""
+
+import random
+
+from surfcolor.cli import gen_grid
+from surfcolor.paths import dual_arcs, shortest_paths
+
+
+def random_digraph(rng):
+    """Up to 9 nodes and small integer lengths with some negative arcs;
+    a few nodes only send arcs, so some nodes are unreachable."""
+    n = rng.randint(1, 9)
+    senders_only = set(rng.sample(range(n), rng.randint(0, min(2, n - 1))))
+    arcs = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if v in senders_only:
+            continue
+        arcs.append((u, v, rng.randint(-2, 6)))
+    out = [[] for _ in range(n)]
+    for i, (u, v, length) in enumerate(arcs):
+        out[u].append((v, length, i))
+    sources = rng.sample([v for v in range(n) if v not in senders_only] or [0], 1)
+    if rng.random() < 0.3:
+        sources.append(rng.randrange(n))
+    return n, arcs, out, sources
+
+
+def plain_bellman_ford(n, arcs, sources):
+    """|V| full passes; returns (dist, whether a negative cycle is reachable)."""
+    dist = [None] * n
+    for s in sources:
+        dist[s] = 0
+    for _ in range(n):
+        for u, v, length in arcs:
+            if dist[u] is not None and (dist[v] is None or dist[u] + length < dist[v]):
+                dist[v] = dist[u] + length
+    negative = any(
+        dist[u] is not None and dist[u] + length < dist[v] for u, v, length in arcs
+    )
+    return dist, negative
+
+
+def test_distances_and_cycles_match_plain_bellman_ford():
+    rng = random.Random(2024)
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        n, arcs, out, sources = random_digraph(rng)
+        want, negative = plain_bellman_ford(n, arcs, sources)
+        dist, pred, cycle = shortest_paths(n, out, sources)
+        seen[negative] += 1
+        if negative:
+            assert dist is None and pred is None
+            tails = [arcs[a][0] for a in cycle]
+            heads = [arcs[a][1] for a in cycle]
+            assert heads == tails[1:] + tails[:1], "not a closed walk"
+            assert len(set(tails)) == len(tails), "walk repeats a node"
+            assert sum(arcs[a][2] for a in cycle) < 0
+            continue
+        assert cycle is None
+        assert dist == want
+        for v in range(n):
+            if pred[v] is None:
+                assert dist[v] is None or (v in sources and dist[v] == 0)
+            else:
+                u, length, a = pred[v]
+                assert arcs[a] == (u, v, length)
+                assert dist[v] == dist[u] + length
+    assert min(seen.values()) > 50
+
+
+def test_negative_self_loop_on_one_node():
+    assert shortest_paths(1, [[(0, -1, "a")]], [0]) == (None, None, ["a"])
+    assert shortest_paths(1, [[(0, 0, "a")]], [0]) == ([0], [None], None)
+
+
+def test_unreached_negative_cycle_is_ignored():
+    # 0 -> 1 only; the cycle 2 <-> 3 is negative but unreachable from 0
+    out = [[(1, 4, "a")], [], [(3, -3, "b")], [(2, 1, "c")]]
+    dist, pred, cycle = shortest_paths(4, out, [0])
+    assert cycle is None
+    assert dist == [0, 4, None, None]
+    assert pred[1] == (0, 4, "a")
+
+
+def test_dual_arcs_carry_every_half_edge_once():
+    m = gen_grid(3, 4)
+    ell = [h % 5 - 2 for h in m.half_edges()]
+    out = dual_arcs(m, ell)
+    entries = sorted((h, u, v, length) for u, arcs in enumerate(out) for v, length, h in arcs)
+    assert entries == [(h, m.left[m.opp[h]], m.left[h], ell[h]) for h in m.half_edges()]

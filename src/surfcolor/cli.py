@@ -2,7 +2,7 @@
 
 Subcommands: solve, stats, dual, polytope, hollow2d-verify, gen.
 Exit codes: 0 = found/verified, 1 = not extendable / verification
-failure, 2 = invalid input.
+failure, 2 = invalid input, 3 = internal error.
 """
 
 from __future__ import annotations
@@ -331,6 +331,9 @@ def run(argv=None):
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except Exception as e:
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return 3
 
 
 def main():

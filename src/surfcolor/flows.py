@@ -3,7 +3,9 @@
 A flow is a 1-chain with coefficients in {-1, 0, 1}; its boundary is the
 0-chain of vertex excesses.  Realizing a prescribed boundary reduces to
 a unit-capacity maximum flow; upgrading to a nowhere-zero flow orients
-the leftover all-even-degree subgraph along Eulerian circuits.
+the leftover all-even-degree subgraph along Eulerian circuits.  Before
+the max-flow, a cut check on the saturated vertices (|d[v]| = deg(v))
+rejects most unrealizable boundaries in time linear in their degrees.
 """
 
 from __future__ import annotations
@@ -47,11 +49,19 @@ class RelevantBoundary:
 
 def is_parity_compliant(m, d):
     """True iff d[v] and deg(v) have the same parity at every vertex."""
-    return all((d[v] - m.degree(v)) % 2 == 0 for v in range(m.num_vertices))
+    odd = {v for v, c in d.coeffs.items() if c % 2}
+    return odd == {v for v, cyc in enumerate(m.rot) if len(cyc) % 2}
 
 
 def flow_with_boundary(m, d):
     """A flow f1 with boundary d, or None if none exists.
+
+    Cut check first: at a saturated vertex v, |d[v]| = deg(v), every edge
+    must carry flow with the sign of d[v].  So a loop at v, or an edge
+    joining v to another saturated vertex whose excess has the same sign,
+    makes d exceed the number of edges leaving {v} or that pair (Gale's
+    cut condition), and the answer is None without a max-flow.  A loop is
+    the case u = v of the pair test below.
 
     Auxiliary network: each edge becomes two opposite unit-capacity arcs;
     a super-source feeds every vertex with d[v] < 0 and every vertex with
@@ -60,6 +70,15 @@ def flow_with_boundary(m, d):
     """
     if chains.boundary0(d) != 0:
         raise NotAZeroBoundary("boundary entries must sum to zero")
+    coeffs = d.coeffs
+    for v, c in coeffs.items():
+        if abs(c) != len(m.rot[v]):
+            continue
+        for h in m.rot[v]:
+            u = m.tgt[m.opp[h]]
+            cu = coeffs.get(u, 0)
+            if cu * c > 0 and abs(cu) == len(m.rot[u]):
+                return None
 
     need = d.norm() // 2
     g = [0] * m.half_edge_count        # unit flow on the half-edge arcs

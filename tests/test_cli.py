@@ -160,6 +160,17 @@ def test_usage_error_exit_code(capsys):
     assert cli.run(["frobnicate"]) == 2
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_stats", broken)
+    code, out, err = run_cli(capsys, "stats", "--q13")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
 def test_polytope_bouquet(capsys):
     code, out, _ = run_cli(capsys, "polytope", "--bouquet")
     assert code == 0

@@ -174,3 +174,102 @@ def test_flow_boundaries_are_relevant(corpus_map):
         for v in range(m.num_vertices):
             assert abs(d[v]) <= m.degree(v)
             assert (d[v] - m.degree(v)) % 2 == 0
+
+
+def edge_map(nv, edges):
+    """A map on nv vertices with the given (u, v) edges; half-edge 2e
+    points into v and 2e + 1 into u."""
+    rot = [[] for _ in range(nv)]
+    for e, (u, v) in enumerate(edges):
+        rot[v].append(2 * e)
+        rot[u].append(2 * e + 1)
+    return build_map(rot)
+
+
+def cut_violated(m, d):
+    """True iff some vertex set X has d(X) > cut(X), the number of
+    non-loop edges with one end in X (Gale's condition, by brute force)."""
+    nv = m.num_vertices
+    ends = [(m.tgt[h], m.tgt[m.opp[h]]) for h in m.canonical_half_edges()]
+    for mask in range(1, 1 << nv):
+        excess = sum(d[v] for v in range(nv) if mask >> v & 1)
+        cut = sum(1 for u, v in ends if (mask >> u & 1) != (mask >> v & 1))
+        if excess > cut:
+            return True
+    return False
+
+
+def random_relevant_boundary(rng, m):
+    """A zero-sum, parity-compliant d with |d[v]| <= deg(v), most entries
+    drawn as +-deg(v)."""
+    nv = m.num_vertices
+    deg = [m.degree(v) for v in range(nv)]
+    d = []
+    for v in range(nv):
+        if rng.random() < 0.7:
+            d.append(rng.choice((-deg[v], deg[v])))
+        else:
+            d.append(rng.choice(range(-deg[v], deg[v] + 1, 2)))
+    # the sum is even, so steps of 2 toward zero reach it
+    while sum(d) != 0:
+        step = -2 if sum(d) > 0 else 2
+        v = rng.choice([v for v in range(nv) if abs(d[v] + step) <= deg[v]])
+        d[v] += step
+    return Chain0(m, dict(enumerate(d)))
+
+
+def test_flow_with_boundary_matches_gale_cut_oracle():
+    rng = random.Random(311)
+    infeasible = 0
+    for _ in range(400):
+        m = random_map(rng, max_edges=14, max_vertices=7)
+        d = random_relevant_boundary(rng, m)
+        assert flows.is_parity_compliant(m, d)
+        f = flows.flow_with_boundary(m, d)
+        assert (f is None) == cut_violated(m, d)
+        if f is None:
+            infeasible += 1
+        else:
+            assert boundary1(f.chain) == d
+    assert 100 <= infeasible <= 300
+
+
+def test_parity_compliance_matches_per_vertex_rule():
+    rng = random.Random(313)
+    for _ in range(300):
+        m = random_map(rng, max_edges=10, max_vertices=6)
+        d = Chain0(m, {v: rng.randint(-4, 4) for v in range(m.num_vertices)})
+        want = all((d[v] - m.degree(v)) % 2 == 0 for v in range(m.num_vertices))
+        assert flows.is_parity_compliant(m, d) == want
+
+
+@pytest.mark.parametrize(
+    "nv, edges, d",
+    [
+        # a 4-cycle: the adjacent vertices 0 and 1 both need every edge to
+        # carry flow inward
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0)], {0: 2, 1: 2, 2: -2, 3: -2}),
+        # degrees 1, 3, 3, 3: vertices 0 and 1 are the only saturated
+        # same-sign pair, and {0, 1} has excess 4 and cut 2
+        (4, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 3)], {0: 1, 1: 3, 2: -1, 3: -3}),
+        # a loop adds 2 to the degree of vertex 0 but nothing to its excess
+        (3, [(0, 0), (0, 1), (1, 2), (1, 2)], {0: 3, 1: -1, 2: -2}),
+    ],
+    ids=["equal-degrees", "unequal-degrees", "loop"],
+)
+def test_cut_check_rejects_saturated_vertices(nv, edges, d):
+    m = edge_map(nv, edges)
+    d = Chain0(m, d)
+    assert all(abs(d[v]) <= m.degree(v) for v in range(nv))
+    assert flows.is_parity_compliant(m, d)
+    assert cut_violated(m, d)
+    assert flows.flow_with_boundary(m, d) is None
+
+
+def test_cut_check_keeps_opposite_saturated_pair():
+    # theta graph: both vertices saturated, with opposite signs
+    m = build_map([[0, 2, 4], [1, 3, 5]])
+    d = Chain0(m, {0: -3, 1: 3})
+    f = flows.flow_with_boundary(m, d)
+    assert f is not None
+    assert boundary1(f.chain) == d

@@ -13,9 +13,9 @@ from .surface_map import (
 )
 from .chains import Chain0, Chain1, Chain2
 from .homology import CohomologyBasis, Copath, cohomology_basis, copaths_from
-from .flows import Flow, RelevantBoundary
+from .flows import Flow
 from .circulation import Certificate, Circulation, HomologyTarget
-from .lattice import HomologyPoint, ResidueSpec, RhsTable, Separator
+from .lattice import HomologyPoint, ResidueSpec, Separator
 from .solver import ColoringResult, Precoloring, extend_precoloring, verify_homomorphism
 
 __all__ = [
@@ -35,13 +35,11 @@ __all__ = [
     "cohomology_basis",
     "copaths_from",
     "Flow",
-    "RelevantBoundary",
     "Certificate",
     "Circulation",
     "HomologyTarget",
     "HomologyPoint",
     "ResidueSpec",
-    "RhsTable",
     "Separator",
     "ColoringResult",
     "Precoloring",

@@ -4,6 +4,12 @@
 A 1-chain stores coefficients on canonical half-edges only and is
 antisymmetric: K[opp(h)] = -K[h].  All coefficients are plain Python
 integers, so arithmetic is exact at any magnitude.
+
+One base class carries the algebra of all three chain types; Chain1
+only canonicalises its keys.  Each operator and its dual read the same
+kernel through a different map array: boundary2 and coboundary2 (and
+the walk chains) sum signed face orbits or vertex rotations, while
+boundary1 and coboundary1 take head minus tail through m.tgt or m.left.
 """
 
 from __future__ import annotations
@@ -17,22 +23,21 @@ def _check_same_map(a, b):
 
 
 class _SparseChain:
-    """Shared behaviour of vertex- and face-indexed chains."""
+    """The algebra shared by all chain types: a dict of nonzero
+    coefficients on one map."""
 
     __slots__ = ("map", "coeffs")
+    _key_format = "%s"
 
     def __init__(self, m, coeffs=None):
         self.map = m
-        self.coeffs = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if c:
-                    self.coeffs[k] = c
+        self.coeffs = {k: c for k, c in coeffs.items() if c} if coeffs else {}
 
     def __getitem__(self, k):
         return self.coeffs.get(k, 0)
 
     def items(self):
+        """(key, coefficient) pairs in ascending key order."""
         return sorted(self.coeffs.items())
 
     def is_zero(self):
@@ -73,108 +78,78 @@ class _SparseChain:
         return hash((type(self).__name__, id(self.map), tuple(self.items())))
 
     def __repr__(self):
-        body = " ".join("%+d*%s" % (c, k) for k, c in self.items()) or "0"
+        term = "%+d*" + self._key_format
+        body = " ".join(term % (c, k) for k, c in self.items()) or "0"
         return "%s(%s)" % (type(self).__name__, body)
 
 
 class Chain0(_SparseChain):
     """Formal integer sum of vertices."""
 
+    __slots__ = ()
+
 
 class Chain2(_SparseChain):
     """Formal integer sum of faces."""
 
+    __slots__ = ()
 
-class Chain1:
+
+class Chain1(_SparseChain):
     """Formal integer sum of half-edges with K[opp(h)] = -K[h].
 
     Coefficients are keyed by canonical half-edges; reading a
     non-canonical half-edge returns the negated stored value.
     """
 
-    __slots__ = ("map", "coeffs")
+    __slots__ = ()
+    _key_format = "h%d"
 
     def __init__(self, m, coeffs=None):
-        self.map = m
-        self.coeffs = {}
+        out = {}
         if coeffs:
             for h, c in coeffs.items():
-                if not c:
-                    continue
-                hc = m.canonical(h)
-                if hc == h:
-                    self.coeffs[hc] = self.coeffs.get(hc, 0) + c
-                else:
-                    self.coeffs[hc] = self.coeffs.get(hc, 0) - c
-        for h in [h for h, c in self.coeffs.items() if not c]:
-            del self.coeffs[h]
+                if c:
+                    hc = m.canonical(h)
+                    out[hc] = out.get(hc, 0) + (c if hc == h else -c)
+        super().__init__(m, out)
 
     def __getitem__(self, h):
         hc = self.map.canonical(h)
         c = self.coeffs.get(hc, 0)
         return c if hc == h else -c
 
-    def items(self):
-        """(canonical half-edge, coefficient) pairs, ascending ids."""
-        return sorted(self.coeffs.items())
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def norm(self):
-        return sum(abs(c) for c in self.coeffs.values())
-
     def is_simple(self):
         return all(abs(c) <= 1 for c in self.coeffs.values())
 
-    def _combine(self, other, sign):
-        _check_same_map(self, other)
-        out = dict(self.coeffs)
-        for h, c in other.coeffs.items():
-            out[h] = out.get(h, 0) + sign * c
-        return Chain1(self.map, out)
 
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return Chain1(self.map, {h: -c for h, c in self.coeffs.items()})
-
-    def __mul__(self, scalar):
-        return Chain1(self.map, {h: scalar * c for h, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chain1)
-            and self.map is other.map
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(("Chain1", id(self.map), tuple(self.items())))
-
-    def __repr__(self):
-        body = " ".join("%+d*h%d" % (c, h) for h, c in self.items()) or "0"
-        return "Chain1(%s)" % body
+def _signed_orbit_sum(m, weighted_walks):
+    """The 1-chain sum of c * h over every (walk, c) pair and every
+    half-edge h of the walk: a face orbit gives a face boundary, a vertex
+    rotation a vertex coboundary, a path its walk chain."""
+    out = {}
+    for walk, c in weighted_walks:
+        for h in walk:
+            hc = m.canonical(h)
+            out[hc] = out.get(hc, 0) + (c if hc == h else -c)
+    return Chain1(m, out)
 
 
-def unit_chain1(m, h, coeff=1):
-    """The 1-chain coeff * h."""
-    return Chain1(m, {h: coeff})
+def _head_minus_tail(k, head, chain_type):
+    """Each c * h of a 1-chain adds c at head[h] and -c at head[opp(h)]:
+    with m.tgt the vertex boundary, with m.left the face coboundary."""
+    out = {}
+    m = k.map
+    for h, c in k.coeffs.items():
+        v, u = head[h], head[m.opp[h]]
+        out[v] = out.get(v, 0) + c
+        out[u] = out.get(u, 0) - c
+    return chain_type(m, out)
 
 
 def walk_chain(m, half_edges):
     """The 1-chain of a directed walk given as a half-edge sequence."""
-    chain = {}
-    for h in half_edges:
-        hc = m.canonical(h)
-        chain[hc] = chain.get(hc, 0) + (1 if hc == h else -1)
-    return Chain1(m, chain)
+    return _signed_orbit_sum(m, ((half_edges, 1),))
 
 
 def face_boundary(m, x):
@@ -189,54 +164,33 @@ def vertex_coboundary(m, v):
 
 def boundary2(a):
     """Linear extension of face boundaries to 2-chains."""
-    out = {}
     m = a.map
-    for x, cx in a.coeffs.items():
-        for h in m.faces[x]:
-            hc = m.canonical(h)
-            out[hc] = out.get(hc, 0) + (cx if hc == h else -cx)
-    return Chain1(m, out)
-
-
-def boundary1(k):
-    """The 0-chain of vertex excesses of a 1-chain."""
-    out = {}
-    m = k.map
-    for h, c in k.coeffs.items():
-        v, u = m.tgt[h], m.tgt[m.opp[h]]
-        out[v] = out.get(v, 0) + c
-        out[u] = out.get(u, 0) - c
-    return Chain0(m, out)
-
-
-def boundary0(b):
-    return sum(b.coeffs.values())
+    return _signed_orbit_sum(m, ((m.faces[x], c) for x, c in a.coeffs.items()))
 
 
 def coboundary2(b):
     """Linear extension of vertex coboundaries to 0-chains."""
-    out = {}
     m = b.map
-    for v, cv in b.coeffs.items():
-        for h in m.rot[v]:
-            hc = m.canonical(h)
-            out[hc] = out.get(hc, 0) + (cv if hc == h else -cv)
-    return Chain1(m, out)
+    return _signed_orbit_sum(m, ((m.rot[v], c) for v, c in b.coeffs.items()))
+
+
+def boundary1(k):
+    """The 0-chain of vertex excesses of a 1-chain."""
+    return _head_minus_tail(k, k.map.tgt, Chain0)
 
 
 def coboundary1(k):
     """The 2-chain of face excesses of a 1-chain."""
-    out = {}
-    m = k.map
-    for h, c in k.coeffs.items():
-        x, y = m.left[h], m.left[m.opp[h]]
-        out[x] = out.get(x, 0) + c
-        out[y] = out.get(y, 0) - c
-    return Chain2(m, out)
+    return _head_minus_tail(k, k.map.left, Chain2)
 
 
-def coboundary0(a):
-    return sum(a.coeffs.values())
+def boundary0(b):
+    """The sum of the coefficients of a 0-chain (or, as coboundary0, of a
+    2-chain)."""
+    return sum(b.coeffs.values())
+
+
+coboundary0 = boundary0
 
 
 def is_cycle(k):

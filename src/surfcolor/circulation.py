@@ -40,15 +40,6 @@ class HomologyTarget:
         if not copaths[x].chain.is_zero():
             raise ValueError("the copath at x must be the zero chain")
 
-    def scaled(self, mu):
-        return HomologyTarget(
-            tuple(mu * ai for ai in self.a),
-            self.S,
-            self.x,
-            self.copaths,
-            {y: mu * v for y, v in self.a_prime.items()},
-        )
-
 
 class Circulation:
     """A 1-cycle c with 0 <= c[h] <= f[h] wherever the reference f[h] >= 0."""

@@ -184,9 +184,11 @@ def _cmd_solve(args):
         if m.num_vertices > 13:
             raise SurfcolorError("--oracle supports at most 13 vertices")
         want = brute_force_extendable(m, args.modulus, pre.psi)
-        assert res.extendable == want, (
-            "oracle disagreement: solver says %s, brute force says %s" % (res.extendable, want)
-        )
+        # raised, not asserted, so that python -O still reports it
+        if res.extendable != want:
+            raise AssertionError(
+                "oracle disagreement: solver says %s, brute force says %s" % (res.extendable, want)
+            )
     if not res.extendable:
         print("NONE")
         return 1
@@ -221,6 +223,7 @@ def _cmd_gen(args):
 
 
 def _cmd_polytope(args):
+    surface_map.check_modulus(args.modulus)
     m, _ = _load_instance(args)
     g = surface_map.dual(m)
     if g.num_edges > args.budget:
@@ -231,8 +234,8 @@ def _cmd_polytope(args):
     x = 0
     copaths = copaths_from(g, x, [x])
     f0 = None
-    for rb in flows.relevant_boundaries(g, args.modulus):
-        f0 = flows.nowhere_zero_flow_with_boundary(g, rb.chain)
+    for d in flows.relevant_boundaries(g, args.modulus):
+        f0 = flows.nowhere_zero_flow_with_boundary(g, d)
         if f0 is not None:
             break
     if f0 is None:
@@ -254,6 +257,8 @@ def _cmd_hollow2d(args):
         raise SurfcolorError("box corner must be non-negative")
     if args.jobs < 1:
         raise SurfcolorError("--jobs must be at least 1")
+    if args.bound < 1:
+        raise SurfcolorError("--bound must be at least 1")
     rep = hollow2d.enumerate_and_verify(
         box_thirds=box,
         bound=args.bound,

@@ -34,19 +34,6 @@ class Flow:
         return "Flow(%r, nowhere_zero=%s)" % (self.chain, self.nowhere_zero)
 
 
-class RelevantBoundary:
-    """A parity-compliant 0-boundary with m | d[v] and |d[v]| <= deg(v)."""
-
-    __slots__ = ("chain", "modulus")
-
-    def __init__(self, chain, modulus):
-        self.chain = chain
-        self.modulus = modulus
-
-    def __repr__(self):
-        return "RelevantBoundary(%r, m=%d)" % (self.chain, self.modulus)
-
-
 def is_parity_compliant(m, d):
     """True iff d[v] and deg(v) have the same parity at every vertex."""
     odd = {v for v, c in d.coeffs.items() if c % 2}
@@ -192,7 +179,8 @@ def nowhere_zero_flow_with_boundary(m, d):
 
 
 def relevant_boundaries(m, modulus):
-    """Stream every relevant 0-boundary divisible by the modulus.
+    """Stream every relevant 0-boundary divisible by the modulus, each a
+    parity-compliant Chain0 with modulus | d[v] and |d[v]| <= deg(v).
 
     Per vertex the candidate excesses are the integers i with
     modulus | i, i = deg(v) (mod 2) and |i| <= deg(v); selections are
@@ -218,9 +206,7 @@ def relevant_boundaries(m, modulus):
     v = 0
     while v >= 0:
         if v == nv:
-            yield RelevantBoundary(
-                Chain0(m, {u: c for u, c in enumerate(chosen) if c}), modulus
-            )
+            yield Chain0(m, {u: c for u, c in enumerate(chosen) if c})
             v -= 1
             continue
         row = cands[v]

@@ -36,15 +36,13 @@ class CohomologyBasis:
     the canonical half-edge Y[i].
     """
 
-    __slots__ = ("map", "Y", "cycles", "cocycles", "tree_edges", "cotree_edges")
+    __slots__ = ("map", "Y", "cycles", "cocycles")
 
-    def __init__(self, m, Y, cycles, cocycles, tree_edges, cotree_edges):
+    def __init__(self, m, Y, cycles, cocycles):
         self.map = m
         self.Y = Y
         self.cycles = cycles
         self.cocycles = cocycles
-        self.tree_edges = tree_edges
-        self.cotree_edges = cotree_edges
 
     def __len__(self):
         return len(self.Y)
@@ -112,21 +110,14 @@ def _dual_tree(m, root, excluded_edges):
     return _bfs_tree(m.num_faces, root, arcs_of)
 
 
-def _walk_to_root_vertex(m, parent_arc, v):
+def _walk_to_root(parent_arc, head, node):
+    """The parent arcs from node up to the root; head is m.tgt for the
+    primal tree and m.left for the dual tree."""
     hs = []
-    while parent_arc[v] is not None:
-        h = parent_arc[v]
+    while parent_arc[node] is not None:
+        h = parent_arc[node]
         hs.append(h)
-        v = m.tgt[h]
-    return hs
-
-
-def _walk_to_root_face(m, parent_arc, x):
-    hs = []
-    while parent_arc[x] is not None:
-        h = parent_arc[x]
-        hs.append(h)
-        x = m.left[h]
+        node = head[h]
     return hs
 
 
@@ -148,23 +139,16 @@ def cohomology_basis(m):
     )
     assert len(Y) == m.euler_genus
 
-    cycles = []
-    cocycles = []
-    for h in Y:
-        o = m.opp[h]
-        # fundamental cycle: h plus the tree path from tgt(h) back to tgt(opp(h))
-        up = chains.walk_chain(m, _walk_to_root_vertex(m, parent_v, m.tgt[h]))
-        down = chains.walk_chain(m, _walk_to_root_vertex(m, parent_v, m.tgt[o]))
-        f_e = chains.unit_chain1(m, h) + up - down
-        # fundamental cocycle: h plus the dual tree path from left(h) back
-        # to left(opp(h))
-        dup = chains.walk_chain(m, _walk_to_root_face(m, parent_f, m.left[h]))
-        ddown = chains.walk_chain(m, _walk_to_root_face(m, parent_f, m.left[o]))
-        k_e = chains.unit_chain1(m, h) + dup - ddown
-        cycles.append(f_e)
-        cocycles.append(k_e)
+    def fundamental(parent_arc, head, h):
+        # h, then the tree path from head(h) up to the root and back down
+        # to head(opp(h)), the node h leaves
+        up = _walk_to_root(parent_arc, head, head[h])
+        down = _walk_to_root(parent_arc, head, head[m.opp[h]])
+        return chains.walk_chain(m, [h] + up + [m.opp[d] for d in reversed(down)])
 
-    return CohomologyBasis(m, Y, cycles, cocycles, tree_edges, cotree_edges)
+    cycles = [fundamental(parent_v, m.tgt, h) for h in Y]
+    cocycles = [fundamental(parent_f, m.left, h) for h in Y]
+    return CohomologyBasis(m, Y, cycles, cocycles)
 
 
 def homology_class(k, basis):
@@ -193,7 +177,7 @@ def copaths_from(m, x, targets=None):
         targets = range(m.num_faces)
     out = {}
     for y in targets:
-        hs = _walk_to_root_face(m, parent_f, y)
+        hs = _walk_to_root(parent_f, m.left, y)
         # hs walks y -> x; each parent arc has left = the face nearer x,
         # so flip each half-edge to point along x -> y instead.
         chain = chains.walk_chain(m, [m.opp[h] for h in hs])

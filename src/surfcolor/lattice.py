@@ -52,19 +52,6 @@ class Separator:
         return "Separator(z=%r, z_prime=%r)" % (self.z, self.z_prime)
 
 
-class RhsTable:
-    """Right-hand sides beta(y, y') of the inequalities
-    a'(y') - a'(y) <= beta(y, y') of the precolored sub-polytope."""
-
-    __slots__ = ("beta",)
-
-    def __init__(self, beta):
-        self.beta = dict(beta)
-
-    def __repr__(self):
-        return "RhsTable(%r)" % (self.beta,)
-
-
 class ResidueSpec:
     """Prescribed residues modulo an odd m for the lattice search."""
 
@@ -128,8 +115,10 @@ def membership(m, basis, f, S, x, copaths, point):
 
 
 def rhs_table(m, basis, f, a, S, x, copaths):
-    """Compute all beta(y, y') for an integral anchor a inside the
-    polytope: beta(y, y') = pair(b, P(y')) - pair(b, P(y)) + dist(y, y')
+    """The right-hand sides beta(y, y') of the inequalities
+    a'(y') - a'(y) <= beta(y, y') of the precolored sub-polytope, as a
+    dict keyed by (y, y'), for an integral anchor a inside the polytope:
+    beta(y, y') = pair(b, P(y')) - pair(b, P(y)) + dist(y, y')
     where b realizes the anchor pairings and dist runs over the dual with
     the repair lengths, one shortest-path call per element of S.
 
@@ -147,7 +136,7 @@ def rhs_table(m, basis, f, a, S, x, copaths):
             raise AnchorOutsidePolytope("anchor admits a negative dual cycle")
         for y2 in ys:
             beta[(y, y2)] = pairings[y2] - pairings[y] + dist[y2]
-    return RhsTable(beta)
+    return beta
 
 
 def residue_difference_solve(S, x, m, d, r):
@@ -206,7 +195,7 @@ class SearchStats:
         self.points_inside = 0
 
 
-def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, strategy=None, stats=None):
+def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
     """Search the bounded homology lattice for an f0-circulation whose
     pairings match the prescribed residues (componentwise mod m).
 
@@ -215,10 +204,6 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, strategy=Non
     precolored sub-polytope is solved by the modular difference-constraint
     solver, and a concrete circulation is extracted on success.  Returns
     None when the box is exhausted.
-
-    ``strategy`` may replace the box scan: it is called with the box, the
-    residue spec, and a membership callback, and must yield candidate
-    integer vectors in the order they should be tried.
     """
     fchain = f0.chain if hasattr(f0, "chain") else f0
     box, _ = pairing_bounds(fchain, basis, copaths)
@@ -228,24 +213,19 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, strategy=Non
         pt = HomologyPoint(u, {x: 0})
         return membership(m, basis, fchain, (x,), x, x_copaths, pt) is None
 
-    if strategy is None:
-        candidates = lex_box_points(box, spec.r0, spec.m)
-    else:
-        candidates = strategy(box, spec, is_inside)
-
-    for u in candidates:
+    for u in lex_box_points(box, spec.r0, spec.m):
         if stats is not None:
             stats.points_tested += 1
         if not is_inside(u):
             continue
         if stats is not None:
             stats.points_inside += 1
-        rhs = rhs_table(m, basis, fchain, u, S, x, copaths)
+        beta = rhs_table(m, basis, fchain, u, S, x, copaths)
         r = dict(spec.r0_prime)
         r[x] = 0
         for y in S:
             r.setdefault(y, 0)
-        ell = residue_difference_solve(S, x, spec.m, rhs.beta, r)
+        ell = residue_difference_solve(S, x, spec.m, beta, r)
         if ell is None:
             continue
         target = HomologyTarget(u, S, x, copaths, ell)

@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from . import chains, flows, homology, lattice, surface_map
 from .chains import Chain1, pair
-from .errors import (
-    DivisibilityViolation,
-    EvenModulus,
-    ModulusTooSmall,
-    NotAHomomorphism,
-)
+from .errors import DivisibilityViolation, NotAHomomorphism
 
 
 class Precoloring:
@@ -26,10 +21,7 @@ class Precoloring:
     __slots__ = ("m", "psi")
 
     def __init__(self, m, psi=None):
-        if m % 2 == 0:
-            raise EvenModulus("cycle length must be odd, got %d" % m)
-        if m < 3:
-            raise ModulusTooSmall("cycle length must be >= 3, got %d" % m)
+        surface_map.check_modulus(m)
         self.m = m
         self.psi = dict(psi) if psi else {}
         for v, c in self.psi.items():
@@ -172,9 +164,9 @@ def extend_precoloring(h_map, pre):
 
     boundaries_tried = 0
     stats = lattice.SearchStats()
-    for rb in flows.relevant_boundaries(g, m):
+    for d in flows.relevant_boundaries(g, m):
         boundaries_tried += 1
-        f0 = flows.nowhere_zero_flow_with_boundary(g, rb.chain)
+        f0 = flows.nowhere_zero_flow_with_boundary(g, d)
         if f0 is None:
             continue
         r0 = [(half * pair(f0.chain, k)) % m for k in basis.cocycles]
@@ -198,7 +190,7 @@ def extend_precoloring(h_map, pre):
         return ColoringResult(
             True,
             coloring=phi,
-            witness_boundary=rb,
+            witness_boundary=d,
             boundaries_tried=boundaries_tried,
             points_tested=stats.points_tested,
         )

@@ -284,12 +284,18 @@ def b_of(n, m):
     return cand[-1] if cand else 0
 
 
-def face_profile(m, modulus):
-    """Face profile of a map for an odd modulus >= 3."""
+def check_modulus(modulus):
+    """Raise unless the modulus, the length of the target cycle, is odd
+    and at least 3."""
     if modulus % 2 == 0:
         raise errors.EvenModulus("modulus must be odd, got %d" % modulus)
     if modulus < 3:
         raise errors.ModulusTooSmall("modulus must be >= 3, got %d" % modulus)
+
+
+def face_profile(m, modulus):
+    """Face profile of a map for an odd modulus >= 3."""
+    check_modulus(modulus)
     lengths = m.face_lengths()
     qs = [q_of(n, modulus) for n in lengths]
     bs = [b_of(n, modulus) for n in lengths]

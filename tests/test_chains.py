@@ -201,3 +201,53 @@ def test_deterministic_item_order():
     m = gen_bouquet(3)
     k = Chain1(m, {4: 1, 0: 2, 2: -1})
     assert [h for h, _ in k.items()] == [0, 2, 4]
+
+
+def test_chain_instances_have_no_dict():
+    m = gen_grid(3, 3)
+    for chain in (Chain0(m, {0: 1}), Chain1(m, {0: 1}), Chain2(m, {0: 1})):
+        assert not hasattr(chain, "__dict__")
+
+
+def test_chain0_and_chain2_with_equal_coefficients_differ():
+    m = gen_grid(3, 3)
+    assert Chain0(m, {0: 1, 4: -2}) != Chain2(m, {0: 1, 4: -2})
+    assert Chain0(m) != Chain2(m)
+
+
+def test_equal_chains_hash_equal(corpus_map):
+    rng = random.Random(23)
+    m = corpus_map
+    k = random_chain1(rng, m)
+    # the same 1-chain written on the opposite half-edges
+    flipped = Chain1(m, {m.opp[h]: -c for h, c in k.items()})
+    assert flipped == k
+    assert hash(flipped) == hash(k)
+    a = Chain2(m, {x: rng.randint(-2, 2) for x in range(m.num_faces)})
+    assert hash(a + a - a) == hash(a)
+    b = Chain0(m, {v: rng.randint(-2, 2) for v in range(m.num_vertices)})
+    assert hash(-(-b)) == hash(b)
+
+
+def test_reprs_are_pinned():
+    m = gen_grid(3, 3)
+    assert repr(Chain0(m, {4: -2, 0: 1})) == "Chain0(+1*0 -2*4)"
+    assert repr(Chain1(m, {2: 2, 0: 1})) == "Chain1(+1*h0 +2*h2)"
+    assert repr(Chain1(m, {m.opp[2]: 2})) == "Chain1(-2*h2)"
+    assert repr(Chain2(m, {3: 5})) == "Chain2(+5*3)"
+    assert repr(Chain1(m)) == "Chain1(0)"
+
+
+def test_boundary2_and_coboundary2_extend_the_single_operators(corpus_map):
+    rng = random.Random(29)
+    m = corpus_map
+    a = Chain2(m, {x: rng.randint(-3, 3) for x in range(m.num_faces)})
+    b = Chain0(m, {v: rng.randint(-3, 3) for v in range(m.num_vertices)})
+    want_a = Chain1(m)
+    for x in range(m.num_faces):
+        want_a = want_a + a[x] * chains.face_boundary(m, x)
+    want_b = Chain1(m)
+    for v in range(m.num_vertices):
+        want_b = want_b + b[v] * chains.vertex_coboundary(m, v)
+    assert boundary2(a) == want_a
+    assert coboundary2(b) == want_b

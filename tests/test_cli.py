@@ -1,5 +1,9 @@
 """CLI subcommands, exit codes, formats, and determinism."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from surfcolor import cli, is_isomorphic, load_surfmap
@@ -169,6 +173,43 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_oracle_disagreement_exits_3(flags):
+    # the check must survive python -O, which strips assert statements
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys\n"
+        "from surfcolor import cli\n"
+        "real = cli.brute_force_extendable\n"
+        "cli.brute_force_extendable = lambda *a: not real(*a)\n"
+        "sys.exit(cli.run(['solve', '--grid', '3', '3', '--oracle']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    p = subprocess.run(
+        [sys.executable] + flags + ["-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert p.returncode == 3
+    assert p.stdout == ""
+    assert p.stderr.startswith("internal error: AssertionError: oracle disagreement")
+
+
+@pytest.mark.parametrize("modulus", ["0", "1", "4", "-3"])
+def test_polytope_rejects_bad_modulus(capsys, modulus):
+    code, out, err = run_cli(capsys, "polytope", "--bouquet", "--modulus", modulus)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: modulus must be")
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_hollow2d_rejects_bound_below_one(capsys, bound):
+    code, out, err = run_cli(capsys, "hollow2d-verify", "--smoke", "--bound", bound)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --bound must be at least 1\n"
 
 
 def test_polytope_bouquet(capsys):

@@ -117,7 +117,7 @@ def test_relevant_boundaries_quadrangulation_dual():
     g = dual(gen_grid(3, 3))
     bs = list(flows.relevant_boundaries(g, 3))
     assert len(bs) == 1
-    assert bs[0].chain.is_zero()
+    assert bs[0].is_zero()
 
 
 def test_relevant_boundaries_degree_three():
@@ -129,7 +129,7 @@ def test_relevant_boundaries_degree_three():
 
     assert face_candidates(3, 3) == [-3, 3]
     bs = list(flows.relevant_boundaries(m, 3))
-    assert [sorted(b.chain.items()) for b in bs] == [
+    assert [sorted(b.items()) for b in bs] == [
         [(0, -3), (1, 3)],
         [(0, 3), (1, -3)],
     ]
@@ -142,7 +142,7 @@ def test_relevant_boundaries_two_hexagon_vertices():
     assert sorted(m.degree(v) for v in range(2)) == [6, 6]
     bs = list(flows.relevant_boundaries(m, 3))
     assert len(bs) == 3
-    sums = [sorted(c for _, c in b.chain.items()) for b in bs]
+    sums = [sorted(c for _, c in b.items()) for b in bs]
     assert sums.count([]) == 1  # the zero boundary
     assert sums.count([-6, 6]) == 2
 
@@ -155,12 +155,12 @@ def test_boundary_stream_is_sorted_and_bounded(corpus_map):
     prof = face_profile(d, 3)  # faces of the dual are vertices of m
     bs = list(flows.relevant_boundaries(m, 3))
     assert len(bs) <= prof.q_star
-    keys = [tuple(b.chain[v] for v in range(m.num_vertices)) for b in bs]
+    keys = [tuple(b[v] for v in range(m.num_vertices)) for b in bs]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     for b in bs:
-        assert b.chain.norm() + 1 <= prof.b_star
-        assert flows.is_parity_compliant(m, b.chain)
+        assert b.norm() + 1 <= prof.b_star
+        assert flows.is_parity_compliant(m, b)
 
 
 def test_flow_boundaries_are_relevant(corpus_map):

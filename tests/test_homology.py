@@ -148,3 +148,32 @@ def test_copath_between_adjacent_faces():
     hh, coeff = support[0]
     crossing = hh if coeff == 1 else m.opp[hh]
     assert m.left[crossing] == y and m.left[m.opp[crossing]] == x
+
+
+def _basis_values(basis):
+    return (
+        basis.Y,
+        [dict(f.items()) for f in basis.cycles],
+        [dict(k.items()) for k in basis.cocycles],
+    )
+
+
+def test_grid34_basis_is_pinned():
+    basis = homology.cohomology_basis(gen_grid(3, 4))
+    assert _basis_values(basis) == (
+        [8, 44],
+        [{0: 1, 8: 1, 16: 1}, {40: 1, 42: 1, 44: 1, 46: 1}],
+        [{8: 1, 10: 1, 12: 1, 14: 1}, {28: 1, 36: 1, 44: 1}],
+    )
+
+
+def test_q13_dual_basis_is_pinned():
+    from surfcolor import dual
+    from surfcolor.cli import gen_q13
+
+    basis = homology.cohomology_basis(dual(gen_q13()))
+    assert _basis_values(basis) == (
+        [18, 32],
+        [{0: 1, 10: 1, 18: 1, 36: 1, 44: 1}, {0: -1, 16: -1, 28: 1, 30: 1, 32: 1}],
+        [{4: 1, 6: 1, 18: 1, 34: 1, 46: 1}, {14: -1, 22: -1, 32: 1, 40: 1, 48: 1}],
+    )

@@ -132,7 +132,7 @@ def test_johnson_distances_equal_plain_bellman_ford():
                 if not changed:
                     break
             for y2 in S:
-                assert tbl.beta[(y, y2)] == pairings[y2] - pairings[y] + dist[y2]
+                assert tbl[(y, y2)] == pairings[y2] - pairings[y] + dist[y2]
         done += 1
 
 

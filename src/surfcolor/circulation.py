@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from . import chains, homology
 from .chains import Chain1, Chain2, pair, pair_plus
-from .paths import dual_arcs, shortest_paths
+from .paths import shortest_paths
 
 
 class HomologyTarget:
@@ -100,25 +100,32 @@ def prescribed_cycle(m, basis, target):
     return b
 
 
-def _arc_lengths(m, f, b):
-    """Length of the dual arc carried by each half-edge h (the arc from
-    left(opp(h)) into left(h)): f[h] - b[h] where f[h] > 0, else -b[h]."""
-    ell = [0] * m.half_edge_count
+def repair_network(m, basis, f, target):
+    """The prescribed cycle b and the dual network that repairs it into an
+    f-circulation, as (b, out): half-edge h is the arc left(opp(h)) ->
+    left(h) in out, of length f[h] - b[h] where f[h] > 0, else -b[h].
+    Each out list holds its arcs in ascending half-edge order."""
+    b = prescribed_cycle(m, basis, target)
+    fc, bc = f.coeffs, b.coeffs
+    out = [[] for _ in range(m.num_faces)]
     for h in m.half_edges():
-        fh = f[h]
-        ell[h] = fh - b[h] if fh > 0 else -b[h]
-    return ell
+        o = m.opp[h]
+        if h < o:
+            fh, bh = fc.get(h, 0), bc.get(h, 0)
+        else:
+            fh, bh = -fc.get(o, 0), -bc.get(o, 0)
+        out[m.left[o]].append((m.left[h], fh - bh if fh > 0 else -bh, h))
+    return b, out
 
 
 def circulation_or_certificate(m, basis, f, target):
     """Find an f-circulation realizing the target pairings, or a
     certificate that none exists.  The two outcomes are exhaustive."""
-    b = prescribed_cycle(m, basis, target)
-    ell = _arc_lengths(m, f, b)
+    b, out = repair_network(m, basis, f, target)
 
     # every edge gives dual arcs both ways, so the sources reach every
     # negative cycle
-    dist, pred, cyc = shortest_paths(m.num_faces, dual_arcs(m, ell), target.S)
+    dist, pred, cyc = shortest_paths(m.num_faces, out, target.S)
     if cyc is not None:
         D = chains.walk_chain(m, cyc)
         z = homology.homology_class(D, basis)

@@ -250,21 +250,14 @@ def _cmd_polytope(args):
 
 
 def _cmd_hollow2d(args):
-    box = (args.box[0], args.box[1]) if args.box else (8, 13)
-    if args.smoke:
-        box = (3, 3)
+    box = tuple(args.box)
     if box[0] < 0 or box[1] < 0:
         raise SurfcolorError("box corner must be non-negative")
     if args.jobs < 1:
         raise SurfcolorError("--jobs must be at least 1")
     if args.bound < 1:
         raise SurfcolorError("--bound must be at least 1")
-    rep = hollow2d.enumerate_and_verify(
-        box_thirds=box,
-        bound=args.bound,
-        jobs=args.jobs,
-        recheck_doubled=args.recheck_doubled,
-    )
+    rep = hollow2d.enumerate_and_verify(box, args.bound, args.jobs)
     sys.stdout.write(rep.format())
     print("wall time: %.2f s" % rep.elapsed, file=sys.stderr)
     return 0 if rep.verified else 1
@@ -310,12 +303,13 @@ def _build_parser():
     p.set_defaults(func=_cmd_polytope)
 
     p = sub.add_parser("hollow2d-verify", help="verify hollow third-integral polygons are narrow")
-    p.add_argument("--box", nargs=2, type=int, metavar=("X3", "Y3"),
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--box", nargs=2, type=int, default=[8, 13], metavar=("X3", "Y3"),
                    help="box corner in thirds (default 8 13)")
-    p.add_argument("--smoke", action="store_true", help="shrink the box to [0,1]^2")
-    p.add_argument("--bound", type=int, default=42, help="direction max-norm bound (default 42)")
-    p.add_argument("--recheck-doubled", action="store_true",
-                   help="on failures, rerun with the direction bound doubled")
+    g.add_argument("--smoke", action="store_const", dest="box", const=[3, 3],
+                   help="shrink the box to [0,1]^2")
+    p.add_argument("--bound", type=int, default=42,
+                   help="direction max-norm bound (default 42); raise it to widen the search")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=_cmd_hollow2d)
 

@@ -27,9 +27,6 @@ class Flow:
         self.chain = chain
         self.nowhere_zero = len(chain.coeffs) == chain.map.num_edges
 
-    def boundary(self):
-        return chains.boundary1(self.chain)
-
     def __repr__(self):
         return "Flow(%r, nowhere_zero=%s)" % (self.chain, self.nowhere_zero)
 
@@ -69,26 +66,21 @@ def flow_with_boundary(m, d):
 
     need = d.norm() // 2
     g = [0] * m.half_edge_count        # unit flow on the half-edge arcs
-    g_src = {}                         # flow on s->v arcs
-    g_snk = {}                         # flow on v->t arcs
-    cap_src = {v: -c for v, c in d.coeffs.items() if c < 0}
-    cap_snk = {v: c for v, c in d.coeffs.items() if c > 0}
+    # excess not yet routed: below 0 at a source, above 0 at a sink
+    rest = [coeffs.get(v, 0) for v in range(m.num_vertices)]
+    sources = [v for v, c in d.items() if c < 0]
     out_arcs = [sorted(m.opp[h] for h in m.rot[v]) for v in range(m.num_vertices)]
 
     sent = 0
     while sent < need:
         # BFS for an augmenting path in the residual network
-        parent = {}
-        frontier = []
-        for v in sorted(cap_src):
-            if cap_src[v] - g_src.get(v, 0) > 0:
-                parent[v] = None
-                frontier.append(v)
+        parent = {v: None for v in sources if rest[v] < 0}
+        frontier = list(parent)
         goal = None
         while frontier and goal is None:
             nxt = []
             for v in frontier:
-                if cap_snk.get(v, 0) - g_snk.get(v, 0) > 0:
+                if rest[v] > 0:
                     goal = v
                     break
                 for a in out_arcs[v]:
@@ -103,7 +95,7 @@ def flow_with_boundary(m, d):
             return None
         # push one unit back along the path
         v = goal
-        g_snk[v] = g_snk.get(v, 0) + 1
+        rest[v] -= 1
         while parent[v] is not None:
             a = parent[v]
             if g[m.opp[a]] > 0:
@@ -111,7 +103,7 @@ def flow_with_boundary(m, d):
             else:
                 g[a] = 1
             v = m.tgt[m.opp[a]]
-        g_src[v] = g_src.get(v, 0) + 1
+        rest[v] += 1
         sent += 1
 
     f1 = Chain1(m, {h: g[h] - g[m.opp[h]] for h in m.canonical_half_edges()})

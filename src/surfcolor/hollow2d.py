@@ -7,16 +7,23 @@ fractions.  The enumeration walks all subsets of the grid in strictly
 convex position in ascending lexicographic order: each such subset is
 the vertex set of exactly one third-integral polytope in the box, and
 growing a set can only grow its hull, so branches whose hull contains an
-integer point are pruned for good.
+integer point are pruned for good.  Each extension adds one
+counterclockwise cap triangle to the hull, and only the cap needs a
+containment test.  Every hull that no grid point extends is then
+checked by the same narrow-direction search as ``narrow_direction``,
+with directions tried by increasing max-norm up to the given bound.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 from .errors import NotUnimodular, ZeroDirection
+
+# the paper's bound: every hollow polygon has lattice width below two
+THRESHOLD = Fraction(2)
 
 
 def _cross(o, a, b):
@@ -41,28 +48,6 @@ def convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def _hull_contains(hull, q):
-    """Closed containment of a point in a strictly convex CCW hull,
-    including the degenerate point and segment cases."""
-    k = len(hull)
-    if k == 0:
-        return False
-    if k == 1:
-        return hull[0] == q
-    if k == 2:
-        a, b = hull
-        if _cross(a, b, q) != 0:
-            return False
-        return (
-            min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= q[1] <= max(a[1], b[1])
-        )
-    for i in range(k):
-        if _cross(hull[i], hull[(i + 1) % k], q) < 0:
-            return False
-    return True
-
-
 class ThirdIntegralPolygon:
     """A polytope with vertices on the (1/3)-grid, stored in thirds.
 
@@ -78,20 +63,6 @@ class ThirdIntegralPolygon:
             raise ValueError("a polygon needs at least one vertex")
         start = hull.index(min(hull))
         self.vertices_thirds = tuple(hull[start:] + hull[:start])
-
-    @classmethod
-    def from_fractions(cls, vertices):
-        """Build from exact rational points; coordinates must be thirds."""
-        thirds = []
-        for x, y in vertices:
-            x3, y3 = 3 * Fraction(x), 3 * Fraction(y)
-            if x3.denominator != 1 or y3.denominator != 1:
-                raise ValueError("coordinates must be integer multiples of 1/3")
-            thirds.append((int(x3), int(y3)))
-        return cls(thirds)
-
-    def vertices(self):
-        return [(Fraction(x, 3), Fraction(y, 3)) for x, y in self.vertices_thirds]
 
     def __eq__(self, other):
         return (
@@ -116,15 +87,18 @@ def width_along(poly, z):
 
 
 def contains_integer_point(poly):
-    """Closed containment of any integer lattice point."""
+    """Closed containment of any integer lattice point: a point of the
+    bounding box with every edge's cross product >= 0.  A point or a
+    segment has each edge both ways round, which leaves only the points
+    on it."""
     hull = poly.vertices_thirds
+    edges = list(zip(hull, hull[1:] + hull[:1]))
     xs = [x for x, _ in hull]
     ys = [y for _, y in hull]
-    x_lo, x_hi = -(-min(xs) // 3), max(xs) // 3
-    y_lo, y_hi = -(-min(ys) // 3), max(ys) // 3
-    for ix in range(x_lo, x_hi + 1):
-        for iy in range(y_lo, y_hi + 1):
-            if _hull_contains(hull, (3 * ix, 3 * iy)):
+    for ix in range(-(-min(xs) // 3), max(xs) // 3 + 1):
+        for iy in range(-(-min(ys) // 3), max(ys) // 3 + 1):
+            q = (3 * ix, 3 * iy)
+            if all(_cross(a, b, q) >= 0 for a, b in edges):
                 return True
     return False
 
@@ -164,12 +138,21 @@ def coprime_directions(bound):
                     yield (z1, z2)
 
 
-def narrow_direction(poly, threshold=Fraction(2), bound=42):
+def narrow_direction(poly, threshold=THRESHOLD, bound=42):
     """First searched direction along which the polygon is strictly
     narrower than the threshold, or None if the bound is exhausted."""
-    for z in coprime_directions(bound):
-        if width_along(poly, z) < threshold:
-            return z
+    return _narrow(poly.vertices_thirds, ceil(3 * threshold), bound)
+
+
+def _narrow(vertices, limit, bound):
+    """First direction of coprime_directions(bound) along which the
+    vertices, in thirds, span fewer than limit thirds, or None.  For an
+    integer width, below limit = ceil(3 * threshold) is below the
+    threshold."""
+    for z1, z2 in coprime_directions(bound):
+        vals = [z1 * x + z2 * y for x, y in vertices]
+        if max(vals) - min(vals) < limit:
+            return (z1, z2)
     return None
 
 
@@ -220,36 +203,27 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _grid_points(box_thirds):
+def _candidate_points(box_thirds):
+    """The grid points of the box in lexicographic order, less the
+    integer points, which can never be vertices of a hollow hull."""
     bx, by = box_thirds
-    return [(x, y) for x in range(bx + 1) for y in range(by + 1)]
-
-
-def _integer_points(box_thirds):
-    bx, by = box_thirds
-    return [(x, y) for x in range(0, bx + 1, 3) for y in range(0, by + 1, 3)]
+    return [(x, y) for x in range(bx + 1) for y in range(by + 1) if x % 3 or y % 3]
 
 
 def _extend_convex(hull, p):
     """Insert a point lex-greater than every hull vertex.
 
     Returns (new_hull, cap) where cap is the closed region added to the
-    hull (a triangle, or the segment for a 1-point hull), or None when
-    some existing vertex would stop being a vertex (the extended set is
-    not in strictly convex position).  p lex-greater guarantees p lies
-    strictly outside, so it always becomes a vertex itself.
+    hull as a counterclockwise triangle (a, p, b) of the visible edge
+    a-b and p, or (a, p, a) for the segment of a 1-point hull; or None
+    when some existing vertex would stop being a vertex (the extended
+    set is not in strictly convex position).  p lex-greater guarantees p
+    lies strictly outside, so it always becomes a vertex itself.
     """
     k = len(hull)
     if k == 1:
         a = hull[0]
-        return [a, p], (a, p)
-    if k == 2:
-        a, b = hull
-        c = _cross(a, b, p)
-        if c == 0:
-            return None
-        new_hull = [a, b, p] if c > 0 else [a, p, b]
-        return new_hull, (a, b, p)
+        return [a, p], (a, p, a)
     visible = -1
     for i in range(k):
         c = _cross(hull[i], hull[(i + 1) % k], p)
@@ -263,16 +237,17 @@ def _extend_convex(hull, p):
     # edge is visible when no vertex gets swallowed
     assert visible >= 0
     new_hull = hull[: visible + 1] + [p] + hull[visible + 1:]
-    return new_hull, (hull[visible], hull[(visible + 1) % k], p)
+    return new_hull, (hull[visible], p, hull[(visible + 1) % k])
 
 
 def _explore_root(args):
     """DFS all hollow strictly-convex subsets whose smallest point is
     points[root]; returns (examined, maximal, failures)."""
-    box_thirds, bound, threshold, root = args
-    # integer grid points can never be vertices of a hollow hull
-    points = [p for p in _grid_points(box_thirds) if p[0] % 3 != 0 or p[1] % 3 != 0]
-    int_pts = _integer_points(box_thirds)
+    box_thirds, bound, root = args
+    points = _candidate_points(box_thirds)
+    bx, by = box_thirds
+    int_pts = [(x, y) for x in range(0, bx + 1, 3) for y in range(0, by + 1, 3)]
+    limit = ceil(3 * THRESHOLD)
     npts = len(points)
 
     examined = 0
@@ -280,41 +255,21 @@ def _explore_root(args):
     failures = []
 
     def cap_hollow(cap):
-        if len(cap) == 2:
-            a, b = cap
-            lo_x, hi_x = min(a[0], b[0]), max(a[0], b[0])
-            lo_y, hi_y = min(a[1], b[1]), max(a[1], b[1])
-            for q in int_pts:
-                if lo_x <= q[0] <= hi_x and lo_y <= q[1] <= hi_y:
-                    if _cross(a, b, q) == 0:
-                        return False
-            return True
-        a, b, p = cap
-        sab = _cross(a, b, p)
-        lo_x = min(a[0], b[0], p[0])
-        hi_x = max(a[0], b[0], p[0])
-        lo_y = min(a[1], b[1], p[1])
-        hi_y = max(a[1], b[1], p[1])
+        # the cap is counterclockwise, so a point is in it (closed) when
+        # it is on the left of or on each of its three edges
+        a, p, b = cap
+        lo_x, hi_x = min(a[0], p[0], b[0]), max(a[0], p[0], b[0])
+        lo_y, hi_y = min(a[1], p[1], b[1]), max(a[1], p[1], b[1])
         for q in int_pts:
-            if not (lo_x <= q[0] <= hi_x and lo_y <= q[1] <= hi_y):
-                continue
-            s1 = _cross(a, b, q)
-            s2 = _cross(b, p, q)
-            s3 = _cross(p, a, q)
-            if sab > 0:
-                if s1 >= 0 and s2 >= 0 and s3 >= 0:
-                    return False
-            else:
-                if s1 <= 0 and s2 <= 0 and s3 <= 0:
-                    return False
+            if (
+                lo_x <= q[0] <= hi_x
+                and lo_y <= q[1] <= hi_y
+                and _cross(a, p, q) >= 0
+                and _cross(p, b, q) >= 0
+                and _cross(b, a, q) >= 0
+            ):
+                return False
         return True
-
-    def narrow_direction_hull(hull):
-        for z in coprime_directions(bound):
-            vals = [z[0] * x + z[1] * y for x, y in hull]
-            if Fraction(max(vals) - min(vals), 3) < threshold:
-                return z
-        return None
 
     def visit(hull, last):
         nonlocal examined, maximal
@@ -331,7 +286,7 @@ def _explore_root(args):
             visit(new_hull, i)
         if not extended:
             maximal += 1
-            if narrow_direction_hull(hull) is None:
+            if _narrow(hull, limit, bound) is None:
                 failures.append(tuple(sorted(hull)))
 
     if root < npts:
@@ -339,35 +294,26 @@ def _explore_root(args):
     return examined, maximal, failures
 
 
-def enumerate_and_verify(box_thirds=(8, 13), bound=42, threshold=Fraction(2), jobs=1,
-                         recheck_doubled=False):
+def enumerate_and_verify(box_thirds=(8, 13), bound=42, jobs=1):
     """Enumerate every third-integral polytope in the box and verify that
-    each hollow one is strictly narrower than the threshold along some
-    searched direction.  DFS roots are independent, so jobs > 1 fans them
-    out over processes; the merged report is identical either way.
-
-    With recheck_doubled, any hull left unresolved at the direction bound
-    is re-searched with the bound doubled before being reported.
+    each hollow one is strictly narrower than THRESHOLD along some
+    direction of max-norm at most bound.  DFS roots are independent, so
+    jobs > 1 fans them out over at most one process per root; the merged
+    report is identical either way.
     """
     import time
 
     t0 = time.monotonic()
-    points = [p for p in _grid_points(box_thirds) if p[0] % 3 != 0 or p[1] % 3 != 0]
-    tasks = [(box_thirds, bound, threshold, r) for r in range(len(points))]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    tasks = [(box_thirds, bound, r) for r in range(len(_candidate_points(box_thirds)))]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_explore_root, tasks)
     else:
         results = [_explore_root(t) for t in tasks]
     examined = sum(r[0] for r in results)
     maximal = sum(r[1] for r in results)
     failures = sorted(f for r in results for f in r[2])
-    if recheck_doubled and failures:
-        failures = [
-            verts
-            for verts in failures
-            if narrow_direction(ThirdIntegralPolygon(verts), threshold, 2 * bound) is None
-        ]
     return VerificationReport(
         box_thirds, bound, examined, maximal, failures, time.monotonic() - t0
     )

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import chains, circulation
 from .chains import pair, pair_plus
 from .circulation import Circulation, HomologyTarget
 from .errors import AnchorOutsidePolytope, BudgetExceeded
-from .paths import dual_arcs, shortest_paths
+from .paths import shortest_paths
 
 
 class HomologyPoint:
@@ -79,10 +79,6 @@ def pairing_bounds(f, basis, copaths):
     return box, box_s
 
 
-def _lcm(a, b):
-    return a // gcd(a, b) * b
-
-
 def membership(m, basis, f, S, x, copaths, point):
     """Decide whether a rational point lies in the allowed-homology
     polytope.  Returns None when inside, else a strict Separator.
@@ -94,11 +90,7 @@ def membership(m, basis, f, S, x, copaths, point):
     if up_x != 0:
         sign = 1 if up_x > 0 else -1
         return Separator((0,) * len(basis), {x: sign})
-    mu = 1
-    for c in point.u:
-        mu = _lcm(mu, Fraction(c).denominator)
-    for c in point.u_prime.values():
-        mu = _lcm(mu, Fraction(c).denominator)
+    mu = lcm(*(Fraction(c).denominator for c in (*point.u, *point.u_prime.values())))
     a = [int(mu * c) for c in point.u]
     a_prime = {y: int(mu * c) for y, c in point.u_prime.items()}
     for y in S:
@@ -125,8 +117,7 @@ def rhs_table(m, basis, f, a, S, x, copaths):
     Raises AnchorOutsidePolytope when the lengths admit a negative cycle.
     """
     target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
-    b = circulation.prescribed_cycle(m, basis, target)
-    out = dual_arcs(m, circulation._arc_lengths(m, f, b))
+    b, out = circulation.repair_network(m, basis, f, target)
     pairings = {y: pair(b, copaths[y].chain) for y in S}
     ys = sorted(S)
     beta = {}
@@ -208,6 +199,9 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
     fchain = f0.chain if hasattr(f0, "chain") else f0
     box, _ = pairing_bounds(fchain, basis, copaths)
     x_copaths = {x: copaths[x]}
+    r = {y: 0 for y in S}
+    r.update(spec.r0_prime)
+    r[x] = 0
 
     def is_inside(u):
         pt = HomologyPoint(u, {x: 0})
@@ -221,10 +215,6 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
         if stats is not None:
             stats.points_inside += 1
         beta = rhs_table(m, basis, fchain, u, S, x, copaths)
-        r = dict(spec.r0_prime)
-        r[x] = 0
-        for y in S:
-            r.setdefault(y, 0)
         ell = residue_difference_solve(S, x, spec.m, beta, r)
         if ell is None:
             continue

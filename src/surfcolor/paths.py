@@ -100,12 +100,3 @@ def _cycle(pred, v, u, length, arc):
     assert total < 0, "extracted cycle is not negative"
     arcs.reverse()
     return arcs
-
-
-def dual_arcs(m, ell):
-    """The dual adjacency: half-edge h is the arc left(opp(h)) -> left(h)
-    of length ell[h]."""
-    out = [[] for _ in range(m.num_faces)]
-    for h in m.half_edges():
-        out[m.left[m.opp[h]]].append((m.left[h], ell[h], h))
-    return out

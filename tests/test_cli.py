@@ -233,6 +233,21 @@ def test_hollow2d_deterministic_output(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [("--smoke", "--box", "5", "5"), ("--box", "5", "5", "--smoke")])
+def test_hollow2d_smoke_and_box_are_exclusive(capsys, argv):
+    code, out, err = run_cli(capsys, "hollow2d-verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
+def test_hollow2d_has_no_recheck_doubled_flag(capsys):
+    code, out, err = run_cli(capsys, "hollow2d-verify", "--smoke", "--recheck-doubled")
+    assert code == 2
+    assert out == ""
+    assert "--recheck-doubled" in err
+
+
 def test_gen_output_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "gen", "--grid", "4", "3")
     _, out2, _ = run_cli(capsys, "gen", "--grid", "4", "3")

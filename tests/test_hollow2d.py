@@ -1,5 +1,6 @@
 """Exact polygon primitives and the hollow-width enumeration."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -151,3 +152,121 @@ def test_degenerate_polytopes_have_narrow_directions():
         b = (rng.randint(0, 8), rng.randint(0, 13))
         p = Poly([a, b])
         assert h2.narrow_direction(p, Fraction(2)) is not None
+
+
+def _strictly_convex_hollow(sub):
+    return len(h2.convex_hull(list(sub))) == len(sub) and h2.is_hollow(Poly(list(sub)))
+
+
+def test_enumeration_and_maximal_counts_match_subset_scan_box_3_3():
+    # a hollow strictly convex subset is extension-maximal when no
+    # lex-greater grid point keeps it strictly convex and hollow
+    import itertools
+
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    examined = maximal = 0
+    for r in range(1, len(grid) + 1):
+        for sub in itertools.combinations(grid, r):
+            if not _strictly_convex_hollow(sub):
+                continue
+            examined += 1
+            if not any(_strictly_convex_hollow(sub + (p,)) for p in grid if p > sub[-1]):
+                maximal += 1
+    rep = h2.enumerate_and_verify((3, 3))
+    assert (rep.hulls_examined, rep.maximal_hulls) == (examined, maximal) == (774, 430)
+
+
+def _in_closed_hull(points, q):
+    """Brute force by Caratheodory: q is in the closed hull of the points
+    iff it is one of them, or on a segment, or in a triangle of them,
+    solved with exact barycentric coordinates."""
+    q = (Fraction(q[0]), Fraction(q[1]))
+    pts = sorted(set(points))
+    for a in pts:
+        if a == q:
+            return True
+    for a, b in itertools.combinations(pts, 2):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        qx, qy = q[0] - a[0], q[1] - a[1]
+        if dx * qy - dy * qx == 0:
+            t = (qx * dx + qy * dy) / Fraction(dx * dx + dy * dy)
+            if 0 <= t <= 1:
+                return True
+    for a, b, c in itertools.combinations(pts, 3):
+        m00, m01 = b[0] - a[0], c[0] - a[0]
+        m10, m11 = b[1] - a[1], c[1] - a[1]
+        det = m00 * m11 - m01 * m10
+        if det == 0:
+            continue
+        qx, qy = q[0] - a[0], q[1] - a[1]
+        s = Fraction(m11 * qx - m01 * qy, det)
+        t = Fraction(m00 * qy - m10 * qx, det)
+        if s >= 0 and t >= 0 and s + t <= 1:
+            return True
+    return False
+
+
+def test_contains_integer_point_matches_brute_force():
+    # coordinates in thirds, biased to multiples of 3 so that integer
+    # points fall on vertices and on edges
+    rng = random.Random(181)
+
+    def coord():
+        return 3 * rng.randint(-1, 2) if rng.random() < 0.5 else rng.randint(-3, 6)
+
+    seen = {"point": 0, "segment": 0, "polygon": 0, "vertex": 0, "edge": 0, "hollow": 0}
+    for i in range(600):
+        k = (1, 2, rng.randint(3, 6))[i % 3]
+        pts = [(coord(), coord()) for _ in range(k)]
+        poly = Poly(pts)
+        hull = poly.vertices_thirds
+        xs = [x for x, _ in hull]
+        ys = [y for _, y in hull]
+        ints = [
+            (x, y)
+            for x in range(3 * (min(xs) // 3), max(xs) + 1, 3)
+            for y in range(3 * (min(ys) // 3), max(ys) + 1, 3)
+            if _in_closed_hull(hull, (x, y))
+        ]
+        assert h2.contains_integer_point(poly) == bool(ints), hull
+        seen[("point", "segment", "polygon")[min(len(hull), 3) - 1]] += 1
+        seen["hollow"] += not ints
+        seen["vertex"] += any(q in hull for q in ints)
+        seen["edge"] += any(
+            q not in hull and _in_closed_hull([a, b], q)
+            for q in ints
+            for a, b in zip(hull, hull[1:] + hull[:1])
+        )
+    assert min(seen.values()) >= 20, seen
+
+
+def test_box_5_7_counts():
+    rep = h2.enumerate_and_verify((5, 7))
+    assert (rep.hulls_examined, rep.maximal_hulls, len(rep.failures)) == (42908, 28129, 0)
+
+
+def test_pool_is_capped_at_the_number_of_roots(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(h2.multiprocessing, "Pool", FakePool)
+    # the 2 x 2 grid of (1, 1) has three non-integer points, one root each
+    rep = h2.enumerate_and_verify((1, 1), jobs=8)
+    assert sizes == [3]
+    # one root runs inline
+    h2.enumerate_and_verify((1, 0), jobs=8)
+    h2.enumerate_and_verify((0, 0), jobs=8)
+    assert sizes == [3]
+    assert rep.format() == h2.enumerate_and_verify((1, 1), jobs=1).format()

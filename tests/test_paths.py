@@ -2,8 +2,7 @@
 
 import random
 
-from surfcolor.cli import gen_grid
-from surfcolor.paths import dual_arcs, shortest_paths
+from surfcolor.paths import shortest_paths
 
 
 def random_digraph(rng):
@@ -82,11 +81,3 @@ def test_unreached_negative_cycle_is_ignored():
     assert cycle is None
     assert dist == [0, 4, None, None]
     assert pred[1] == (0, 4, "a")
-
-
-def test_dual_arcs_carry_every_half_edge_once():
-    m = gen_grid(3, 4)
-    ell = [h % 5 - 2 for h in m.half_edges()]
-    out = dual_arcs(m, ell)
-    entries = sorted((h, u, v, length) for u, arcs in enumerate(out) for v, length, h in arcs)
-    assert entries == [(h, m.left[m.opp[h]], m.left[h], ell[h]) for h in m.half_edges()]

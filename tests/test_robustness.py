@@ -56,6 +56,29 @@ def test_engine_on_chains_with_zeros_and_magnitudes():
     assert min(outcomes) > 10
 
 
+def test_repair_network_carries_every_half_edge_once():
+    rng = random.Random(179)
+    for _ in range(80):
+        m = random_map(rng, max_edges=9, max_vertices=5)
+        basis = homology.cohomology_basis(m)
+        f = Chain1(m, {h: rng.choice((-2, -1, 0, 1, 2)) for h in m.canonical_half_edges()})
+        x = rng.randrange(m.num_faces)
+        S = sorted({x} | {rng.randrange(m.num_faces) for _ in range(2)})
+        cps = homology.copaths_from(m, x, S)
+        a = tuple(rng.randint(-2, 2) for _ in basis.cocycles)
+        ap = {y: (0 if y == x else rng.randint(-2, 2)) for y in S}
+        target = HomologyTarget(a, S, x, cps, ap)
+        b, out = circulation.repair_network(m, basis, f, target)
+        assert b == circulation.prescribed_cycle(m, basis, target)
+        for arcs in out:
+            assert [h for _, _, h in arcs] == sorted(h for _, _, h in arcs)
+        entries = sorted((h, u, v, length) for u, arcs in enumerate(out) for v, length, h in arcs)
+        assert entries == [
+            (h, m.left[m.opp[h]], m.left[h], f[h] - b[h] if f[h] > 0 else -b[h])
+            for h in m.half_edges()
+        ]
+
+
 def test_membership_on_rational_points_matches_scaled_bruteforce():
     from fractions import Fraction
 
@@ -113,7 +136,7 @@ def test_johnson_distances_equal_plain_bellman_ford():
         # recompute the distances with plain Bellman-Ford per source
         target = HomologyTarget(a, (x,), x, {x: cps[x]}, {x: 0})
         b = circulation.prescribed_cycle(m, basis, target)
-        ell = circulation._arc_lengths(m, f, b)
+        ell = [f[h] - b[h] if f[h] > 0 else -b[h] for h in m.half_edges()]
         pairings = {y: pair(b, cps[y].chain) for y in S}
         for y in S:
             dist = [None] * m.num_faces

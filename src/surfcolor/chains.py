@@ -33,6 +33,14 @@ class _SparseChain:
         self.map = m
         self.coeffs = {k: c for k, c in coeffs.items() if c} if coeffs else {}
 
+    @classmethod
+    def _canonical(cls, m, coeffs):
+        """A chain whose keys are already canonical: only the zeros are
+        dropped, with no per-key work of a subclass constructor."""
+        chain = object.__new__(cls)
+        _SparseChain.__init__(chain, m, coeffs)
+        return chain
+
     def __getitem__(self, k):
         return self.coeffs.get(k, 0)
 
@@ -51,7 +59,7 @@ class _SparseChain:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + sign * c
-        return type(self)(self.map, out)
+        return self._canonical(self.map, out)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -60,10 +68,10 @@ class _SparseChain:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return type(self)(self.map, {k: -c for k, c in self.coeffs.items()})
+        return self._canonical(self.map, {k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, scalar):
-        return type(self)(self.map, {k: scalar * c for k, c in self.coeffs.items()})
+        return self._canonical(self.map, {k: scalar * c for k, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -132,7 +140,7 @@ def _signed_orbit_sum(m, weighted_walks):
         for h in walk:
             hc = m.canonical(h)
             out[hc] = out.get(hc, 0) + (c if hc == h else -c)
-    return Chain1(m, out)
+    return Chain1._canonical(m, out)
 
 
 def _head_minus_tail(k, head, chain_type):

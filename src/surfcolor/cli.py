@@ -179,10 +179,10 @@ def _cmd_solve(args):
     pre = solver.Precoloring(args.modulus)
     if args.precolor:
         pre = solver.Precoloring(args.modulus, _load_precoloring(args.precolor, labels, args.modulus))
+    if args.oracle and m.num_vertices > 13:
+        raise SurfcolorError("--oracle supports at most 13 vertices")
     res = solver.extend_precoloring(m, pre)
     if args.oracle:
-        if m.num_vertices > 13:
-            raise SurfcolorError("--oracle supports at most 13 vertices")
         want = brute_force_extendable(m, args.modulus, pre.psi)
         # raised, not asserted, so that python -O still reports it
         if res.extendable != want:
@@ -259,7 +259,8 @@ def _cmd_hollow2d(args):
         raise SurfcolorError("--bound must be at least 1")
     rep = hollow2d.enumerate_and_verify(box, args.bound, args.jobs)
     sys.stdout.write(rep.format())
-    print("wall time: %.2f s" % rep.elapsed, file=sys.stderr)
+    rate = rep.hulls_examined / rep.elapsed if rep.elapsed > 0 else 0.0
+    print("wall time: %.2f s (%s hulls/s)" % (rep.elapsed, "{:,.0f}".format(rate)), file=sys.stderr)
     return 0 if rep.verified else 1
 
 

@@ -9,7 +9,11 @@ the vertex set of exactly one third-integral polytope in the box, and
 growing a set can only grow its hull, so branches whose hull contains an
 integer point are pruned for good.  Each extension adds one
 counterclockwise cap triangle to the hull, and only the cap needs a
-containment test.  Every hull that no grid point extends is then
+containment test.  Each hull passes its children only the points that
+survived its own tests: a point that is no vertex of conv(S + p) is no
+vertex of conv(S' + p) for S a subset of S', and an integer point in
+conv(S + p) is in conv(S' + p), so a rejected point stays rejected in
+the whole subtree.  Every hull that no grid point extends is then
 checked by the same narrow-direction search as ``narrow_direction``,
 with directions tried by increasing max-norm up to the given bound.
 """
@@ -271,26 +275,25 @@ def _explore_root(args):
                 return False
         return True
 
-    def visit(hull, last):
+    def visit(hull, cands):
+        # cands: the lex-greater points that no hull above this one rejected
         nonlocal examined, maximal
         examined += 1
-        extended = False
-        for i in range(last + 1, npts):
-            ext = _extend_convex(hull, points[i])
-            if ext is None:
-                continue
-            new_hull, cap = ext
-            if not cap_hollow(cap):
-                continue
-            extended = True
-            visit(new_hull, i)
-        if not extended:
+        kept, hulls = [], []
+        for p in cands:
+            ext = _extend_convex(hull, p)
+            if ext is not None and cap_hollow(ext[1]):
+                kept.append(p)
+                hulls.append(ext[0])
+        if not kept:
             maximal += 1
             if _narrow(hull, limit, bound) is None:
                 failures.append(tuple(sorted(hull)))
+        for i, new_hull in enumerate(hulls):
+            visit(new_hull, kept[i + 1:])
 
     if root < npts:
-        visit([points[root]], root)
+        visit([points[root]], points[root + 1:])
     return examined, maximal, failures
 
 

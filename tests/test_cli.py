@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, formats, and determinism."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -196,6 +197,17 @@ def test_oracle_disagreement_exits_3(flags):
     assert p.stderr.startswith("internal error: AssertionError: oracle disagreement")
 
 
+def test_oracle_vertex_limit_is_checked_before_the_solve(capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("the solver ran before the --oracle size check")
+
+    monkeypatch.setattr(cli.solver, "extend_precoloring", no_solve)
+    code, out, err = run_cli(capsys, "solve", "--grid", "4", "4", "--oracle")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --oracle supports at most 13 vertices\n"
+
+
 @pytest.mark.parametrize("modulus", ["0", "1", "4", "-3"])
 def test_polytope_rejects_bad_modulus(capsys, modulus):
     code, out, err = run_cli(capsys, "polytope", "--bouquet", "--modulus", modulus)
@@ -224,6 +236,12 @@ def test_hollow2d_smoke(capsys):
     assert "verdict: verified" in out
     assert "unresolved hulls: 0" in out
     assert "wall time" in err  # timing lives on stderr, keeping stdout deterministic
+
+
+def test_hollow2d_reports_throughput_on_stderr(capsys):
+    code, _, err = run_cli(capsys, "hollow2d-verify", "--smoke")
+    assert code == 0
+    assert re.fullmatch(r"wall time: \d+\.\d\d s \([\d,]+ hulls/s\)\n", err), err
 
 
 def test_hollow2d_deterministic_output(capsys):

@@ -270,3 +270,46 @@ def test_pool_is_capped_at_the_number_of_roots(monkeypatch):
     h2.enumerate_and_verify((0, 0), jobs=8)
     assert sizes == [3]
     assert rep.format() == h2.enumerate_and_verify((1, 1), jobs=1).format()
+
+
+def _independent_dfs(box, bound):
+    """(examined, maximal, sorted failures) by a plain DFS that tries
+    every lex-greater grid point at every hull, with no inherited
+    candidates and no incremental hull."""
+    grid = [(x, y) for x in range(box[0] + 1) for y in range(box[1] + 1)]
+    examined = maximal = 0
+    failures = []
+
+    def visit(sub):
+        nonlocal examined, maximal
+        examined += 1
+        children = [sub + (p,) for p in grid if p > sub[-1] and _strictly_convex_hollow(sub + (p,))]
+        if not children:
+            maximal += 1
+            if h2.narrow_direction(Poly(list(sub)), h2.THRESHOLD, bound) is None:
+                failures.append(sub)
+        for child in children:
+            visit(child)
+
+    for p in grid:
+        if _strictly_convex_hollow((p,)):
+            visit((p,))
+    return examined, maximal, sorted(failures)
+
+
+@pytest.mark.parametrize("box, counts", [((4, 4), (3862, 2454, 90)), ((4, 5), (8947, 5634, 291))])
+def test_enumeration_matches_independent_dfs_with_failures(monkeypatch, box, counts):
+    # below the paper's threshold some maximal hulls have no narrow
+    # direction, so the failure lists themselves are compared
+    monkeypatch.setattr(h2, "THRESHOLD", Fraction(4, 3))
+    examined, maximal, failures = _independent_dfs(box, 3)
+    rep = h2.enumerate_and_verify(box, bound=3)
+    assert (rep.hulls_examined, rep.maximal_hulls, rep.failures) == (examined, maximal, failures)
+    assert (examined, maximal, len(failures)) == counts
+
+
+@pytest.mark.parametrize("threshold, unresolved", [(1, 12003), (Fraction(4, 3), 1687), (Fraction(5, 3), 40)])
+def test_box_5_7_unresolved_counts_below_the_threshold(monkeypatch, threshold, unresolved):
+    monkeypatch.setattr(h2, "THRESHOLD", Fraction(threshold))
+    rep = h2.enumerate_and_verify((5, 7), bound=3)
+    assert (rep.hulls_examined, rep.maximal_hulls, len(rep.failures)) == (42908, 28129, unresolved)

@@ -1,7 +1,15 @@
 """The allowed-homology polytope: membership oracle, coordinate bounds,
-right-hand-side tables for the precolored sub-polytope, a modular
-difference-constraint solver, and the lattice search for circulations
-with prescribed residues.
+the residue-layered solver for the precolored sub-polytope, and the
+lattice search for circulations with prescribed residues.
+
+At each box point inside the polytope the search needs labels
+ell: S -> Z with prescribed residues mod m that some circulation can
+take as its copath pairings.  ``layered_residue_solve`` finds the
+largest such labels, or proves there are none, with one shortest-path
+run over m residue copies of the repair network.  ``rhs_table`` and
+``residue_difference_solve`` do the same in two steps (one run per face
+of S, then a difference system over S); they are kept as the reference
+for tests.
 
 All arithmetic is exact: rational queries are scaled to integers by the
 lcm of their denominators and handed to the circulation engine.
@@ -115,6 +123,7 @@ def rhs_table(m, basis, f, a, S, x, copaths):
     the repair lengths, one shortest-path call per element of S.
 
     Raises AnchorOutsidePolytope when the lengths admit a negative cycle.
+    Reference for tests: the search calls ``layered_residue_solve``.
     """
     target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
     b, out = circulation.repair_network(m, basis, f, target)
@@ -138,6 +147,7 @@ def residue_difference_solve(S, x, m, d, r):
     required residue difference; shortest distances from x over the
     complete digraph on S, by the ``paths.shortest_paths`` kernel, then
     solve the difference constraints, and a negative cycle means none.
+    Reference for tests: the search calls ``layered_residue_solve``.
     """
     nodes = sorted(S)
     out = []
@@ -163,6 +173,85 @@ def residue_difference_solve(S, x, m, d, r):
             assert (ell[y] - r[y]) % m == 0
             for y2 in nodes:
                 assert ell[y2] - ell[y] <= d[(y, y2)]
+    return ell
+
+
+class _ResidueLayers:
+    """The arcs of the residue-layered network, built per node when the
+    kernel reads them, so memory stays that of the base network.  Node
+    v * mod + c is the copy (v, c); kept maps each face y of S to k(y)."""
+
+    __slots__ = ("base", "mod", "kept")
+
+    def __init__(self, base, mod, kept):
+        self.base = base
+        self.mod = mod
+        self.kept = kept
+
+    def __len__(self):
+        return len(self.base) * self.mod
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, node):
+        mod = self.mod
+        v, c = divmod(node, mod)
+        # a face outside S keeps its arcs at every copy
+        k = self.kept.get(v, c)
+        if k != c:
+            return ((v * mod + k, -((c - k) % mod), None),)
+        return [(w * mod + (c + step) % mod, step, step) for w, step, _ in self.base[v]]
+
+
+def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r):
+    """The largest ell: S -> Z with ell(x) = 0, ell(y) = r(y) (mod mod) and
+    ell(y') - ell(y) <= beta(y, y') for all y, y' in S (see ``rhs_table``),
+    or None when no such ell exists; r(x) must be 0 mod mod.
+
+    One shortest-path run from (x, 0) over a residue-layered copy of the
+    repair network of the integral anchor a (S = (x,), as in
+    ``rhs_table``):
+    - each face v has mod copies (v, c), and a path reaching (v, c) has
+      length congruent to c;
+    - a repair arc v -> w of length l becomes (v, c) -> (w, c + l mod mod),
+      of length l;
+    - at y in S, with k(y) = r(y) - pair(b, P(y)) mod mod, every copy
+      (y, c) with c != k(y) has one arc, a drop to (y, k(y)) of length
+      -((c - k(y)) mod mod), and only (y, k(y)) keeps y's arcs.
+    A drop rounds a length down to the residue class k(y).  Given any
+    solution ell, put L(y) = ell(y) - pair(b, P(y)): every path from
+    (x, 0) to a copy of v is at least min over y in S of L(y) + dist(y, v),
+    because rounding down to k(y) keeps a length at or above L(y).  So a
+    solution rules out negative cycles and bounds the distances from
+    below, while the distances satisfy every constraint: they give the
+    largest solution, ell(y) = dist((x, 0), (y, k(y))) + pair(b, P(y)),
+    as the two-step solver does.  A negative cycle thus exists if and only
+    if the system is infeasible or the anchor lies outside the polytope
+    (a negative dual cycle, repeated mod times, returns to its layer).
+    Arcs are labelled by their base
+    length and drops by None, so the cycle the kernel returns projects to
+    a closed dual walk of known length: a negative one proves the anchor
+    outside and raises AnchorOutsidePolytope, as ``rhs_table`` does.  At
+    an outside anchor the cycle found may instead close through a drop,
+    and None is returned; the search asks only at anchors ``membership``
+    accepts.
+    """
+    target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
+    b, out = circulation.repair_network(m, basis, f, target)
+    pairings = {y: pair(b, copaths[y].chain) for y in S}
+    kept = {y: (r[y] - pairings[y]) % mod for y in S}
+    layers = _ResidueLayers(out, mod, kept)
+    dist, _, cyc = shortest_paths(len(layers), layers, (x * mod,))
+    if cyc is not None:
+        if sum(step for step in cyc if step is not None) < 0:
+            raise AnchorOutsidePolytope("anchor admits a negative dual cycle")
+        return None
+    ell = {y: dist[y * mod + kept[y]] + pairings[y] for y in S}
+    if __debug__:
+        assert ell[x] == 0
+        for y in S:
+            assert (ell[y] - r[y]) % mod == 0
     return ell
 
 
@@ -192,9 +281,9 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
 
     Iterates the residue-aligned integer vectors of the coordinate box in
     lexicographic order; for each vector inside the polytope, the
-    precolored sub-polytope is solved by the modular difference-constraint
-    solver, and a concrete circulation is extracted on success.  Returns
-    None when the box is exhausted.
+    precolored sub-polytope is solved by ``layered_residue_solve``, and a
+    concrete circulation is extracted on success.  Returns None when the
+    box is exhausted.
     """
     fchain = f0.chain if hasattr(f0, "chain") else f0
     box, _ = pairing_bounds(fchain, basis, copaths)
@@ -214,13 +303,14 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
             continue
         if stats is not None:
             stats.points_inside += 1
-        beta = rhs_table(m, basis, fchain, u, S, x, copaths)
-        ell = residue_difference_solve(S, x, spec.m, beta, r)
+        ell = layered_residue_solve(m, basis, fchain, u, S, x, copaths, spec.m, r)
         if ell is None:
             continue
         target = HomologyTarget(u, S, x, copaths, ell)
         res = circulation.circulation_or_certificate(m, basis, fchain, target)
-        assert isinstance(res, Circulation), "feasible target must yield a circulation"
+        # checked under python -O too: a wrong ell must not pass silently
+        if not isinstance(res, Circulation):
+            raise AssertionError("feasible target must yield a circulation")
         return res
     return None
 

@@ -1,5 +1,7 @@
 """Shortest paths with negative-cycle detection: the one kernel behind
-the circulation engine, the rhs tables and the residue solver.
+the circulation engine, the residue-layered solver of the lattice search,
+and the two-step reference it is tested against (rhs tables and the
+residue solver).
 
 FIFO queue-based Bellman-Ford with subtree disassembly (Tarjan 1981; see
 Cherkassky & Goldberg, "Negative-cycle detection algorithms", 1999): the

@@ -41,6 +41,7 @@ class ColoringResult:
         "witness_boundary",
         "boundaries_tried",
         "points_tested",
+        "points_inside",
         "reason",
     )
 
@@ -51,6 +52,7 @@ class ColoringResult:
         witness_boundary=None,
         boundaries_tried=0,
         points_tested=0,
+        points_inside=0,
         reason=None,
     ):
         self.extendable = extendable
@@ -58,6 +60,7 @@ class ColoringResult:
         self.witness_boundary = witness_boundary
         self.boundaries_tried = boundaries_tried
         self.points_tested = points_tested
+        self.points_inside = points_inside
         self.reason = reason
 
     def __repr__(self):
@@ -193,9 +196,11 @@ def extend_precoloring(h_map, pre):
             witness_boundary=d,
             boundaries_tried=boundaries_tried,
             points_tested=stats.points_tested,
+            points_inside=stats.points_inside,
         )
     return ColoringResult(
         False,
         boundaries_tried=boundaries_tried,
         points_tested=stats.points_tested,
+        points_inside=stats.points_inside,
     )

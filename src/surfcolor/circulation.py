@@ -8,6 +8,14 @@ by one call of the ``paths.shortest_paths`` kernel from the faces of S.
 When no circulation exists, the negative cycle or negative
 source-to-source path that call finds yields a simple copath certifying
 infeasibility.
+
+The dual arcs and the f-part of their lengths depend on f alone:
+``base_network`` builds them once for many targets, and
+``patched_network`` takes each target's b off the arcs of its support.
+A certificate's inequality <z, a> + a'(y') - a'(y) <= rhs holds for every
+circulation of f, whatever the target: each pairs with D to the left
+side, and to at most rhs = pair_plus(f, D) since it lies between 0 and f.
+The lattice search keeps these inequalities as cuts.
 """
 
 from __future__ import annotations
@@ -100,28 +108,58 @@ def prescribed_cycle(m, basis, target):
     return b
 
 
+def base_network(m, f):
+    """The part of every repair network that f alone fixes, as (out, pos):
+    half-edge h is the arc left(opp(h)) -> left(h) of length f[h] where
+    f[h] > 0, else 0, at index pos[h] of out[left(opp(h))].  Each out list
+    holds its arcs in ascending half-edge order."""
+    fc = f.coeffs
+    out = [[] for _ in range(m.num_faces)]
+    pos = []
+    for h in m.half_edges():
+        o = m.opp[h]
+        fh = fc.get(h, 0) if h < o else -fc.get(o, 0)
+        arcs = out[m.left[o]]
+        pos.append(len(arcs))
+        arcs.append((m.left[h], fh if fh > 0 else 0, h))
+    return out, pos
+
+
+def patched_network(m, base, b):
+    """The out lists of a base network with b[h] taken off the length of
+    every arc h.  Untouched lists are shared with the base; only the lists
+    holding a half-edge of b's support, either orientation, are copied."""
+    out, pos = base
+    out = list(out)
+    copied = set()
+    for hc, c in b.coeffs.items():
+        for h, bh in ((hc, c), (m.opp[hc], -c)):
+            tail = m.left[m.opp[h]]
+            if tail not in copied:
+                copied.add(tail)
+                out[tail] = list(out[tail])
+            head, length, _ = out[tail][pos[h]]
+            out[tail][pos[h]] = (head, length - bh, h)
+    return out
+
+
 def repair_network(m, basis, f, target):
     """The prescribed cycle b and the dual network that repairs it into an
     f-circulation, as (b, out): half-edge h is the arc left(opp(h)) ->
     left(h) in out, of length f[h] - b[h] where f[h] > 0, else -b[h].
     Each out list holds its arcs in ascending half-edge order."""
     b = prescribed_cycle(m, basis, target)
-    fc, bc = f.coeffs, b.coeffs
-    out = [[] for _ in range(m.num_faces)]
-    for h in m.half_edges():
-        o = m.opp[h]
-        if h < o:
-            fh, bh = fc.get(h, 0), bc.get(h, 0)
-        else:
-            fh, bh = -fc.get(o, 0), -bc.get(o, 0)
-        out[m.left[o]].append((m.left[h], fh - bh if fh > 0 else -bh, h))
-    return b, out
+    return b, patched_network(m, base_network(m, f), b)
 
 
-def circulation_or_certificate(m, basis, f, target):
+def circulation_or_certificate(m, basis, f, target, network=None):
     """Find an f-circulation realizing the target pairings, or a
-    certificate that none exists.  The two outcomes are exhaustive."""
-    b, out = repair_network(m, basis, f, target)
+    certificate that none exists.  The two outcomes are exhaustive.
+
+    network, when given, is the (b, out) that repair_network(m, basis, f,
+    target) would build; the engine only reads it.
+    """
+    b, out = network if network is not None else repair_network(m, basis, f, target)
 
     # every edge gives dual arcs both ways, so the sources reach every
     # negative cycle
@@ -174,10 +212,15 @@ def validate_circulation(m, basis, f, target, c):
     """Assert the full contract of a returned circulation."""
     chain = c.chain
     assert chains.is_cycle(chain), "circulation is not a 1-cycle"
-    for h in m.half_edges():
-        fh = f[h]
+    fc, cc = f.coeffs, chain.coeffs
+    # both orientations of each edge: at opp(h) the bound 0 <= -c <= -f
+    # where f[h] <= 0 reads f[h] <= c[h] <= 0
+    for h in m.canonical_half_edges():
+        fh, ch = fc.get(h, 0), cc.get(h, 0)
         if fh >= 0:
-            assert 0 <= chain[h] <= fh, "dominance violated at half-edge %d" % h
+            assert 0 <= ch <= fh, "dominance violated at half-edge %d" % h
+        if fh <= 0:
+            assert fh <= ch <= 0, "dominance violated at half-edge %d" % m.opp[h]
     for ai, k in zip(target.a, basis.cocycles):
         assert pair(chain, k) == ai, "cocycle pairing mismatch"
     for y in target.S:

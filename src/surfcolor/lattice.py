@@ -11,6 +11,15 @@ run over m residue copies of the repair network.  ``rhs_table`` and
 of S, then a difference system over S); they are kept as the reference
 for tests.
 
+One search keeps one ``SearchState`` for its fixed f: the f-part of the
+repair network, built once and patched at each box point (the engine run
+and the residue pass at a point share the result), and the cuts found so
+far.  A certificate at u is a closed dual walk D of homology class z
+with <z, u> > rhs = pair_plus(f, D).  Every circulation c of f pairs with
+D to <z, a(c)>, and to at most pair_plus(f, D) since c lies between 0 and
+f, so <z, a> <= rhs holds on the whole polytope of f: a later point with
+<z, u> > rhs is outside without an engine run.
+
 All arithmetic is exact: rational queries are scaled to integers by the
 lcm of their denominators and handed to the circulation engine.
 """
@@ -45,11 +54,12 @@ class Separator:
     """An integer vector (z, z_prime) cutting the query off the polytope:
     <(z, z'), (a, a')> <= rhs < <(z, z'), (u, u')> for all members (a, a')."""
 
-    __slots__ = ("z", "z_prime")
+    __slots__ = ("z", "z_prime", "rhs")
 
-    def __init__(self, z, z_prime):
+    def __init__(self, z, z_prime, rhs):
         self.z = tuple(z)
         self.z_prime = dict(z_prime)
+        self.rhs = rhs
 
     def dot(self, u, u_prime):
         return sum(zi * ui for zi, ui in zip(self.z, u)) + sum(
@@ -57,7 +67,7 @@ class Separator:
         )
 
     def __repr__(self):
-        return "Separator(z=%r, z_prime=%r)" % (self.z, self.z_prime)
+        return "Separator(z=%r, z_prime=%r, rhs=%r)" % (self.z, self.z_prime, self.rhs)
 
 
 class ResidueSpec:
@@ -87,31 +97,45 @@ def pairing_bounds(f, basis, copaths):
     return box, box_s
 
 
-def membership(m, basis, f, S, x, copaths, point):
+def membership(m, basis, f, S, x, copaths, point, search=None):
     """Decide whether a rational point lies in the allowed-homology
     polytope.  Returns None when inside, else a strict Separator.
 
     The query is scaled integral by the lcm mu of its denominators and
-    tested by running the circulation engine against mu * f.
+    tested by running the circulation engine against mu * f.  With the
+    SearchState of f, a kept cut that separates the point answers without
+    an engine run, an integral point's network comes from the state, and
+    every new cut without copath terms is kept.
     """
     up_x = point.u_prime.get(x, 0)
     if up_x != 0:
         sign = 1 if up_x > 0 else -1
-        return Separator((0,) * len(basis), {x: sign})
+        return Separator((0,) * len(basis), {x: sign}, 0)
+    if search is not None:
+        assert search.f is f, "search state of another f"
+        sep = search.cut_off(point)
+        if sep is not None:
+            return sep
     mu = lcm(*(Fraction(c).denominator for c in (*point.u, *point.u_prime.values())))
     a = [int(mu * c) for c in point.u]
     a_prime = {y: int(mu * c) for y, c in point.u_prime.items()}
     for y in S:
         a_prime.setdefault(y, 0)
     target = HomologyTarget(a, S, x, copaths, a_prime)
-    res = circulation.circulation_or_certificate(m, basis, mu * f, target)
+    network = search.network(target) if search is not None and mu == 1 else None
+    res = circulation.circulation_or_certificate(
+        m, basis, f if mu == 1 else mu * f, target, network
+    )
     if isinstance(res, Circulation):
         return None
     z_prime = {}
     if res.y != res.y_prime:
         z_prime[res.y_prime] = 1
         z_prime[res.y] = -1
-    return Separator(res.z, z_prime)
+    sep = Separator(res.z, z_prime, res.rhs if mu == 1 else Fraction(res.rhs, mu))
+    if search is not None and not z_prime:
+        search.cuts.append(sep)
+    return sep
 
 
 def rhs_table(m, basis, f, a, S, x, copaths):
@@ -204,7 +228,7 @@ class _ResidueLayers:
         return [(w * mod + (c + step) % mod, step, step) for w, step, _ in self.base[v]]
 
 
-def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r):
+def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r, search=None):
     """The largest ell: S -> Z with ell(x) = 0, ell(y) = r(y) (mod mod) and
     ell(y') - ell(y) <= beta(y, y') for all y, y' in S (see ``rhs_table``),
     or None when no such ell exists; r(x) must be 0 mod mod.
@@ -235,10 +259,14 @@ def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r):
     outside and raises AnchorOutsidePolytope, as ``rhs_table`` does.  At
     an outside anchor the cycle found may instead close through a drop,
     and None is returned; the search asks only at anchors ``membership``
-    accepts.
+    accepts.  With the SearchState of f, the network is the one the state
+    built for ``membership`` at the same anchor.
     """
     target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
-    b, out = circulation.repair_network(m, basis, f, target)
+    if search is not None:
+        b, out = search.network(target)
+    else:
+        b, out = circulation.repair_network(m, basis, f, target)
     pairings = {y: pair(b, copaths[y].chain) for y in S}
     kept = {y: (r[y] - pairings[y]) % mod for y in S}
     layers = _ResidueLayers(out, mod, kept)
@@ -266,13 +294,59 @@ def lex_box_points(box, r0, m):
 
 
 class SearchStats:
-    """Counters filled in by the lattice search."""
+    """Counters filled in by the lattice search: points_cut counts the
+    tested points that a kept cut answered without an engine run."""
 
-    __slots__ = ("points_tested", "points_inside")
+    __slots__ = ("points_tested", "points_inside", "points_cut")
 
     def __init__(self):
         self.points_tested = 0
         self.points_inside = 0
+        self.points_cut = 0
+
+
+class SearchState:
+    """What one lattice search keeps for its fixed f.
+
+    - base: the f-part of every repair network (``circulation.base_network``),
+      built once; the network of a target is a patched copy of it.
+    - The network of the last one-face target (S = (x,), so b is the
+      a-combination of the basis cycles) is kept, so the engine run in
+      ``membership`` and the residue pass at the same point share it.
+    - cuts: the separators without copath terms found so far, which
+      depend on f alone (copath terms would tie a cut to one set of
+      copaths).  Each holds as <z, a> <= rhs on the whole polytope of f
+      (see the module docstring), not only at the point that was asked.
+    """
+
+    __slots__ = ("map", "basis", "f", "base", "cuts", "stats", "_last")
+
+    def __init__(self, m, basis, f, stats=None):
+        self.map = m
+        self.basis = basis
+        self.f = f
+        self.base = circulation.base_network(m, f)
+        self.cuts = []
+        self.stats = stats
+        self._last = (None, None)
+
+    def network(self, target):
+        """The (b, out) of ``circulation.repair_network`` for this f and the
+        target, arc for arc."""
+        key = target.a if len(target.S) == 1 else None
+        if key is None or key != self._last[0]:
+            b = circulation.prescribed_cycle(self.map, self.basis, target)
+            self._last = (key, (b, circulation.patched_network(self.map, self.base, b)))
+        return self._last[1]
+
+    def cut_off(self, point):
+        """A kept cut that separates the point, or None."""
+        for sep in self.cuts:
+            if sep.dot(point.u, point.u_prime) > sep.rhs:
+                if self.stats is not None:
+                    self.stats.points_cut += 1
+                return sep
+        return None
 
 
 def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
@@ -291,10 +365,11 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
     r = {y: 0 for y in S}
     r.update(spec.r0_prime)
     r[x] = 0
+    search = SearchState(m, basis, fchain, stats)
 
     def is_inside(u):
         pt = HomologyPoint(u, {x: 0})
-        return membership(m, basis, fchain, (x,), x, x_copaths, pt) is None
+        return membership(m, basis, fchain, (x,), x, x_copaths, pt, search) is None
 
     for u in lex_box_points(box, spec.r0, spec.m):
         if stats is not None:
@@ -303,7 +378,7 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
             continue
         if stats is not None:
             stats.points_inside += 1
-        ell = layered_residue_solve(m, basis, fchain, u, S, x, copaths, spec.m, r)
+        ell = layered_residue_solve(m, basis, fchain, u, S, x, copaths, spec.m, r, search)
         if ell is None:
             continue
         target = HomologyTarget(u, S, x, copaths, ell)

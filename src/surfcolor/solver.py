@@ -42,6 +42,7 @@ class ColoringResult:
         "boundaries_tried",
         "points_tested",
         "points_inside",
+        "points_cut",
         "reason",
     )
 
@@ -53,6 +54,7 @@ class ColoringResult:
         boundaries_tried=0,
         points_tested=0,
         points_inside=0,
+        points_cut=0,
         reason=None,
     ):
         self.extendable = extendable
@@ -61,6 +63,7 @@ class ColoringResult:
         self.boundaries_tried = boundaries_tried
         self.points_tested = points_tested
         self.points_inside = points_inside
+        self.points_cut = points_cut
         self.reason = reason
 
     def __repr__(self):
@@ -197,10 +200,12 @@ def extend_precoloring(h_map, pre):
             boundaries_tried=boundaries_tried,
             points_tested=stats.points_tested,
             points_inside=stats.points_inside,
+            points_cut=stats.points_cut,
         )
     return ColoringResult(
         False,
         boundaries_tried=boundaries_tried,
         points_tested=stats.points_tested,
         points_inside=stats.points_inside,
+        points_cut=stats.points_cut,
     )

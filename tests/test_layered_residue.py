@@ -23,7 +23,7 @@ from conftest import CORPUS, random_map, random_nowhere_zero
 from test_near_quadrangulations import delete_edges
 
 
-def two_step(m, basis, f, a, S, x, copaths, mod, r):
+def two_step(m, basis, f, a, S, x, copaths, mod, r, search=None):
     """The reference: |S| shortest-path rows, then the residue system."""
     beta = rhs_table(m, basis, f, a, S, x, copaths)
     return residue_difference_solve(S, x, mod, beta, r)
@@ -156,7 +156,7 @@ def test_wrong_labels_raise_under_optimization(flags):
         "from surfcolor.cli import gen_grid\n"
         "from surfcolor.solver import Precoloring, extend_precoloring\n"
         "real = lattice.layered_residue_solve\n"
-        "def wrong(m, basis, f, a, S, x, copaths, mod, r):\n"
+        "def wrong(m, basis, f, a, S, x, copaths, mod, r, search=None):\n"
         "    ell = real(m, basis, f, a, S, x, copaths, mod, r)\n"
         "    return ell and {y: v if y == x else v + 100 * mod for y, v in ell.items()}\n"
         "lattice.layered_residue_solve = wrong\n"

@@ -41,6 +41,15 @@ class _SparseChain:
         _SparseChain.__init__(chain, m, coeffs)
         return chain
 
+    @classmethod
+    def _nonzero(cls, m, coeffs):
+        """A chain that takes over coeffs as they are: the keys must be
+        canonical and every coefficient nonzero, as nothing is checked."""
+        chain = object.__new__(cls)
+        chain.map = m
+        chain.coeffs = coeffs
+        return chain
+
     def __getitem__(self, k):
         return self.coeffs.get(k, 0)
 

@@ -6,14 +6,26 @@ a unit-capacity maximum flow; upgrading to a nowhere-zero flow orients
 the leftover all-even-degree subgraph along Eulerian circuits.  Before
 the max-flow, a cut check on the saturated vertices (|d[v]| = deg(v))
 rejects most unrealizable boundaries in time linear in their degrees.
+
+The relevant boundaries are streamed by a DFS over the first vertices
+whose leaves are completed from a table of the last vertices' selections
+grouped by sum, built once per stream.  The parity and cut checks read
+the degrees, odd-degree vertices and neighbour lists that the map builds
+once, on first use (``CombinatorialMap.adjacency``).
 """
 
 from __future__ import annotations
+
+import itertools
 
 from . import chains
 from .chains import Chain0, Chain1
 from .errors import NotAZeroBoundary, ParityViolation
 from .surface_map import face_candidates
+
+# relevant_boundaries tabulates the completions of a run of last vertices
+# with at most this many candidate selections
+TABLE_LIMIT = 256
 
 
 class Flow:
@@ -33,8 +45,7 @@ class Flow:
 
 def is_parity_compliant(m, d):
     """True iff d[v] and deg(v) have the same parity at every vertex."""
-    odd = {v for v, c in d.coeffs.items() if c % 2}
-    return odd == {v for v, cyc in enumerate(m.rot) if len(cyc) % 2}
+    return {v for v, c in d.coeffs.items() if c % 2} == m.adjacency()[1]
 
 
 def flow_with_boundary(m, d):
@@ -44,8 +55,8 @@ def flow_with_boundary(m, d):
     must carry flow with the sign of d[v].  So a loop at v, or an edge
     joining v to another saturated vertex whose excess has the same sign,
     makes d exceed the number of edges leaving {v} or that pair (Gale's
-    cut condition), and the answer is None without a max-flow.  A loop is
-    the case u = v of the pair test below.
+    cut condition), and the answer is None without a max-flow.  A loop
+    puts v among its own neighbours, so it is the case u = v of that test.
 
     Auxiliary network: each edge becomes two opposite unit-capacity arcs;
     a super-source feeds every vertex with d[v] < 0 and every vertex with
@@ -55,13 +66,13 @@ def flow_with_boundary(m, d):
     if chains.boundary0(d) != 0:
         raise NotAZeroBoundary("boundary entries must sum to zero")
     coeffs = d.coeffs
+    deg, _, nbrs = m.adjacency()
     for v, c in coeffs.items():
-        if abs(c) != len(m.rot[v]):
+        if abs(c) != deg[v]:
             continue
-        for h in m.rot[v]:
-            u = m.tgt[m.opp[h]]
+        for u in nbrs[v]:
             cu = coeffs.get(u, 0)
-            if cu * c > 0 and abs(cu) == len(m.rot[u]):
+            if cu * c > 0 and abs(cu) == deg[u]:
                 return None
 
     need = d.norm() // 2
@@ -175,30 +186,54 @@ def relevant_boundaries(m, modulus):
     parity-compliant Chain0 with modulus | d[v] and |d[v]| <= deg(v).
 
     Per vertex the candidate excesses are the integers i with
-    modulus | i, i = deg(v) (mod 2) and |i| <= deg(v); selections are
-    emitted in lexicographic vertex-id order, pruned by partial-sum
-    bounds so only zero-sum selections are walked to the bottom.
+    modulus | i, i = deg(v) (mod 2) and |i| <= deg(v); the zero-sum
+    selections are emitted in lexicographic vertex-id order.
+
+    The vertices split into a prefix and a tail: the tail is the longest
+    run of last vertices with at most TABLE_LIMIT candidate selections.
+    Every tail selection is tabulated once, grouped by its sum, each group
+    in lexicographic order.  A DFS walks the prefix only, pruned by
+    partial-sum bounds, and a prefix with partial sum p is followed by
+    each tail of sum -p in turn.  The stream is then the zero-sum
+    (prefix, tail) pairs with prefixes in lexicographic order and, under
+    one prefix, tails in lexicographic order, which is the lexicographic
+    order of the whole selections.  Each Chain0 is built once, from the
+    prefix's nonzero entries and the tail's.
     """
     nv = m.num_vertices
     cands = [face_candidates(m.degree(v), modulus) for v in range(nv)]
     if any(not c for c in cands):
         return
-    suffix_min = [0] * (nv + 1)
-    suffix_max = [0] * (nv + 1)
-    for v in range(nv - 1, -1, -1):
+    k, size = nv, 1
+    while k > 0 and size * len(cands[k - 1]) <= TABLE_LIMIT:
+        k -= 1
+        size *= len(cands[k])
+    tails = {}
+    for sel in itertools.product(*cands[k:]):
+        tail = {u: c for u, c in zip(range(k, nv), sel) if c}
+        tails.setdefault(sum(sel), []).append(tail)
+
+    suffix_min = [0] * (k + 1)
+    suffix_max = [0] * (k + 1)
+    suffix_min[k], suffix_max[k] = min(tails), max(tails)
+    for v in range(k - 1, -1, -1):
         suffix_min[v] = suffix_min[v + 1] + cands[v][0]
         suffix_max[v] = suffix_max[v + 1] + cands[v][-1]
 
-    # explicit-stack DFS, so the depth is not bounded by the recursion
-    # limit: pos[v] is the next candidate index to try at v, and
-    # partial[v] the sum chosen over the vertices before v
-    chosen = [0] * nv
-    pos = [0] * (nv + 1)
-    partial = [0] * (nv + 1)
+    # explicit-stack DFS over the prefix, so the depth is not bounded by
+    # the recursion limit: pos[v] is the next candidate index to try at
+    # v, and partial[v] the sum chosen over the vertices before v
+    chosen = [0] * k
+    pos = [0] * (k + 1)
+    partial = [0] * (k + 1)
     v = 0
     while v >= 0:
-        if v == nv:
-            yield Chain0(m, {u: c for u, c in enumerate(chosen) if c})
+        if v == k:
+            prefix = {u: c for u, c in enumerate(chosen) if c}
+            for tail in tails.get(-partial[k], ()):
+                coeffs = prefix.copy()
+                coeffs.update(tail)
+                yield Chain0._nonzero(m, coeffs)
             v -= 1
             continue
         row = cands[v]

@@ -215,33 +215,46 @@ def _candidate_points(box_thirds):
 
 
 def _extend_convex(hull, p):
-    """Insert a point lex-greater than every hull vertex.
+    """Insert a point p lex-greater than every hull vertex.
 
-    Returns (new_hull, cap) where cap is the closed region added to the
-    hull as a counterclockwise triangle (a, p, b) of the visible edge
-    a-b and p, or (a, p, a) for the segment of a 1-point hull; or None
-    when some existing vertex would stop being a vertex (the extended
-    set is not in strictly convex position).  p lex-greater guarantees p
-    lies strictly outside, so it always becomes a vertex itself.
+    The hull is counterclockwise and ends at its lex-greatest vertex t;
+    so does the new hull, which ends at p.  Returns (new_hull, cap) where
+    cap is the closed region added to the hull as a counterclockwise
+    triangle (a, p, b) of the visible edge a-b and p, or (a, p, a) for
+    the segment of a 1-point hull; or None when some existing vertex
+    would stop being a vertex (the extended set is not in strictly convex
+    position).  p lex-greater guarantees p lies strictly outside, so it
+    always becomes a vertex itself.
+
+    Three cross products decide it.  t is the unique lex-greatest point
+    of the hull, so the wedge of the hull at t (between its edges
+    (hull[-2], t) and (t, hull[0])) holds no point lex-greater than t,
+    and p is strictly right of (sees) at least one of those two edges.
+    The edges that p sees form one contiguous chain, the edges between
+    the two tangent points from p, and an edge whose line passes through
+    p lies on a tangent, next to that chain.  So exactly one edge is
+    visible and none is collinear with p iff one edge at t is visible
+    and both its neighbours, the other edge at t and its far neighbour,
+    have p strictly on their left.  For k = 2 the same formulas hold with
+    indices mod k, the two edges being the segment both ways round.
     """
     k = len(hull)
     if k == 1:
         a = hull[0]
         return [a, p], (a, p, a)
-    visible = -1
-    for i in range(k):
-        c = _cross(hull[i], hull[(i + 1) % k], p)
-        if c == 0:
+    t = hull[-1]
+    c_in = _cross(hull[-2], t, p)
+    c_out = _cross(t, hull[0], p)
+    if c_out < 0 < c_in:
+        if _cross(hull[0], hull[1 % k], p) <= 0:
             return None
-        if c < 0:
-            if visible >= 0:
-                return None
-            visible = i
-    # p lex-greater than all vertices is strictly outside, so exactly one
-    # edge is visible when no vertex gets swallowed
-    assert visible >= 0
-    new_hull = hull[: visible + 1] + [p] + hull[visible + 1:]
-    return new_hull, (hull[visible], p, hull[(visible + 1) % k])
+        return hull + [p], (t, p, hull[0])
+    if c_in < 0 < c_out:
+        if _cross(hull[-3 % k], hull[-2], p) <= 0:
+            return None
+        return [t] + hull[:-1] + [p], (hull[-2], p, t)
+    # both edges at t visible (t is swallowed), or p on the line of one
+    return None
 
 
 def _explore_root(args):

@@ -356,8 +356,9 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
     Iterates the residue-aligned integer vectors of the coordinate box in
     lexicographic order; for each vector inside the polytope, the
     precolored sub-polytope is solved by ``layered_residue_solve``, and a
-    concrete circulation is extracted on success.  Returns None when the
-    box is exhausted.
+    concrete circulation is extracted on success, through the search's
+    network for the full target.  Returns None when the box is
+    exhausted.
     """
     fchain = f0.chain if hasattr(f0, "chain") else f0
     box, _ = pairing_bounds(fchain, basis, copaths)
@@ -382,7 +383,8 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
         if ell is None:
             continue
         target = HomologyTarget(u, S, x, copaths, ell)
-        res = circulation.circulation_or_certificate(m, basis, fchain, target)
+        network = search.network(target) if search is not None else None
+        res = circulation.circulation_or_certificate(m, basis, fchain, target, network)
         # checked under python -O too: a wrong ell must not pass silently
         if not isinstance(res, Circulation):
             raise AssertionError("feasible target must yield a circulation")

@@ -29,6 +29,7 @@ class CombinatorialMap:
         "faces",
         "rot_index",
         "euler_genus",
+        "_adjacency",
     )
 
     def __init__(self, half_edge_count, opp, tgt, rot, left, faces, rot_index, euler_genus):
@@ -40,6 +41,7 @@ class CombinatorialMap:
         self.faces = faces          # list of lists: face -> orbit of sigma, cyclic
         self.rot_index = rot_index  # list: half-edge -> position in rot[tgt[h]]
         self.euler_genus = euler_genus
+        self._adjacency = None      # built by adjacency() on first use
 
     @property
     def num_vertices(self):
@@ -67,6 +69,18 @@ class CombinatorialMap:
 
     def degree(self, v):
         return len(self.rot[v])
+
+    def adjacency(self):
+        """(deg, odd, nbrs), built on the first call and kept: deg[v] is
+        the degree of v, odd the frozenset of odd-degree vertices, and
+        nbrs[v] lists tgt(opp(h)) for each h in rot[v], in rotation order.
+        Lazy, so building a map that never asks costs nothing."""
+        if self._adjacency is None:
+            deg = [len(cyc) for cyc in self.rot]
+            odd = frozenset(v for v, n in enumerate(deg) if n % 2)
+            nbrs = [[self.tgt[self.opp[h]] for h in cyc] for cyc in self.rot]
+            self._adjacency = (deg, odd, nbrs)
+        return self._adjacency
 
     def face_length(self, x):
         return len(self.faces[x])

@@ -1,5 +1,6 @@
 """Flow realization, nowhere-zero completion, and boundary enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from surfcolor import build_map, chains, dual, errors, flows
 from surfcolor.chains import Chain0, Chain1, boundary1
 from surfcolor.cli import gen_bouquet, gen_grid, gen_q13
+from surfcolor.surface_map import CombinatorialMap, face_candidates
 
-from conftest import random_map, random_nowhere_zero
+from conftest import CORPUS, random_map, random_nowhere_zero
 
 
 def test_parity_compliance():
@@ -273,3 +275,44 @@ def test_cut_check_keeps_opposite_saturated_pair():
     f = flows.flow_with_boundary(m, d)
     assert f is not None
     assert boundary1(f.chain) == d
+
+
+def product_stream(m, modulus):
+    """The relevant boundaries by brute force: the zero-sum selections of
+    itertools.product over the per-vertex candidates, in its order."""
+    cands = [face_candidates(m.degree(v), modulus) for v in range(m.num_vertices)]
+    return [Chain0(m, dict(enumerate(sel))) for sel in itertools.product(*cands) if sum(sel) == 0]
+
+
+def stream_maps():
+    rng = random.Random(409)
+    maps = [(name, m) for name, m in CORPUS]
+    for i in range(12):
+        maps.append(("random%d" % i, random_map(rng, max_edges=18, min_edges=10, max_vertices=9)))
+    # C_16(1, 2, 3) plus the matching i -- i + 8: 16 vertices of degree
+    # 7, whose 2^16 selections at m = 3, 5 or 7 overflow the tail table,
+    # so the prefix DFS and the table both take part
+    ring = [(i, (i + j) % 16) for i in range(16) for j in (1, 2, 3)]
+    maps.append(("degree7x16", edge_map(16, ring + [(i, i + 8) for i in range(8)])))
+    maps.append(("one-vertex", build_map([[]])))
+    maps.append(("no-vertex", CombinatorialMap(0, [], [], [], [], [], [], 0)))
+    return maps
+
+
+@pytest.mark.parametrize("modulus", [3, 5, 7])
+@pytest.mark.parametrize("limit", [1, 6, flows.TABLE_LIMIT])
+def test_relevant_boundaries_equal_the_filtered_product(monkeypatch, modulus, limit):
+    # smaller table limits move the prefix-tail split on the small maps
+    monkeypatch.setattr(flows, "TABLE_LIMIT", limit)
+    for name, m in stream_maps():
+        want = product_stream(m, modulus)
+        got = list(flows.relevant_boundaries(m, modulus))
+        assert got == want, name
+        # the stream's chains carry no zero coefficients
+        assert all(all(b.coeffs.values()) for b in got), name
+
+
+def test_boundary_table_and_prefix_both_take_part():
+    m = dict(stream_maps())["degree7x16"]
+    assert 2 ** m.num_vertices > flows.TABLE_LIMIT
+    assert len(list(flows.relevant_boundaries(m, 7))) == 12870  # C(16, 8)

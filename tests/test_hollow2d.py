@@ -313,3 +313,59 @@ def test_box_5_7_unresolved_counts_below_the_threshold(monkeypatch, threshold, u
     monkeypatch.setattr(h2, "THRESHOLD", Fraction(threshold))
     rep = h2.enumerate_and_verify((5, 7), bound=3)
     assert (rep.hulls_examined, rep.maximal_hulls, len(rep.failures)) == (42908, 28129, unresolved)
+
+
+def _extend_convex_all_edges(hull, p):
+    """The insertion that crosses p with every hull edge, kept as the
+    reference: exactly one visible edge and no edge collinear with p, or
+    None; the hull may start at any vertex."""
+    k = len(hull)
+    if k == 1:
+        a = hull[0]
+        return [a, p], (a, p, a)
+    visible = -1
+    for i in range(k):
+        c = h2._cross(hull[i], hull[(i + 1) % k], p)
+        if c == 0:
+            return None
+        if c < 0:
+            if visible >= 0:
+                return None
+            visible = i
+    assert visible >= 0
+    new_hull = hull[: visible + 1] + [p] + hull[visible + 1:]
+    return new_hull, (hull[visible], p, hull[(visible + 1) % k])
+
+
+def _same_cycle(a, b):
+    return len(a) == len(b) and any(a[i:] + a[:i] == b for i in range(len(a)))
+
+
+@pytest.mark.parametrize("box", [(3, 3), (4, 4)])
+def test_extend_convex_matches_the_all_edges_reference(box):
+    # every hull of the box walk, tried with every lex-greater point
+    points = h2._candidate_points(box)
+    hulls = 0
+    outcomes = set()  # None, or which edge at the last vertex is visible
+
+    def visit(hull):
+        nonlocal hulls
+        hulls += 1
+        assert hull[-1] == max(hull)
+        for p in points[points.index(hull[-1]) + 1:]:
+            got = h2._extend_convex(hull, p)
+            want = _extend_convex_all_edges(hull, p)
+            assert (got is None) == (want is None), (hull, p)
+            if got is None:
+                outcomes.add(None)
+                continue
+            outcomes.add(got[0][0] == hull[0])
+            assert got[1] == want[1], (hull, p)
+            assert _same_cycle(got[0], want[0]), (hull, p)
+            if not h2.contains_integer_point(Poly(list(got[1]))):
+                visit(got[0])
+
+    for root in points:
+        visit([root])
+    assert hulls == h2.enumerate_and_verify(box).hulls_examined
+    assert outcomes == {None, True, False}

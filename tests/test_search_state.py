@@ -190,3 +190,12 @@ def test_dominance_is_checked_on_both_orientations(f, c, bad):
     circ = Circulation(Chain1(m, c))
     with pytest.raises(AssertionError, match="dominance violated at half-edge %d$" % bad):
         circulation.validate_circulation(m, basis, Chain1(m, f), target, circ)
+
+
+def test_a_search_builds_no_full_repair_network(monkeypatch):
+    # the engine runs, the residue passes and the final extraction all
+    # patch the search's one base network
+    builds = []
+    count_calls(monkeypatch, circulation, "repair_network", builds)
+    found = sum(extend_precoloring(g, pre).extendable for g, pre in hexagon_instances())
+    assert found > 0 and not builds

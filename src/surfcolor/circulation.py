@@ -209,24 +209,26 @@ def circulation_or_certificate(m, basis, f, target, network=None):
 
 
 def validate_circulation(m, basis, f, target, c):
-    """Assert the full contract of a returned circulation."""
+    """Check the full contract of a returned circulation, raising
+    AssertionError explicitly, so that it checks under python -O too."""
     chain = c.chain
-    assert chains.is_cycle(chain), "circulation is not a 1-cycle"
+    if not chains.is_cycle(chain):
+        raise AssertionError("circulation is not a 1-cycle")
     fc, cc = f.coeffs, chain.coeffs
     # both orientations of each edge: at opp(h) the bound 0 <= -c <= -f
     # where f[h] <= 0 reads f[h] <= c[h] <= 0
     for h in m.canonical_half_edges():
         fh, ch = fc.get(h, 0), cc.get(h, 0)
-        if fh >= 0:
-            assert 0 <= ch <= fh, "dominance violated at half-edge %d" % h
-        if fh <= 0:
-            assert fh <= ch <= 0, "dominance violated at half-edge %d" % m.opp[h]
+        if fh >= 0 and not 0 <= ch <= fh:
+            raise AssertionError("dominance violated at half-edge %d" % h)
+        if fh <= 0 and not fh <= ch <= 0:
+            raise AssertionError("dominance violated at half-edge %d" % m.opp[h])
     for ai, k in zip(target.a, basis.cocycles):
-        assert pair(chain, k) == ai, "cocycle pairing mismatch"
+        if pair(chain, k) != ai:
+            raise AssertionError("cocycle pairing mismatch")
     for y in target.S:
-        assert pair(chain, target.copaths[y].chain) == target.a_prime[y], (
-            "copath pairing mismatch at face %d" % y
-        )
+        if pair(chain, target.copaths[y].chain) != target.a_prime[y]:
+            raise AssertionError("copath pairing mismatch at face %d" % y)
 
 
 def validate_certificate(m, basis, f, target, cert):

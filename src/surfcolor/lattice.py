@@ -20,6 +20,31 @@ D to <z, a(c)>, and to at most pair_plus(f, D) since c lies between 0 and
 f, so <z, a> <= rhs holds on the whole polytope of f: a later point with
 <z, u> > rhs is outside without an engine run.
 
+The state also keeps the residue cuts of the search's failed layered
+passes.  When the pass at an inside box point u finds a negative cycle W,
+W gives a residue cut <z, u'> > P + D that answers the pass at a later
+inside box point u' without running it:
+- every box point of one search is congruent to u mod m, because
+  ``lex_box_points`` steps by m, and the layered pass uses the same
+  modulus;
+- at a box point the repair network of the one-face target is f+ - b with
+  b = sum of u_i C_i over the basis cycles, so going from u to u' changes
+  each arc length f+[h] - b[h] by a multiple of m; it leaves
+  pair(b, P(y)) mod m unchanged, and so every k(y);
+- so the layered graph is the same at every box point of the search (the
+  same nodes, arcs, heads and drop lengths); only the lengths of the base
+  arcs shift;
+- the length of W at u' is P + D - <z, u'>, where P is the sum of the
+  f+-parts of W's base arcs, D the sum of its drops and z_i the sum of
+  C_i[h] over the base arcs h of W;
+- so W stays negative at u' whenever <z, u'> > P + D, and stays
+  reachable from (x, 0), because the graph is unchanged;
+- at an inside anchor no negative cycle is free of drops (its projection
+  would be a negative closed dual walk), so the uncut pass at u' returns
+  None, and the search goes on exactly as before.
+A residue cut depends on S, x, the copaths, the modulus and the residues
+r as well as f, so it is kept for one residue system only.
+
 All arithmetic is exact: rational queries are scaled to integers by the
 lcm of their denominators and handed to the circulation engine.
 """
@@ -30,7 +55,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from . import chains, circulation
+from . import chains, circulation, homology
 from .chains import pair, pair_plus
 from .circulation import Circulation, HomologyTarget
 from .errors import AnchorOutsidePolytope, BudgetExceeded
@@ -203,7 +228,9 @@ def residue_difference_solve(S, x, m, d, r):
 class _ResidueLayers:
     """The arcs of the residue-layered network, built per node when the
     kernel reads them, so memory stays that of the base network.  Node
-    v * mod + c is the copy (v, c); kept maps each face y of S to k(y)."""
+    v * mod + c is the copy (v, c); kept maps each face y of S to k(y).
+    A base arc is labelled by its half-edge h >= 0, a drop by its own
+    length, which is negative."""
 
     __slots__ = ("base", "mod", "kept")
 
@@ -224,8 +251,9 @@ class _ResidueLayers:
         # a face outside S keeps its arcs at every copy
         k = self.kept.get(v, c)
         if k != c:
-            return ((v * mod + k, -((c - k) % mod), None),)
-        return [(w * mod + (c + step) % mod, step, step) for w, step, _ in self.base[v]]
+            drop = -((c - k) % mod)
+            return ((v * mod + k, drop, drop),)
+        return [(w * mod + (c + step) % mod, step, h) for w, step, h in self.base[v]]
 
 
 def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r, search=None):
@@ -253,17 +281,28 @@ def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r, search=None):
     as the two-step solver does.  A negative cycle thus exists if and only
     if the system is infeasible or the anchor lies outside the polytope
     (a negative dual cycle, repeated mod times, returns to its layer).
-    Arcs are labelled by their base
-    length and drops by None, so the cycle the kernel returns projects to
-    a closed dual walk of known length: a negative one proves the anchor
-    outside and raises AnchorOutsidePolytope, as ``rhs_table`` does.  At
-    an outside anchor the cycle found may instead close through a drop,
-    and None is returned; the search asks only at anchors ``membership``
-    accepts.  With the SearchState of f, the network is the one the state
-    built for ``membership`` at the same anchor.
+    Base arcs are labelled by their half-edge and drops by their length,
+    so the cycle W the kernel returns projects to a closed dual walk, of
+    homology class z and length P - <z, a>, where P sums the f+-parts of
+    its half-edges: a negative walk proves the anchor outside and raises
+    AnchorOutsidePolytope, as ``rhs_table`` does.  At an outside anchor
+    the cycle found may instead close through a drop, and None is
+    returned; the search asks only at anchors ``membership`` accepts.
+
+    With the SearchState of f, the network is the one the state built for
+    ``membership`` at the same anchor, and a failed pass keeps the residue
+    cut (z, P + D), D being the sum of W's drops: W stays negative at every
+    box point u' of the search with <z, u'> > P + D (see the module
+    docstring).  A state serves one residue system (S, x, copaths, mod, r):
+    the first it is asked about.
     """
     target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
     if search is not None:
+        assert search.f is f, "search state of another f"
+        system = (S, x, copaths, mod, r)
+        if search.residues is None:
+            search.residues = system
+        assert search.residues == system, "residue cuts of another residue system"
         b, out = search.network(target)
     else:
         b, out = circulation.repair_network(m, basis, f, target)
@@ -272,8 +311,16 @@ def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r, search=None):
     layers = _ResidueLayers(out, mod, kept)
     dist, _, cyc = shortest_paths(len(layers), layers, (x * mod,))
     if cyc is not None:
-        if sum(step for step in cyc if step is not None) < 0:
+        walk = [h for h in cyc if h >= 0]
+        z = homology.homology_class(chains.walk_chain(m, walk), basis)
+        plus = sum(max(f[h], 0) for h in walk)
+        za = sum(zi * ai for zi, ai in zip(z, a))
+        if plus < za:
             raise AnchorOutsidePolytope("anchor admits a negative dual cycle")
+        rhs = plus + sum(drop for drop in cyc if drop < 0)
+        assert za > rhs, "layered cycle is not negative"
+        if search is not None:
+            search.residue_cuts.append((z, rhs))
         return None
     ell = {y: dist[y * mod + kept[y]] + pairings[y] for y in S}
     if __debug__:
@@ -295,14 +342,17 @@ def lex_box_points(box, r0, m):
 
 class SearchStats:
     """Counters filled in by the lattice search: points_cut counts the
-    tested points that a kept cut answered without an engine run."""
+    tested points that a kept cut answered without an engine run, and
+    points_residue_cut the inside points that a kept residue cut answered
+    without a layered pass."""
 
-    __slots__ = ("points_tested", "points_inside", "points_cut")
+    __slots__ = ("points_tested", "points_inside", "points_cut", "points_residue_cut")
 
     def __init__(self):
         self.points_tested = 0
         self.points_inside = 0
         self.points_cut = 0
+        self.points_residue_cut = 0
 
 
 class SearchState:
@@ -317,9 +367,16 @@ class SearchState:
       depend on f alone (copath terms would tie a cut to one set of
       copaths).  Each holds as <z, a> <= rhs on the whole polytope of f
       (see the module docstring), not only at the point that was asked.
+    - residues and residue_cuts: the residue system (S, x, copaths, mod, r)
+      of the search's layered passes, and the pairs (z, rhs) that its
+      failed passes kept (see ``layered_residue_solve``).  Each pair
+      answers the pass at every later box point u with <z, u> > rhs: that
+      pass fails too (see the module docstring).
     """
 
-    __slots__ = ("map", "basis", "f", "base", "cuts", "stats", "_last")
+    __slots__ = (
+        "map", "basis", "f", "base", "cuts", "residues", "residue_cuts", "stats", "_last"
+    )
 
     def __init__(self, m, basis, f, stats=None):
         self.map = m
@@ -327,6 +384,8 @@ class SearchState:
         self.f = f
         self.base = circulation.base_network(m, f)
         self.cuts = []
+        self.residues = None
+        self.residue_cuts = []
         self.stats = stats
         self._last = (None, None)
 
@@ -348,17 +407,27 @@ class SearchState:
                 return sep
         return None
 
+    def residue_cut_off(self, u):
+        """Whether a kept residue cut answers the layered pass at box
+        point u: the pass would return None."""
+        for z, rhs in self.residue_cuts:
+            if sum(zi * ui for zi, ui in zip(z, u)) > rhs:
+                if self.stats is not None:
+                    self.stats.points_residue_cut += 1
+                return True
+        return False
+
 
 def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
     """Search the bounded homology lattice for an f0-circulation whose
     pairings match the prescribed residues (componentwise mod m).
 
     Iterates the residue-aligned integer vectors of the coordinate box in
-    lexicographic order; for each vector inside the polytope, the
-    precolored sub-polytope is solved by ``layered_residue_solve``, and a
-    concrete circulation is extracted on success, through the search's
-    network for the full target.  Returns None when the box is
-    exhausted.
+    lexicographic order; for each vector inside the polytope that no kept
+    residue cut answers, the precolored sub-polytope is solved by
+    ``layered_residue_solve``, and a concrete circulation is extracted on
+    success, through the search's network for the full target.  Returns
+    None when the box is exhausted.
     """
     fchain = f0.chain if hasattr(f0, "chain") else f0
     box, _ = pairing_bounds(fchain, basis, copaths)
@@ -379,6 +448,8 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
             continue
         if stats is not None:
             stats.points_inside += 1
+        if search is not None and search.residue_cut_off(u):
+            continue
         ell = layered_residue_solve(m, basis, fchain, u, S, x, copaths, spec.m, r, search)
         if ell is None:
             continue

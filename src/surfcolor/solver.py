@@ -43,6 +43,7 @@ class ColoringResult:
         "points_tested",
         "points_inside",
         "points_cut",
+        "points_residue_cut",
         "reason",
     )
 
@@ -55,6 +56,7 @@ class ColoringResult:
         points_tested=0,
         points_inside=0,
         points_cut=0,
+        points_residue_cut=0,
         reason=None,
     ):
         self.extendable = extendable
@@ -64,6 +66,7 @@ class ColoringResult:
         self.points_tested = points_tested
         self.points_inside = points_inside
         self.points_cut = points_cut
+        self.points_residue_cut = points_residue_cut
         self.reason = reason
 
     def __repr__(self):
@@ -201,6 +204,7 @@ def extend_precoloring(h_map, pre):
             points_tested=stats.points_tested,
             points_inside=stats.points_inside,
             points_cut=stats.points_cut,
+            points_residue_cut=stats.points_residue_cut,
         )
     return ColoringResult(
         False,
@@ -208,4 +212,5 @@ def extend_precoloring(h_map, pre):
         points_tested=stats.points_tested,
         points_inside=stats.points_inside,
         points_cut=stats.points_cut,
+        points_residue_cut=stats.points_residue_cut,
     )

@@ -1,7 +1,7 @@
 """The per-search state of the lattice search: patched repair networks,
-kept cuts, and the counts the benchmark's traced run relies on; and the
-dominance check of a returned circulation, which reads both orientations
-of each edge."""
+kept cuts and residue cuts, and the counts the benchmark's traced run
+relies on; and the dominance check of a returned circulation, which reads
+both orientations of each edge."""
 
 import random
 from fractions import Fraction
@@ -9,14 +9,14 @@ from fractions import Fraction
 import pytest
 
 from surfcolor import circulation, flows, homology, lattice
-from surfcolor.chains import Chain1
+from surfcolor.chains import Chain1, pair
 from surfcolor.circulation import Circulation, HomologyTarget
-from surfcolor.cli import gen_bouquet
+from surfcolor.cli import brute_force_extendable, gen_bouquet
 from surfcolor.lattice import SearchState, integer_points_bruteforce
-from surfcolor.solver import extend_precoloring
+from surfcolor.solver import Precoloring, extend_precoloring
 
 from conftest import CORPUS, random_map, random_nowhere_zero
-from test_layered_residue import hexagon_instances, outcome
+from test_layered_residue import hexagon_instances, outcome, two_step
 
 
 def full_build(m, f, b):
@@ -124,6 +124,91 @@ def test_search_gives_the_same_results_without_its_state(monkeypatch):
         assert outcome(res) == outcome(alone)
         assert alone.points_cut == 0
     assert cut > 0
+
+
+def layered_network(m, basis, f, a, S, x, copaths, mod, r):
+    """The arcs of the layered pass at anchor a, node by node, and its k(y)."""
+    target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
+    b, out = circulation.repair_network(m, basis, f, target)
+    kept = {y: (r[y] - pair(b, copaths[y].chain)) % mod for y in S}
+    return list(lattice._ResidueLayers(out, mod, kept)), kept
+
+
+def test_the_layered_network_is_the_same_at_every_box_point_of_a_search(monkeypatch):
+    # the lemma the residue cuts rest on: from one box point of a search
+    # to another, only the base lengths move, each by a multiple of m
+    searches = {}
+    real = lattice.layered_residue_solve
+
+    def recorded(m, basis, f, a, S, x, copaths, mod, r, search=None):
+        searches.setdefault(search, (m, basis, f, a, S, x, copaths, mod, r))
+        return real(m, basis, f, a, S, x, copaths, mod, r, search)
+
+    monkeypatch.setattr(lattice, "layered_residue_solve", recorded)
+    for g, pre in hexagon_instances():
+        extend_precoloring(g, pre)
+    pairs = {3: 0, 5: 0}
+    for m, basis, f, a, S, x, cps, mod, r in searches.values():
+        arcs, kept = layered_network(m, basis, f, a, S, x, cps, mod, r)
+        box, _ = lattice.pairing_bounds(f, basis, cps)
+        points = [u for u in lattice.lex_box_points(box, [ai % mod for ai in a], mod) if u != a]
+        for u in points[:6]:
+            arcs2, kept2 = layered_network(m, basis, f, u, S, x, cps, mod, r)
+            assert kept2 == kept
+            assert len(arcs2) == len(arcs)
+            moved = 0
+            for node, node2 in zip(arcs, arcs2):
+                assert [(w, h) for w, _, h in node] == [(w, h) for w, _, h in node2]
+                for (_, step, h), (_, step2, _) in zip(node, node2):
+                    assert (step - step2) % mod == 0
+                    assert h >= 0 or step == step2 == h
+                    moved += step != step2
+            assert moved > 0
+            pairs[mod] += 1
+    assert min(pairs.values()) >= 5, pairs
+
+
+def residue_cut_instances():
+    """The hexagon instances, then seeded loopless random maps of at most
+    12 edges with m in {3, 5, 7} and one to three precolored vertices."""
+    yield from hexagon_instances()
+    rng = random.Random(7)
+    made = 0
+    while made < 1000:
+        g = random_map(rng, max_edges=12, min_edges=8, max_vertices=8)
+        if any(g.tgt[h] == g.tgt[g.opp[h]] for h in g.half_edges()):
+            continue
+        mod = rng.choice((3, 5, 7))
+        size = rng.randint(1, min(3, g.num_vertices))
+        made += 1
+        yield g, Precoloring(mod, {v: rng.randrange(mod) for v in rng.sample(range(g.num_vertices), size)})
+
+
+def test_every_point_a_residue_cut_skips_fails_the_stateless_passes(monkeypatch):
+    skipped = []
+    real = SearchState.residue_cut_off
+
+    def recording(self, u):
+        cut = real(self, u)
+        if cut:
+            skipped.append((self, u))
+        return cut
+
+    monkeypatch.setattr(SearchState, "residue_cut_off", recording)
+    small = 0
+    for g, pre in residue_cut_instances():
+        before = len(skipped)
+        res = extend_precoloring(g, pre)
+        assert res.points_residue_cut == len(skipped) - before
+        for state, u in skipped[before:]:
+            S, x, cps, mod, r = state.residues
+            args = (state.map, state.basis, state.f, u, S, x, cps, mod, r)
+            assert lattice.layered_residue_solve(*args) is None
+            assert two_step(*args) is None
+        if res.points_residue_cut and g.num_edges <= 12:
+            assert res.extendable == brute_force_extendable(g, pre.m, pre.psi)
+            small += 1
+    assert len(skipped) >= 45 and small >= 5, (len(skipped), small)
 
 
 def count_calls(monkeypatch, module, name, log):

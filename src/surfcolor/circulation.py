@@ -15,7 +15,7 @@ The dual arcs and the f-part of their lengths depend on f alone:
 A certificate's inequality <z, a> + a'(y') - a'(y) <= rhs holds for every
 circulation of f, whatever the target: each pairs with D to the left
 side, and to at most rhs = pair_plus(f, D) since it lies between 0 and f.
-The lattice search keeps these inequalities as cuts.
+``lattice.membership`` returns these inequalities as separators.
 """
 
 from __future__ import annotations

@@ -2,28 +2,24 @@
 the residue-layered solver for the precolored sub-polytope, and the
 lattice search for circulations with prescribed residues.
 
-At each box point inside the polytope the search needs labels
-ell: S -> Z with prescribed residues mod m that some circulation can
-take as its copath pairings.  ``layered_residue_solve`` finds the
-largest such labels, or proves there are none, with one shortest-path
-run over m residue copies of the repair network.  ``rhs_table`` and
-``residue_difference_solve`` do the same in two steps (one run per face
-of S, then a difference system over S); they are kept as the reference
-for tests.
+At each box point u the search needs labels ell: S -> Z with prescribed
+residues mod m that some circulation of pairings (u, ell) can take as
+its copath pairings.  ``layered_residue_solve`` finds the largest such
+labels, or proves there are none, with one shortest-path run over m
+residue copies of the repair network; a negative cycle means that u is
+outside the polytope or that the residue system has no solution there,
+so the pass is the search's only test of a box point, and the
+circulation engine runs once, to extract the circulation at the point
+that passes.  ``rhs_table`` and ``residue_difference_solve`` do the
+pass's work in two steps (one run per face of S, then a difference
+system over S); they are kept as the reference for tests.
 
-One search keeps one ``SearchState`` for its fixed f: the f-part of the
-repair network, built once and patched at each box point (the engine run
-and the residue pass at a point share the result), and the cuts found so
-far.  A certificate at u is a closed dual walk D of homology class z
-with <z, u> > rhs = pair_plus(f, D).  Every circulation c of f pairs with
-D to <z, a(c)>, and to at most pair_plus(f, D) since c lies between 0 and
-f, so <z, a> <= rhs holds on the whole polytope of f: a later point with
-<z, u> > rhs is outside without an engine run.
-
-The state also keeps the residue cuts of the search's failed layered
-passes.  When the pass at an inside box point u finds a negative cycle W,
-W gives a residue cut <z, u'> > P + D that answers the pass at a later
-inside box point u' without running it:
+One search keeps one ``SearchState`` for its fixed f and residue system:
+the f-part of the repair network, built once and patched at each box
+point, and one list of integer cuts (z, rhs), each answering the pass at
+every later box point u' with <z, u'> > rhs without running it.  When
+the pass at a box point u finds a negative cycle W, W gives the cut
+(z, P + D):
 - every box point of one search is congruent to u mod m, because
   ``lex_box_points`` steps by m, and the layered pass uses the same
   modulus;
@@ -38,12 +34,16 @@ inside box point u' without running it:
   f+-parts of W's base arcs, D the sum of its drops and z_i the sum of
   C_i[h] over the base arcs h of W;
 - so W stays negative at u' whenever <z, u'> > P + D, and stays
-  reachable from (x, 0), because the graph is unchanged;
-- at an inside anchor no negative cycle is free of drops (its projection
-  would be a negative closed dual walk), so the uncut pass at u' returns
-  None, and the search goes on exactly as before.
-A residue cut depends on S, x, the copaths, the modulus and the residues
-r as well as f, so it is kept for one residue system only.
+  reachable from (x, 0), because the graph is unchanged: the pass at u'
+  fails too.
+The argument never asks whether u is inside the polytope, so a pass at
+an outside point keeps a cut like any other.  A cycle free of drops
+(D = 0) is then a negative closed dual walk, and (z, P) is also the
+certificate inequality <z, a> <= P of the whole polytope: every
+circulation c of f pairs with the walk to <z, a(c)>, and to at most P
+since c lies between 0 and f.  A cut depends on S, x, the copaths, the
+modulus and the residues r as well as f, so it is kept for one residue
+system only.
 
 All arithmetic is exact: rational queries are scaled to integers by the
 lcm of their denominators and handed to the circulation engine.
@@ -127,40 +127,49 @@ def membership(m, basis, f, S, x, copaths, point, search=None):
     polytope.  Returns None when inside, else a strict Separator.
 
     The query is scaled integral by the lcm mu of its denominators and
-    tested by running the circulation engine against mu * f.  With the
-    SearchState of f, a kept cut that separates the point answers without
-    an engine run, an integral point's network comes from the state, and
-    every new cut without copath terms is kept.
+    tested by running the circulation engine against mu * f.
+
+    With the SearchState of a lattice search, the call is instead the
+    search's decision at the integral box point point.u, for the state's
+    f and residue system: a kept cut (z, rhs) with <z, u> > rhs answers
+    first, else one ``layered_residue_solve`` pass.  It returns None, and
+    leaves the pass's labels on the state as ``ell``, when the pass
+    succeeds; otherwise it returns the cut that answered, or the one the
+    failed pass kept, as a Separator without copath terms.  A point
+    outside the polytope is never accepted, but an inside point whose
+    residue system fails is refused too.  The name stays until the
+    benchmark counts box points from the search instead of from calls
+    of this function (ROADMAP item 1).
     """
+    if search is not None:
+        u = tuple(int(c) for c in point.u)
+        for z, rhs in search.cuts:
+            if sum(zi * ui for zi, ui in zip(z, u)) > rhs:
+                search.stats.points_cut += 1
+                return Separator(z, {}, rhs)
+        search.ell = layered_residue_solve(m, basis, f, u, *search.residues, search)
+        if search.ell is not None:
+            return None
+        z, rhs = search.cuts[-1]
+        return Separator(z, {}, rhs)
     up_x = point.u_prime.get(x, 0)
     if up_x != 0:
         sign = 1 if up_x > 0 else -1
         return Separator((0,) * len(basis), {x: sign}, 0)
-    if search is not None:
-        assert search.f is f, "search state of another f"
-        sep = search.cut_off(point)
-        if sep is not None:
-            return sep
     mu = lcm(*(Fraction(c).denominator for c in (*point.u, *point.u_prime.values())))
     a = [int(mu * c) for c in point.u]
     a_prime = {y: int(mu * c) for y, c in point.u_prime.items()}
     for y in S:
         a_prime.setdefault(y, 0)
     target = HomologyTarget(a, S, x, copaths, a_prime)
-    network = search.network(target) if search is not None and mu == 1 else None
-    res = circulation.circulation_or_certificate(
-        m, basis, f if mu == 1 else mu * f, target, network
-    )
+    res = circulation.circulation_or_certificate(m, basis, f if mu == 1 else mu * f, target)
     if isinstance(res, Circulation):
         return None
     z_prime = {}
     if res.y != res.y_prime:
         z_prime[res.y_prime] = 1
         z_prime[res.y] = -1
-    sep = Separator(res.z, z_prime, res.rhs if mu == 1 else Fraction(res.rhs, mu))
-    if search is not None and not z_prime:
-        search.cuts.append(sep)
-    return sep
+    return Separator(res.z, z_prime, res.rhs if mu == 1 else Fraction(res.rhs, mu))
 
 
 def rhs_table(m, basis, f, a, S, x, copaths):
@@ -287,22 +296,16 @@ def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r, search=None):
     its half-edges: a negative walk proves the anchor outside and raises
     AnchorOutsidePolytope, as ``rhs_table`` does.  At an outside anchor
     the cycle found may instead close through a drop, and None is
-    returned; the search asks only at anchors ``membership`` accepts.
+    returned.
 
-    With the SearchState of f, the network is the one the state built for
-    ``membership`` at the same anchor, and a failed pass keeps the residue
-    cut (z, P + D), D being the sum of W's drops: W stays negative at every
-    box point u' of the search with <z, u'> > P + D (see the module
-    docstring).  A state serves one residue system (S, x, copaths, mod, r):
-    the first it is asked about.
+    With the SearchState of f, whose residue system (S, x, copaths, mod,
+    r) this call must use, the network is patched from the state's base,
+    and a failed pass keeps the cut (z, P + D), D being the sum of W's
+    drops, instead of raising: W stays negative at every box point u' of
+    the search with <z, u'> > P + D (see the module docstring).
     """
     target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
     if search is not None:
-        assert search.f is f, "search state of another f"
-        system = (S, x, copaths, mod, r)
-        if search.residues is None:
-            search.residues = system
-        assert search.residues == system, "residue cuts of another residue system"
         b, out = search.network(target)
     else:
         b, out = circulation.repair_network(m, basis, f, target)
@@ -315,12 +318,12 @@ def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r, search=None):
         z = homology.homology_class(chains.walk_chain(m, walk), basis)
         plus = sum(max(f[h], 0) for h in walk)
         za = sum(zi * ai for zi, ai in zip(z, a))
-        if plus < za:
+        if plus < za and search is None:
             raise AnchorOutsidePolytope("anchor admits a negative dual cycle")
         rhs = plus + sum(drop for drop in cyc if drop < 0)
         assert za > rhs, "layered cycle is not negative"
         if search is not None:
-            search.residue_cuts.append((z, rhs))
+            search.cuts.append((z, rhs))
         return None
     ell = {y: dist[y * mod + kept[y]] + pairings[y] for y in S}
     if __debug__:
@@ -342,17 +345,13 @@ def lex_box_points(box, r0, m):
 
 class SearchStats:
     """Counters filled in by the lattice search: points_cut counts the
-    tested points that a kept cut answered without an engine run, and
-    points_residue_cut the inside points that a kept residue cut answered
-    without a layered pass."""
+    tested points that a kept cut answered without a layered pass."""
 
-    __slots__ = ("points_tested", "points_inside", "points_cut", "points_residue_cut")
+    __slots__ = ("points_tested", "points_cut")
 
     def __init__(self):
         self.points_tested = 0
-        self.points_inside = 0
         self.points_cut = 0
-        self.points_residue_cut = 0
 
 
 class SearchState:
@@ -360,62 +359,32 @@ class SearchState:
 
     - base: the f-part of every repair network (``circulation.base_network``),
       built once; the network of a target is a patched copy of it.
-    - The network of the last one-face target (S = (x,), so b is the
-      a-combination of the basis cycles) is kept, so the engine run in
-      ``membership`` and the residue pass at the same point share it.
-    - cuts: the separators without copath terms found so far, which
-      depend on f alone (copath terms would tie a cut to one set of
-      copaths).  Each holds as <z, a> <= rhs on the whole polytope of f
-      (see the module docstring), not only at the point that was asked.
-    - residues and residue_cuts: the residue system (S, x, copaths, mod, r)
-      of the search's layered passes, and the pairs (z, rhs) that its
-      failed passes kept (see ``layered_residue_solve``).  Each pair
-      answers the pass at every later box point u with <z, u> > rhs: that
-      pass fails too (see the module docstring).
+    - residues: the residue system (S, x, copaths, mod, r) of the search's
+      layered passes, given at construction.
+    - cuts: the pairs (z, rhs) that the failed passes kept (see
+      ``layered_residue_solve``).  Each answers the pass at every later
+      box point u with <z, u> > rhs: that pass fails too (see the module
+      docstring).
+    - ell: the labels of the last pass that ``membership`` ran.
     """
 
-    __slots__ = (
-        "map", "basis", "f", "base", "cuts", "residues", "residue_cuts", "stats", "_last"
-    )
+    __slots__ = ("map", "basis", "f", "base", "residues", "cuts", "stats", "ell")
 
-    def __init__(self, m, basis, f, stats=None):
+    def __init__(self, m, basis, f, residues=None, stats=None):
         self.map = m
         self.basis = basis
         self.f = f
         self.base = circulation.base_network(m, f)
+        self.residues = residues
         self.cuts = []
-        self.residues = None
-        self.residue_cuts = []
-        self.stats = stats
-        self._last = (None, None)
+        self.stats = stats if stats is not None else SearchStats()
+        self.ell = None
 
     def network(self, target):
         """The (b, out) of ``circulation.repair_network`` for this f and the
         target, arc for arc."""
-        key = target.a if len(target.S) == 1 else None
-        if key is None or key != self._last[0]:
-            b = circulation.prescribed_cycle(self.map, self.basis, target)
-            self._last = (key, (b, circulation.patched_network(self.map, self.base, b)))
-        return self._last[1]
-
-    def cut_off(self, point):
-        """A kept cut that separates the point, or None."""
-        for sep in self.cuts:
-            if sep.dot(point.u, point.u_prime) > sep.rhs:
-                if self.stats is not None:
-                    self.stats.points_cut += 1
-                return sep
-        return None
-
-    def residue_cut_off(self, u):
-        """Whether a kept residue cut answers the layered pass at box
-        point u: the pass would return None."""
-        for z, rhs in self.residue_cuts:
-            if sum(zi * ui for zi, ui in zip(z, u)) > rhs:
-                if self.stats is not None:
-                    self.stats.points_residue_cut += 1
-                return True
-        return False
+        b = circulation.prescribed_cycle(self.map, self.basis, target)
+        return b, circulation.patched_network(self.map, self.base, b)
 
 
 def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
@@ -423,38 +392,25 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
     pairings match the prescribed residues (componentwise mod m).
 
     Iterates the residue-aligned integer vectors of the coordinate box in
-    lexicographic order; for each vector inside the polytope that no kept
-    residue cut answers, the precolored sub-polytope is solved by
-    ``layered_residue_solve``, and a concrete circulation is extracted on
-    success, through the search's network for the full target.  Returns
-    None when the box is exhausted.
+    lexicographic order and asks ``membership`` with the search's state
+    at each: a kept cut or one ``layered_residue_solve`` pass decides the
+    point.  At the first point that passes, the circulation engine
+    extracts a concrete circulation for the full target, through the
+    search's network.  Returns None when the box is exhausted.
     """
     fchain = f0.chain if hasattr(f0, "chain") else f0
     box, _ = pairing_bounds(fchain, basis, copaths)
-    x_copaths = {x: copaths[x]}
     r = {y: 0 for y in S}
     r.update(spec.r0_prime)
     r[x] = 0
-    search = SearchState(m, basis, fchain, stats)
-
-    def is_inside(u):
-        pt = HomologyPoint(u, {x: 0})
-        return membership(m, basis, fchain, (x,), x, x_copaths, pt, search) is None
-
+    search = SearchState(m, basis, fchain, (S, x, copaths, spec.m, r), stats)
     for u in lex_box_points(box, spec.r0, spec.m):
-        if stats is not None:
-            stats.points_tested += 1
-        if not is_inside(u):
+        search.stats.points_tested += 1
+        point = HomologyPoint(u, {x: 0})
+        if membership(m, basis, fchain, S, x, copaths, point, search) is not None:
             continue
-        if stats is not None:
-            stats.points_inside += 1
-        if search is not None and search.residue_cut_off(u):
-            continue
-        ell = layered_residue_solve(m, basis, fchain, u, S, x, copaths, spec.m, r, search)
-        if ell is None:
-            continue
-        target = HomologyTarget(u, S, x, copaths, ell)
-        network = search.network(target) if search is not None else None
+        target = HomologyTarget(u, S, x, copaths, search.ell)
+        network = search.network(target)
         res = circulation.circulation_or_certificate(m, basis, fchain, target, network)
         # checked under python -O too: a wrong ell must not pass silently
         if not isinstance(res, Circulation):

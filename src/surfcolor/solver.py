@@ -41,9 +41,7 @@ class ColoringResult:
         "witness_boundary",
         "boundaries_tried",
         "points_tested",
-        "points_inside",
         "points_cut",
-        "points_residue_cut",
         "reason",
     )
 
@@ -54,9 +52,7 @@ class ColoringResult:
         witness_boundary=None,
         boundaries_tried=0,
         points_tested=0,
-        points_inside=0,
         points_cut=0,
-        points_residue_cut=0,
         reason=None,
     ):
         self.extendable = extendable
@@ -64,9 +60,7 @@ class ColoringResult:
         self.witness_boundary = witness_boundary
         self.boundaries_tried = boundaries_tried
         self.points_tested = points_tested
-        self.points_inside = points_inside
         self.points_cut = points_cut
-        self.points_residue_cut = points_residue_cut
         self.reason = reason
 
     def __repr__(self):
@@ -115,12 +109,15 @@ def coloring_to_flow(h_map, phi, m, dual_map=None):
     return flows.Flow(Chain1(g, coeffs))
 
 
-def flow_to_coloring(g, f, m, anchor, basis=None, copaths=None):
+def flow_to_coloring(g, f, m, anchor, basis=None):
     """Decode a nowhere-zero flow on g into a coloring of its faces.
 
     anchor is a pair (face, color).  Requires the flow boundary and all
     basis pairings to vanish mod m; the color of face y is then
-    anchor color + pair(f, P(y)) mod m, independent of the copaths.
+    anchor color + pair(f, P(y)) mod m, independent of the copaths.  The
+    colors are read off a potential walk over a BFS tree of the dual: a
+    step from face v to face w across half-edge h (left = v) adds the
+    flow f[opp(h)] that the copath step to w pairs with.
     """
     x, c0 = anchor
     fchain = f.chain if hasattr(f, "chain") else f
@@ -133,9 +130,17 @@ def flow_to_coloring(g, f, m, anchor, basis=None, copaths=None):
     for k in basis.cocycles:
         if pair(fchain, k) % m != 0:
             raise DivisibilityViolation("basis pairing not divisible by %d" % m)
-    if copaths is None:
-        copaths = homology.copaths_from(g, x)
-    return {y: (c0 + pair(fchain, copaths[y].chain)) % m for y in range(g.num_faces)}
+    color = [None] * g.num_faces
+    color[x] = c0 % m
+    queue = [x]
+    for v in queue:
+        for h in g.faces[v]:
+            o = g.opp[h]
+            w = g.left[o]
+            if color[w] is None:
+                color[w] = (color[v] + fchain[o]) % m
+                queue.append(w)
+    return dict(enumerate(color))
 
 
 def extend_precoloring(h_map, pre):
@@ -167,8 +172,7 @@ def extend_precoloring(h_map, pre):
     r = {y: (psi[y] - psi[x]) % m for y in S}
 
     basis = homology.cohomology_basis(g)
-    all_copaths = homology.copaths_from(g, x)
-    copaths = {y: all_copaths[y] for y in S}
+    copaths = homology.copaths_from(g, x, S)
     half = (m + 1) // 2
 
     boundaries_tried = 0
@@ -192,7 +196,7 @@ def extend_precoloring(h_map, pre):
             continue
         f = flows.Flow(f0.chain - 2 * c.chain)
         assert f.nowhere_zero
-        phi = flow_to_coloring(g, f, m, (x, psi[x]), basis=basis, copaths=all_copaths)
+        phi = flow_to_coloring(g, f, m, (x, psi[x]), basis=basis)
         # soundness is checked unconditionally, not only in test builds
         if not verify_homomorphism(h_map, m, phi, pre.psi):
             raise AssertionError("produced coloring failed verification")
@@ -202,15 +206,11 @@ def extend_precoloring(h_map, pre):
             witness_boundary=d,
             boundaries_tried=boundaries_tried,
             points_tested=stats.points_tested,
-            points_inside=stats.points_inside,
             points_cut=stats.points_cut,
-            points_residue_cut=stats.points_residue_cut,
         )
     return ColoringResult(
         False,
         boundaries_tried=boundaries_tried,
         points_tested=stats.points_tested,
-        points_inside=stats.points_inside,
         points_cut=stats.points_cut,
-        points_residue_cut=stats.points_residue_cut,
     )

@@ -1,22 +1,27 @@
 """The per-search state of the lattice search: patched repair networks,
-kept cuts and residue cuts, and the counts the benchmark's traced run
-relies on; and the dominance check of a returned circulation, which reads
-both orientations of each edge."""
+the kept cuts of failed layered passes, and the counts the benchmark's
+traced run relies on; and the dominance check of a returned circulation,
+which reads both orientations of each edge."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from surfcolor import circulation, flows, homology, lattice
+from surfcolor import circulation, errors, flows, homology, lattice
 from surfcolor.chains import Chain1, pair
 from surfcolor.circulation import Circulation, HomologyTarget
 from surfcolor.cli import brute_force_extendable, gen_bouquet
-from surfcolor.lattice import SearchState, integer_points_bruteforce
+from surfcolor.lattice import (
+    HomologyPoint,
+    SearchState,
+    integer_points_bruteforce,
+    layered_residue_solve,
+)
 from surfcolor.solver import Precoloring, extend_precoloring
 
 from conftest import CORPUS, random_map, random_nowhere_zero
-from test_layered_residue import hexagon_instances, outcome, two_step
+from test_layered_residue import hexagon_instances, reference_search, two_step
 
 
 def full_build(m, f, b):
@@ -63,67 +68,79 @@ def test_patched_network_equals_the_full_build():
     assert checked >= 200
 
 
-def test_every_kept_cut_holds_on_the_whole_polytope(monkeypatch):
-    states = []
+def stateless_pass(*args):
+    """The layered pass without a state: its labels, or None where it
+    fails, whether it returns None or finds the anchor outside."""
+    try:
+        return layered_residue_solve(*args)
+    except errors.AnchorOutsidePolytope:
+        return None
 
-    class Recording(SearchState):
-        __slots__ = ()
 
-        def __init__(self, *args):
-            super().__init__(*args)
-            states.append(self)
+def test_every_kept_cut_holds_where_the_stateless_pass_succeeds(monkeypatch):
+    # cuts kept at outside anchors and at inside anchors both hold at
+    # every box point of their search where a pass would return labels,
+    # and at every brute-forced integer point with the search's residues
+    first_point = {}
+    kept_at = {"outside": 0, "inside": 0}
+    real = lattice.layered_residue_solve
 
-    monkeypatch.setattr(lattice, "SearchState", Recording)
-    rng = random.Random(409)
-    cuts = cut_points = 0
-    while len(states) < 40:
-        m = random_map(rng, max_edges=10, max_vertices=4)
-        if m.num_edges == 0 or m.num_edges > 14:
-            continue
-        basis = homology.cohomology_basis(m)
-        f0 = flows.Flow(random_nowhere_zero(rng, m))
-        mod = rng.choice((3, 5))
-        x = rng.randrange(m.num_faces)
-        S = tuple(sorted({x} | {rng.randrange(m.num_faces) for _ in range(2)}))
-        cps = homology.copaths_from(m, x, S)
-        spec = lattice.ResidueSpec(mod, [rng.randrange(mod) for _ in basis.Y], {})
-        stats = lattice.SearchStats()
-        lattice.find_constrained_circulation(m, basis, f0, spec, S, x, cps, stats=stats)
-        state = states[-1]
-        # rational queries, and queries with copath terms, through the same
-        # state: the verdicts are those of a lone call, a separator is
-        # strict at its query, and only cuts free of copath terms are kept
-        box, box_s = lattice.pairing_bounds(f0.chain, basis, cps)
-        for den in (1, 2, 3):
-            u = [Fraction(rng.randint(den * lo - 3, den * hi + 3), den) for lo, hi in box]
-            up = {y: 0 if y == x else rng.randint(lo - 1, hi + 1) for y, (lo, hi) in box_s.items()}
-            point = lattice.HomologyPoint(u, up)
-            alone = lattice.membership(m, basis, f0.chain, S, x, cps, point)
-            shared = lattice.membership(m, basis, f0.chain, S, x, cps, point, state)
-            assert (alone is None) == (shared is None)
-            if shared is not None:
-                assert shared.dot(point.u, point.u_prime) > shared.rhs
-        members = integer_points_bruteforce(m, basis, f0, S, x, cps)
-        for sep in state.cuts:
-            assert not sep.z_prime
-            for a, _ in members:
-                assert sep.dot(a, {}) <= sep.rhs
-        cuts += len(state.cuts)
-        cut_points += stats.points_cut
-    assert cuts >= 40 and cut_points >= 10, (cuts, cut_points)
+    def recorded(m, basis, f, a, S, x, copaths, mod, r, search=None):
+        # no cut is kept before the first pass, so each search's first
+        # box point is a pass
+        first_point.setdefault(search, a)
+        before = len(search.cuts)
+        ell = real(m, basis, f, a, S, x, copaths, mod, r, search)
+        if len(search.cuts) > before:
+            point = HomologyPoint(a, {x: 0})
+            alone = lattice.membership(m, basis, f, (x,), x, {x: copaths[x]}, point)
+            kept_at["inside" if alone is None else "outside"] += 1
+        return ell
+
+    monkeypatch.setattr(lattice, "layered_residue_solve", recorded)
+    cut_points = 0
+    for g, pre in small_instances(300):
+        cut_points += extend_precoloring(g, pre).points_cut
+    for state, first in first_point.items():
+        m, basis, f = state.map, state.basis, state.f
+        S, x, cps, mod, r = state.residues
+        # the search's box points are those congruent to its first one
+        box, _ = lattice.pairing_bounds(f, basis, cps)
+        for u in lattice.lex_box_points(box, [c % mod for c in first], mod):
+            if stateless_pass(m, basis, f, u, S, x, cps, mod, r) is not None:
+                for z, rhs in state.cuts:
+                    assert sum(zi * ui for zi, ui in zip(z, u)) <= rhs
+        s_order = sorted(S)
+        for a, ap in integer_points_bruteforce(m, basis, f, S, x, cps):
+            if all((ai - ci) % mod == 0 for ai, ci in zip(a, first)) and all(
+                (v - r[y]) % mod == 0 for y, v in zip(s_order, ap)
+            ):
+                for z, rhs in state.cuts:
+                    assert sum(zi * ai for zi, ai in zip(z, a)) <= rhs
+    assert min(kept_at.values()) >= 20 and cut_points >= 100, (kept_at, cut_points)
 
 
 def test_search_gives_the_same_results_without_its_state(monkeypatch):
+    searches = []
+    real = lattice.find_constrained_circulation
+
+    def recorded(m, basis, f0, spec, S, x, copaths, stats=None):
+        before = stats.points_tested
+        res = real(m, basis, f0, spec, S, x, copaths, stats=stats)
+        searches.append(((m, basis, f0, spec, S, x, copaths), res, stats.points_tested - before))
+        return res
+
+    monkeypatch.setattr(lattice, "find_constrained_circulation", recorded)
     cut = 0
     for g, pre in hexagon_instances():
-        res = extend_precoloring(g, pre)
-        cut += res.points_cut
-        with monkeypatch.context() as mp:
-            mp.setattr(lattice, "SearchState", lambda *args: None)
-            alone = extend_precoloring(g, pre)
-        assert outcome(res) == outcome(alone)
-        assert alone.points_cut == 0
-    assert cut > 0
+        cut += extend_precoloring(g, pre).points_cut
+    found = 0
+    for args, res, tested in searches:
+        alone, alone_tested = reference_search(*args)
+        assert tested == alone_tested
+        assert (res and res.chain) == (alone and alone.chain)
+        found += res is not None
+    assert found > 0 and cut > 0 and len(searches) > found
 
 
 def layered_network(m, basis, f, a, S, x, copaths, mod, r):
@@ -168,13 +185,12 @@ def test_the_layered_network_is_the_same_at_every_box_point_of_a_search(monkeypa
     assert min(pairs.values()) >= 5, pairs
 
 
-def residue_cut_instances():
-    """The hexagon instances, then seeded loopless random maps of at most
-    12 edges with m in {3, 5, 7} and one to three precolored vertices."""
-    yield from hexagon_instances()
+def small_instances(count):
+    """Seeded loopless random maps of at most 12 edges with m in {3, 5, 7}
+    and one to three precolored vertices."""
     rng = random.Random(7)
     made = 0
-    while made < 1000:
+    while made < count:
         g = random_map(rng, max_edges=12, min_edges=8, max_vertices=8)
         if any(g.tgt[h] == g.tgt[g.opp[h]] for h in g.half_edges()):
             continue
@@ -184,28 +200,40 @@ def residue_cut_instances():
         yield g, Precoloring(mod, {v: rng.randrange(mod) for v in rng.sample(range(g.num_vertices), size)})
 
 
+def residue_cut_instances():
+    """The hexagon instances, then 1000 small random instances."""
+    yield from hexagon_instances()
+    yield from small_instances(1000)
+
+
 def test_every_point_a_residue_cut_skips_fails_the_stateless_passes(monkeypatch):
+    # every kept cut is a residue cut (z, P + D): at each point one
+    # answers, the stateless pass and the two-step reference fail too
     skipped = []
-    real = SearchState.residue_cut_off
+    real = lattice.membership
 
-    def recording(self, u):
-        cut = real(self, u)
-        if cut:
-            skipped.append((self, u))
-        return cut
+    def recording(m, basis, f, S, x, copaths, point, search=None):
+        before = search.stats.points_cut
+        sep = real(m, basis, f, S, x, copaths, point, search)
+        if search.stats.points_cut > before:
+            skipped.append((search, tuple(int(c) for c in point.u)))
+        return sep
 
-    monkeypatch.setattr(SearchState, "residue_cut_off", recording)
+    monkeypatch.setattr(lattice, "membership", recording)
     small = 0
     for g, pre in residue_cut_instances():
         before = len(skipped)
         res = extend_precoloring(g, pre)
-        assert res.points_residue_cut == len(skipped) - before
+        assert res.points_cut == len(skipped) - before
         for state, u in skipped[before:]:
             S, x, cps, mod, r = state.residues
             args = (state.map, state.basis, state.f, u, S, x, cps, mod, r)
-            assert lattice.layered_residue_solve(*args) is None
-            assert two_step(*args) is None
-        if res.points_residue_cut and g.num_edges <= 12:
+            assert stateless_pass(*args) is None
+            try:
+                assert two_step(*args) is None
+            except errors.AnchorOutsidePolytope:
+                pass
+        if res.points_cut and g.num_edges <= 12:
             assert res.extendable == brute_force_extendable(g, pre.m, pre.psi)
             small += 1
     assert len(skipped) >= 45 and small >= 5, (len(skipped), small)
@@ -232,29 +260,17 @@ def test_one_membership_call_per_point_and_one_realization_per_boundary(monkeypa
         assert log.count("nowhere_zero_flow_with_boundary") == res.boundaries_tried
 
 
-def test_each_tested_point_is_an_engine_run_or_a_cut(monkeypatch):
+def test_each_tested_point_is_a_layered_pass_or_a_cut(monkeypatch):
     g, pre = list(hexagon_instances())[5]
-    runs = []
-    real_membership = lattice.membership
-    real_engine = circulation.circulation_or_certificate
-    in_membership = []
-
-    def membership(*args):
-        in_membership.append(True)
-        try:
-            return real_membership(*args)
-        finally:
-            in_membership.pop()
-
-    def engine(*args):
-        runs.append(bool(in_membership))
-        return real_engine(*args)
-
-    monkeypatch.setattr(lattice, "membership", membership)
-    monkeypatch.setattr(circulation, "circulation_or_certificate", engine)
+    log = []
+    count_calls(monkeypatch, lattice, "layered_residue_solve", log)
+    count_calls(monkeypatch, circulation, "circulation_or_certificate", log)
     res = extend_precoloring(g, pre)
-    assert res.points_tested == sum(runs) + res.points_cut
-    assert (res.extendable, res.points_tested, sum(runs), res.points_cut) == (False, 255, 127, 128)
+    passes = log.count("layered_residue_solve")
+    assert res.points_tested == passes + res.points_cut
+    # the engine runs only to extract a found circulation, and none is
+    assert log.count("circulation_or_certificate") == 0
+    assert (res.extendable, res.points_tested, passes, res.points_cut) == (False, 255, 58, 197)
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from surfcolor import build_map, chains, dual, errors
-from surfcolor.chains import Chain1, pair
+from surfcolor.chains import Chain1, Chain2, pair
 from surfcolor.cli import gen_bouquet, gen_grid, gen_q13
-from surfcolor.homology import cohomology_basis
+from surfcolor.homology import cohomology_basis, copaths_from
 from surfcolor.solver import (
     Precoloring,
     coloring_to_flow,
@@ -73,6 +73,25 @@ def test_flow_to_coloring_roundtrip():
             y, y2 = g.left[hh], g.left[g.opp[hh]]
             assert (out[y] - out[y2]) % 3 == f.chain[hh] % 3
         assert out == phi  # same anchor color forces equality here
+
+
+def test_flow_to_coloring_walk_matches_the_copath_pairings():
+    # f = the boundary of a random face potential plus m times a random
+    # chain, so its boundary and basis pairings vanish mod m
+    rng = random.Random(131)
+    checked = 0
+    for _ in range(60):
+        g = random_map(rng, max_edges=14)
+        m = rng.choice((3, 5, 7))
+        potential = Chain2(g, {y: rng.randint(-9, 9) for y in range(g.num_faces)})
+        noise = Chain1(g, {h: rng.randint(-3, 3) for h in g.canonical_half_edges()})
+        f = chains.boundary2(potential) + m * noise
+        x, c0 = rng.randrange(g.num_faces), rng.randrange(m)
+        cps = copaths_from(g, x)
+        want = {y: (c0 + pair(f, cps[y].chain)) % m for y in range(g.num_faces)}
+        assert flow_to_coloring(g, f, m, (x, c0)) == want
+        checked += len(set(want.values())) > 1
+    assert checked >= 30
 
 
 def test_flow_to_coloring_rejects_bad_pairings():

@@ -9,9 +9,11 @@ When no circulation exists, the negative cycle or negative
 source-to-source path that call finds yields a simple copath certifying
 infeasibility.
 
-The dual arcs and the f-part of their lengths depend on f alone:
-``base_network`` builds them once for many targets, and
-``patched_network`` takes each target's b off the arcs of its support.
+The dual arcs depend on the map alone: ``CombinatorialMap.dual_arcs``
+builds them once per map.  The f-part of their lengths depends on f
+alone: ``base_network`` builds it once for many targets, and
+``patched_network`` copies it with each target's b taken off the arcs of
+its support.
 A certificate's inequality <z, a> + a'(y') - a'(y) <= rhs holds for every
 circulation of f, whatever the target: each pairs with D to the left
 side, and to at most rhs = pair_plus(f, D) since it lies between 0 and f.
@@ -109,45 +111,32 @@ def prescribed_cycle(m, basis, target):
 
 
 def base_network(m, f):
-    """The part of every repair network that f alone fixes, as (out, pos):
-    half-edge h is the arc left(opp(h)) -> left(h) of length f[h] where
-    f[h] > 0, else 0, at index pos[h] of out[left(opp(h))].  Each out list
-    holds its arcs in ascending half-edge order."""
+    """The part of every repair network that f alone fixes, as a length
+    list over the dual arcs ``m.dual_arcs()``: half-edge h has length f[h]
+    where f[h] > 0, else 0."""
     fc = f.coeffs
-    out = [[] for _ in range(m.num_faces)]
-    pos = []
-    for h in m.half_edges():
-        o = m.opp[h]
+    lengths = []
+    for h, o in enumerate(m.opp):
         fh = fc.get(h, 0) if h < o else -fc.get(o, 0)
-        arcs = out[m.left[o]]
-        pos.append(len(arcs))
-        arcs.append((m.left[h], fh if fh > 0 else 0, h))
-    return out, pos
+        lengths.append(fh if fh > 0 else 0)
+    return lengths
 
 
 def patched_network(m, base, b):
-    """The out lists of a base network with b[h] taken off the length of
-    every arc h.  Untouched lists are shared with the base; only the lists
-    holding a half-edge of b's support, either orientation, are copied."""
-    out, pos = base
-    out = list(out)
-    copied = set()
-    for hc, c in b.coeffs.items():
-        for h, bh in ((hc, c), (m.opp[hc], -c)):
-            tail = m.left[m.opp[h]]
-            if tail not in copied:
-                copied.add(tail)
-                out[tail] = list(out[tail])
-            head, length, _ = out[tail][pos[h]]
-            out[tail][pos[h]] = (head, length - bh, h)
-    return out
+    """A copy of the length list base with b[h] taken off the length of
+    every half-edge h of b's support, either orientation."""
+    lengths = list(base)
+    for h, c in b.coeffs.items():
+        lengths[h] -= c
+        lengths[m.opp[h]] += c
+    return lengths
 
 
 def repair_network(m, basis, f, target):
-    """The prescribed cycle b and the dual network that repairs it into an
-    f-circulation, as (b, out): half-edge h is the arc left(opp(h)) ->
-    left(h) in out, of length f[h] - b[h] where f[h] > 0, else -b[h].
-    Each out list holds its arcs in ascending half-edge order."""
+    """The prescribed cycle b and the lengths of the dual network that
+    repairs it into an f-circulation, as (b, lengths): over the arcs
+    ``m.dual_arcs()``, half-edge h has length f[h] - b[h] where f[h] > 0,
+    else -b[h]."""
     b = prescribed_cycle(m, basis, target)
     return b, patched_network(m, base_network(m, f), b)
 
@@ -156,14 +145,14 @@ def circulation_or_certificate(m, basis, f, target, network=None):
     """Find an f-circulation realizing the target pairings, or a
     certificate that none exists.  The two outcomes are exhaustive.
 
-    network, when given, is the (b, out) that repair_network(m, basis, f,
-    target) would build; the engine only reads it.
+    network, when given, is the (b, lengths) that repair_network(m, basis,
+    f, target) would build; the engine only reads it.
     """
-    b, out = network if network is not None else repair_network(m, basis, f, target)
+    b, lengths = network if network is not None else repair_network(m, basis, f, target)
 
     # every edge gives dual arcs both ways, so the sources reach every
     # negative cycle
-    dist, pred, cyc = shortest_paths(m.num_faces, out, target.S)
+    dist, pred, cyc = shortest_paths(m.num_faces, m.dual_arcs(), lengths, target.S)
     if cyc is not None:
         D = chains.walk_chain(m, cyc)
         z = homology.homology_class(D, basis)
@@ -181,7 +170,7 @@ def circulation_or_certificate(m, basis, f, target, network=None):
         arcs = []
         v = y_prime
         while pred[v] is not None:
-            v, _, h = pred[v]
+            v, h = pred[v]
             arcs.append(h)
         arcs.reverse()
         y = v

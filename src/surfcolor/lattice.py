@@ -15,9 +15,9 @@ pass's work in two steps (one run per face of S, then a difference
 system over S); they are kept as the reference for tests.
 
 One search keeps one ``SearchState`` for its fixed f and residue system:
-the f-part of the repair network, built once and patched at each box
-point, and one list of integer cuts (z, rhs), each answering the pass at
-every later box point u' with <z, u'> > rhs without running it.  When
+the f-part of the repair lengths, patched at each box point, the layered
+arcs, built at the first pass, and one list of integer cuts (z, rhs),
+each answering the pass at every box point u' with <z, u'> > rhs.  When
 the pass at a box point u finds a negative cycle W, W gives the cut
 (z, P + D):
 - every box point of one search is congruent to u mod m, because
@@ -184,12 +184,12 @@ def rhs_table(m, basis, f, a, S, x, copaths):
     Reference for tests: the search calls ``layered_residue_solve``.
     """
     target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
-    b, out = circulation.repair_network(m, basis, f, target)
+    b, lengths = circulation.repair_network(m, basis, f, target)
     pairings = {y: pair(b, copaths[y].chain) for y in S}
     ys = sorted(S)
     beta = {}
     for y in ys:
-        dist, _, cyc = shortest_paths(m.num_faces, out, (y,))
+        dist, _, cyc = shortest_paths(m.num_faces, m.dual_arcs(), lengths, (y,))
         if cyc is not None:
             raise AnchorOutsidePolytope("anchor admits a negative dual cycle")
         for y2 in ys:
@@ -209,6 +209,7 @@ def residue_difference_solve(S, x, m, d, r):
     """
     nodes = sorted(S)
     out = []
+    length = []
     for y in nodes:
         arcs = []
         for j, y2 in enumerate(nodes):
@@ -218,10 +219,11 @@ def residue_difference_solve(S, x, m, d, r):
                 if tight < 0:
                     return None
             else:
-                arcs.append((j, tight, None))
+                arcs.append((j, len(length)))
+                length.append(tight)
         out.append(arcs)
 
-    dist, _, cyc = shortest_paths(len(nodes), out, (nodes.index(x),))
+    dist, _, cyc = shortest_paths(len(nodes), out, length, (nodes.index(x),))
     if cyc is not None:
         return None
     ell = dict(zip(nodes, dist))
@@ -234,35 +236,21 @@ def residue_difference_solve(S, x, m, d, r):
     return ell
 
 
-class _ResidueLayers:
-    """The arcs of the residue-layered network, built per node when the
-    kernel reads them, so memory stays that of the base network.  Node
-    v * mod + c is the copy (v, c); kept maps each face y of S to k(y).
-    A base arc is labelled by its half-edge h >= 0, a drop by its own
-    length, which is negative."""
-
-    __slots__ = ("base", "mod", "kept")
-
-    def __init__(self, base, mod, kept):
-        self.base = base
-        self.mod = mod
-        self.kept = kept
-
-    def __len__(self):
-        return len(self.base) * self.mod
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __getitem__(self, node):
-        mod = self.mod
-        v, c = divmod(node, mod)
+def _layered_arcs(m, lengths, mod, kept):
+    """The out lists of the layered network of ``layered_residue_solve``:
+    node v * mod + c is the copy (v, c) and kept maps y in S to k(y).  Base
+    arcs keep their half-edge ids; the drop of length -j is arc H + j."""
+    H = len(m.opp)
+    out = []
+    for v, arcs in enumerate(m.dual_arcs()):
         # a face outside S keeps its arcs at every copy
-        k = self.kept.get(v, c)
-        if k != c:
-            drop = -((c - k) % mod)
-            return ((v * mod + k, drop, drop),)
-        return [(w * mod + (c + step) % mod, step, h) for w, step, h in self.base[v]]
+        k = kept.get(v)
+        for c in range(mod):
+            if k is None or k == c:
+                out.append([(w * mod + (c + lengths[h]) % mod, h) for w, h in arcs])
+            else:
+                out.append(((v * mod + k, H + (c - k) % mod),))
+    return out
 
 
 def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r, search=None):
@@ -290,8 +278,8 @@ def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r, search=None):
     as the two-step solver does.  A negative cycle thus exists if and only
     if the system is infeasible or the anchor lies outside the polytope
     (a negative dual cycle, repeated mod times, returns to its layer).
-    Base arcs are labelled by their half-edge and drops by their length,
-    so the cycle W the kernel returns projects to a closed dual walk, of
+    Base arcs keep their half-edge ids, below those of the drops, so the
+    cycle W the kernel returns projects to a closed dual walk, of
     homology class z and length P - <z, a>, where P sums the f+-parts of
     its half-edges: a negative walk proves the anchor outside and raises
     AnchorOutsidePolytope, as ``rhs_table`` does.  At an outside anchor
@@ -299,29 +287,37 @@ def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r, search=None):
     returned.
 
     With the SearchState of f, whose residue system (S, x, copaths, mod,
-    r) this call must use, the network is patched from the state's base,
-    and a failed pass keeps the cut (z, P + D), D being the sum of W's
-    drops, instead of raising: W stays negative at every box point u' of
-    the search with <z, u'> > P + D (see the module docstring).
+    r) this call must use, the pass reads the state's arcs and base, and a
+    failed pass keeps the cut (z, P + D), D being the sum of W's drops,
+    instead of raising: W stays negative at every box point u' of the
+    search with <z, u'> > P + D (see the module docstring).
     """
     target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
     if search is not None:
-        b, out = search.network(target)
+        b, lengths = search.network(target)
     else:
-        b, out = circulation.repair_network(m, basis, f, target)
+        b, lengths = circulation.repair_network(m, basis, f, target)
     pairings = {y: pair(b, copaths[y].chain) for y in S}
     kept = {y: (r[y] - pairings[y]) % mod for y in S}
-    layers = _ResidueLayers(out, mod, kept)
-    dist, _, cyc = shortest_paths(len(layers), layers, (x * mod,))
+    out = search.layers if search is not None else None
+    if out is None:
+        out = _layered_arcs(m, lengths, mod, kept)
+        if search is not None:
+            search.layers = out
+    H = len(lengths)
+    lengths.extend(range(0, -mod, -1))
+    dist, _, cyc = shortest_paths(len(out), out, lengths, (x * mod,))
     if cyc is not None:
-        walk = [h for h in cyc if h >= 0]
+        walk = [h for h in cyc if h < H]
         z = homology.homology_class(chains.walk_chain(m, walk), basis)
         plus = sum(max(f[h], 0) for h in walk)
         za = sum(zi * ai for zi, ai in zip(z, a))
         if plus < za and search is None:
             raise AnchorOutsidePolytope("anchor admits a negative dual cycle")
-        rhs = plus + sum(drop for drop in cyc if drop < 0)
-        assert za > rhs, "layered cycle is not negative"
+        rhs = plus + sum(lengths[h] for h in cyc if h >= H)
+        # checked under python -O too: a bogus cut would skip box points
+        if za <= rhs:
+            raise AssertionError("layered cycle is not negative")
         if search is not None:
             search.cuts.append((z, rhs))
         return None
@@ -357,8 +353,10 @@ class SearchStats:
 class SearchState:
     """What one lattice search keeps for its fixed f.
 
-    - base: the f-part of every repair network (``circulation.base_network``),
-      built once; the network of a target is a patched copy of it.
+    - base: the f-part of every repair network's lengths
+      (``circulation.base_network``); each target patches a copy of it.
+    - layers: the arcs of the layered network, built at the first pass:
+      only the lengths move between box points (see the module docstring).
     - residues: the residue system (S, x, copaths, mod, r) of the search's
       layered passes, given at construction.
     - cuts: the pairs (z, rhs) that the failed passes kept (see
@@ -368,21 +366,22 @@ class SearchState:
     - ell: the labels of the last pass that ``membership`` ran.
     """
 
-    __slots__ = ("map", "basis", "f", "base", "residues", "cuts", "stats", "ell")
+    __slots__ = ("map", "basis", "f", "base", "layers", "residues", "cuts", "stats", "ell")
 
     def __init__(self, m, basis, f, residues=None, stats=None):
         self.map = m
         self.basis = basis
         self.f = f
         self.base = circulation.base_network(m, f)
+        self.layers = None
         self.residues = residues
         self.cuts = []
         self.stats = stats if stats is not None else SearchStats()
         self.ell = None
 
     def network(self, target):
-        """The (b, out) of ``circulation.repair_network`` for this f and the
-        target, arc for arc."""
+        """The (b, lengths) of ``circulation.repair_network`` for this f and
+        the target, length for length."""
         b = circulation.prescribed_cycle(self.map, self.basis, target)
         return b, circulation.patched_network(self.map, self.base, b)
 

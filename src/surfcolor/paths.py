@@ -2,6 +2,8 @@
 the circulation engine, the residue-layered solver of the lattice search,
 and the two-step reference it is tested against (rhs tables and the
 residue solver).
+The arcs and their lengths come as two lists, so one graph's arcs can
+be read under several length lists.
 
 FIFO queue-based Bellman-Ford with subtree disassembly (Tarjan 1981; see
 Cherkassky & Goldberg, "Negative-cycle detection algorithms", 1999): the
@@ -16,16 +18,16 @@ from __future__ import annotations
 from collections import deque
 
 
-def shortest_paths(n, out, sources):
-    """Shortest paths over nodes 0..n-1 with integer arc lengths, where
-    out[u] lists the arcs (v, length, arc) leaving u.
+def shortest_paths(n, out, length, sources):
+    """Shortest paths over nodes 0..n-1, where out[u] lists the arcs
+    (v, arc) leaving u and length[arc] is the integer length of arc.
+    Reads out and length without changing them.
 
     Returns (dist, pred, None): dist[v] is the exact distance from the
-    sources (None when unreachable) and pred[v] the (tail, length, arc)
-    entry that last lowered v (None at unreached nodes and at sources
-    still at 0).  When a negative cycle is reachable, returns
-    (None, None, cycle) instead, cycle being the arc ids of one such
-    cycle in walk order.
+    sources (None when unreachable) and pred[v] the (tail, arc) pair that
+    last lowered v (None at unreached nodes and at sources still at 0).
+    When a negative cycle is reachable, returns (None, None, cycle)
+    instead, cycle being the arc ids of one such cycle in walk order.
     """
     root = n
     dist = [None] * n
@@ -62,13 +64,13 @@ def shortest_paths(n, out, sources):
         if depth[u] < 0:
             continue
         du = dist[u]
-        for v, length, arc in out[u]:
-            d = du + length
+        for v, arc in out[u]:
+            d = du + length[arc]
             if dist[v] is not None and d >= dist[v]:
                 continue
             lowered += 1
             if lowered > limit:
-                span = max(abs(step) for arcs in out for _, step, _ in arcs)
+                span = max(map(abs, length))
                 limit = n * (2 * n * span + 1)
                 if lowered > limit:
                     raise AssertionError("shortest-path labels failed to converge")
@@ -78,7 +80,7 @@ def shortest_paths(n, out, sources):
                 w = v
                 while True:
                     if w == u:
-                        return None, None, _cycle(pred, v, u, length, arc)
+                        return None, None, _cycle(pred, length, v, u, arc)
                     depth[w] = -1
                     w = nxt[w]
                     if depth[w] <= dv:
@@ -86,19 +88,20 @@ def shortest_paths(n, out, sources):
                 p = prv[v]
                 nxt[p], prv[w] = w, p
             dist[v] = d
-            pred[v] = (u, length, arc)
+            pred[v] = (u, arc)
             attach(v, u)
     return dist, pred, None
 
 
-def _cycle(pred, v, u, length, arc):
+def _cycle(pred, length, v, u, arc):
     """Arcs of the tree path v -> u closed by the arc u -> v."""
     arcs = [arc]
-    total = length
     while u != v:
-        u, step, a = pred[u]
+        u, a = pred[u]
         arcs.append(a)
-        total += step
-    assert total < 0, "extracted cycle is not negative"
+    # checked under python -O too: a cycle that is not negative would be
+    # taken for a proof of infeasibility
+    if sum(length[a] for a in arcs) >= 0:
+        raise AssertionError("extracted cycle is not negative")
     arcs.reverse()
     return arcs

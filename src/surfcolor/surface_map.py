@@ -30,6 +30,7 @@ class CombinatorialMap:
         "rot_index",
         "euler_genus",
         "_adjacency",
+        "_dual_arcs",
     )
 
     def __init__(self, half_edge_count, opp, tgt, rot, left, faces, rot_index, euler_genus):
@@ -42,6 +43,7 @@ class CombinatorialMap:
         self.rot_index = rot_index  # list: half-edge -> position in rot[tgt[h]]
         self.euler_genus = euler_genus
         self._adjacency = None      # built by adjacency() on first use
+        self._dual_arcs = None      # built by dual_arcs() on first use
 
     @property
     def num_vertices(self):
@@ -82,8 +84,15 @@ class CombinatorialMap:
             self._adjacency = (deg, odd, nbrs)
         return self._adjacency
 
-    def face_length(self, x):
-        return len(self.faces[x])
+    def dual_arcs(self):
+        """The dual's out lists, built on the first call and kept, like
+        adjacency(): out[left(opp(h))] holds (left(h), h) in ascending h."""
+        if self._dual_arcs is None:
+            out = [[] for _ in self.faces]
+            for h, o in enumerate(self.opp):
+                out[self.left[o]].append((self.left[h], h))
+            self._dual_arcs = out
+        return self._dual_arcs
 
     def face_lengths(self):
         return [len(orbit) for orbit in self.faces]

@@ -1,7 +1,11 @@
-"""The shortest-path kernel against a plain Bellman-Ford."""
+"""The shortest-path kernel against a plain Bellman-Ford, and one arc
+list read under several length lists."""
 
 import random
 
+import pytest
+
+from surfcolor import paths
 from surfcolor.paths import shortest_paths
 
 
@@ -18,8 +22,8 @@ def random_digraph(rng):
             continue
         arcs.append((u, v, rng.randint(-2, 6)))
     out = [[] for _ in range(n)]
-    for i, (u, v, length) in enumerate(arcs):
-        out[u].append((v, length, i))
+    for i, (u, v, _) in enumerate(arcs):
+        out[u].append((v, i))
     sources = rng.sample([v for v in range(n) if v not in senders_only] or [0], 1)
     if rng.random() < 0.3:
         sources.append(rng.randrange(n))
@@ -47,7 +51,7 @@ def test_distances_and_cycles_match_plain_bellman_ford():
     for _ in range(600):
         n, arcs, out, sources = random_digraph(rng)
         want, negative = plain_bellman_ford(n, arcs, sources)
-        dist, pred, cycle = shortest_paths(n, out, sources)
+        dist, pred, cycle = shortest_paths(n, out, [length for _, _, length in arcs], sources)
         seen[negative] += 1
         if negative:
             assert dist is None and pred is None
@@ -63,21 +67,48 @@ def test_distances_and_cycles_match_plain_bellman_ford():
             if pred[v] is None:
                 assert dist[v] is None or (v in sources and dist[v] == 0)
             else:
-                u, length, a = pred[v]
-                assert arcs[a] == (u, v, length)
-                assert dist[v] == dist[u] + length
+                u, a = pred[v]
+                assert arcs[a][:2] == (u, v)
+                assert dist[v] == dist[u] + arcs[a][2]
     assert min(seen.values()) > 50
 
 
+def test_one_arc_list_under_several_length_lists():
+    # the layered pass reads one search's arcs under each box point's
+    # lengths: that must answer as a fresh build would, and leave both
+    # lists as they were
+    rng = random.Random(2025)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        n, arcs, out, sources = random_digraph(rng)
+        kept = [list(node) for node in out]
+        for _ in range(4):
+            length = [rng.randint(-2, 6) for _ in arcs]
+            before = list(length)
+            got = shortest_paths(n, out, length, sources)
+            fresh = [list(node) for node in kept]
+            assert got == shortest_paths(n, fresh, list(length), sources)
+            assert out == kept and length == before
+            seen[got[2] is not None] += 1
+    assert min(seen.values()) > 100
+
+
 def test_negative_self_loop_on_one_node():
-    assert shortest_paths(1, [[(0, -1, "a")]], [0]) == (None, None, ["a"])
-    assert shortest_paths(1, [[(0, 0, "a")]], [0]) == ([0], [None], None)
+    assert shortest_paths(1, [[(0, 0)]], [-1], [0]) == (None, None, [0])
+    assert shortest_paths(1, [[(0, 0)]], [0], [0]) == ([0], [None], None)
 
 
 def test_unreached_negative_cycle_is_ignored():
     # 0 -> 1 only; the cycle 2 <-> 3 is negative but unreachable from 0
-    out = [[(1, 4, "a")], [], [(3, -3, "b")], [(2, 1, "c")]]
-    dist, pred, cycle = shortest_paths(4, out, [0])
+    out = [[(1, 0)], [], [(3, 1)], [(2, 2)]]
+    dist, pred, cycle = shortest_paths(4, out, [4, -3, 1], [0])
     assert cycle is None
     assert dist == [0, 4, None, None]
-    assert pred[1] == (0, 4, "a")
+    assert pred[1] == (0, 0)
+
+
+def test_a_cycle_that_is_not_negative_is_refused():
+    # the tree path 0 -> 1 (arc 0, length 1) closed by arc 1 (length 0)
+    # has length 1; the check raises explicitly, so under python -O too
+    with pytest.raises(AssertionError, match="not negative"):
+        paths._cycle([None, (0, 0)], [1, 0], 0, 1, 1)

@@ -68,11 +68,12 @@ def test_repair_network_carries_every_half_edge_once():
         a = tuple(rng.randint(-2, 2) for _ in basis.cocycles)
         ap = {y: (0 if y == x else rng.randint(-2, 2)) for y in S}
         target = HomologyTarget(a, S, x, cps, ap)
-        b, out = circulation.repair_network(m, basis, f, target)
+        b, lengths = circulation.repair_network(m, basis, f, target)
         assert b == circulation.prescribed_cycle(m, basis, target)
+        out = m.dual_arcs()
         for arcs in out:
-            assert [h for _, _, h in arcs] == sorted(h for _, _, h in arcs)
-        entries = sorted((h, u, v, length) for u, arcs in enumerate(out) for v, length, h in arcs)
+            assert [h for _, h in arcs] == sorted(h for _, h in arcs)
+        entries = sorted((h, u, v, lengths[h]) for u, arcs in enumerate(out) for v, h in arcs)
         assert entries == [
             (h, m.left[m.opp[h]], m.left[h], f[h] - b[h] if f[h] > 0 else -b[h])
             for h in m.half_edges()

@@ -19,18 +19,22 @@ from surfcolor.lattice import (
     layered_residue_solve,
 )
 from surfcolor.solver import Precoloring, extend_precoloring
+from surfcolor.surface_map import CombinatorialMap
 
 from conftest import CORPUS, random_map, random_nowhere_zero
 from test_layered_residue import hexagon_instances, reference_search, two_step
 
 
 def full_build(m, f, b):
-    """The repair network built directly, one half-edge at a time."""
-    out = [[] for _ in range(m.num_faces)]
+    """The repair network built directly, one half-edge at a time, as
+    (arcs, lengths)."""
+    arcs = [[] for _ in range(m.num_faces)]
+    lengths = []
     for h in m.half_edges():
         fh, bh = f[h], b[h]
-        out[m.left[m.opp[h]]].append((m.left[h], fh - bh if fh > 0 else -bh, h))
-    return out
+        arcs[m.left[m.opp[h]]].append((m.left[h], h))
+        lengths.append(fh - bh if fh > 0 else -bh)
+    return arcs, lengths
 
 
 def random_target(rng, m, basis, f, S, x, cps):
@@ -50,21 +54,21 @@ def test_patched_network_equals_the_full_build():
         basis = homology.cohomology_basis(m)
         f = Chain1(m, {h: rng.choice((-2, -1, 0, 1, 2)) for h in m.canonical_half_edges()})
         state = SearchState(m, basis, f)
-        base = [list(arcs) for arcs in state.base[0]]
+        base = list(state.base)
         for _ in range(6):
             x = rng.randrange(m.num_faces)
             S = tuple(sorted({x} | {rng.randrange(m.num_faces) for _ in range(rng.randint(0, 2))}))
             cps = homology.copaths_from(m, x, S)
             target = random_target(rng, m, basis, f, S, x, cps)
-            b, out = state.network(target)
+            b, lengths = state.network(target)
             assert b == circulation.prescribed_cycle(m, basis, target)
-            assert out == full_build(m, f, b)
-            assert circulation.repair_network(m, basis, f, target) == (b, out)
+            assert (m.dual_arcs(), lengths) == full_build(m, f, b)
+            assert circulation.repair_network(m, basis, f, target) == (b, lengths)
             # asking again at the same target gives the same network
-            assert state.network(target) == (b, out)
+            assert state.network(target) == (b, lengths)
             checked += 1
-        # patching never writes into the shared base lists
-        assert state.base[0] == base
+        # patching never writes into the shared base list
+        assert state.base == base
     assert checked >= 200
 
 
@@ -144,16 +148,18 @@ def test_search_gives_the_same_results_without_its_state(monkeypatch):
 
 
 def layered_network(m, basis, f, a, S, x, copaths, mod, r):
-    """The arcs of the layered pass at anchor a, node by node, and its k(y)."""
+    """The layered network of the pass at anchor a, as its arcs, node by
+    node, the lengths of its base arcs, and its k(y)."""
     target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
-    b, out = circulation.repair_network(m, basis, f, target)
+    b, lengths = circulation.repair_network(m, basis, f, target)
     kept = {y: (r[y] - pair(b, copaths[y].chain)) % mod for y in S}
-    return list(lattice._ResidueLayers(out, mod, kept)), kept
+    return lattice._layered_arcs(m, lengths, mod, kept), lengths, kept
 
 
 def test_the_layered_network_is_the_same_at_every_box_point_of_a_search(monkeypatch):
     # the lemma the residue cuts rest on: from one box point of a search
-    # to another, only the base lengths move, each by a multiple of m
+    # to another, the arcs keep their heads and ids and only the base
+    # lengths move, each by a multiple of m
     searches = {}
     real = lattice.layered_residue_solve
 
@@ -166,21 +172,16 @@ def test_the_layered_network_is_the_same_at_every_box_point_of_a_search(monkeypa
         extend_precoloring(g, pre)
     pairs = {3: 0, 5: 0}
     for m, basis, f, a, S, x, cps, mod, r in searches.values():
-        arcs, kept = layered_network(m, basis, f, a, S, x, cps, mod, r)
+        arcs, lengths, kept = layered_network(m, basis, f, a, S, x, cps, mod, r)
         box, _ = lattice.pairing_bounds(f, basis, cps)
         points = [u for u in lattice.lex_box_points(box, [ai % mod for ai in a], mod) if u != a]
         for u in points[:6]:
-            arcs2, kept2 = layered_network(m, basis, f, u, S, x, cps, mod, r)
+            arcs2, lengths2, kept2 = layered_network(m, basis, f, u, S, x, cps, mod, r)
             assert kept2 == kept
-            assert len(arcs2) == len(arcs)
-            moved = 0
-            for node, node2 in zip(arcs, arcs2):
-                assert [(w, h) for w, _, h in node] == [(w, h) for w, _, h in node2]
-                for (_, step, h), (_, step2, _) in zip(node, node2):
-                    assert (step - step2) % mod == 0
-                    assert h >= 0 or step == step2 == h
-                    moved += step != step2
-            assert moved > 0
+            assert arcs2 == arcs
+            assert len(lengths2) == len(lengths)
+            assert all((l - l2) % mod == 0 for l, l2 in zip(lengths, lengths2))
+            assert lengths2 != lengths
             pairs[mod] += 1
     assert min(pairs.values()) >= 5, pairs
 
@@ -300,3 +301,34 @@ def test_a_search_builds_no_full_repair_network(monkeypatch):
     count_calls(monkeypatch, circulation, "repair_network", builds)
     found = sum(extend_precoloring(g, pre).extendable for g, pre in hexagon_instances())
     assert found > 0 and not builds
+
+
+def test_one_layered_network_per_search_and_one_dual_arc_list_per_map(monkeypatch):
+    # the passes of a search read the arcs built at its first pass, and
+    # every network of a map reads that map's one set of dual arcs
+    builds = []
+    count_calls(monkeypatch, lattice, "_layered_arcs", builds)
+    searches = set()
+    real = lattice.layered_residue_solve
+
+    def recorded(m, basis, f, a, S, x, copaths, mod, r, search=None):
+        searches.add(search)
+        return real(m, basis, f, a, S, x, copaths, mod, r, search)
+
+    monkeypatch.setattr(lattice, "layered_residue_solve", recorded)
+    arcs = {}
+    real_dual_arcs = CombinatorialMap.dual_arcs
+
+    def dual_arcs(self):
+        out = real_dual_arcs(self)
+        arcs.setdefault(self, set()).add(id(out))
+        return out
+
+    monkeypatch.setattr(CombinatorialMap, "dual_arcs", dual_arcs)
+    passes = 0
+    for g, pre in hexagon_instances():
+        res = extend_precoloring(g, pre)
+        passes += res.points_tested - res.points_cut
+    assert None not in searches and len(searches) > 1
+    assert len(builds) == len(searches) < passes
+    assert arcs and all(len(ids) == 1 for ids in arcs.values())

@@ -90,6 +90,19 @@ def _add_instance_args(p):
     g.add_argument("--map", metavar="FILE", help="load a SURF-MAP v1 file")
 
 
+def _read_ascii(path):
+    """The text of an input file, which must be ASCII throughout, comments
+    included."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as e:
+        raise SurfcolorError(
+            "%s: non-ASCII byte 0x%02x at offset %d" % (path, data[e.start], e.start)
+        )
+
+
 def _load_instance(args):
     """Returns (map, vertex_labels)."""
     if args.grid:
@@ -102,8 +115,7 @@ def _load_instance(args):
     if args.bouquet is not None:
         m = gen_bouquet(args.bouquet)
         return m, ["v0"]
-    with open(args.map, "r", encoding="ascii") as fh:
-        m = surface_map.load_surfmap(fh.read())
+    m = surface_map.load_surfmap(_read_ascii(args.map))
     return m, ["v%d" % i for i in range(m.num_vertices)]
 
 
@@ -111,33 +123,32 @@ def _load_precoloring(path, labels, modulus):
     """Parse lines '<vertex> <color>'; vertices by label or bare id."""
     by_label = {lab: i for i, lab in enumerate(labels)}
     psi = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise SurfcolorError("malformed precoloring line: %r" % raw.strip())
-            name, color_s = parts
-            if name in by_label:
-                v = by_label[name]
-            else:
-                try:
-                    v = int(name)
-                except ValueError:
-                    raise SurfcolorError("unknown vertex %r" % name)
-                if not (0 <= v < len(labels)):
-                    raise SurfcolorError("vertex id %d out of range" % v)
+    for raw in _read_ascii(path).splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise SurfcolorError("malformed precoloring line: %r" % raw.strip())
+        name, color_s = parts
+        if name in by_label:
+            v = by_label[name]
+        else:
             try:
-                color = int(color_s)
+                v = int(name)
             except ValueError:
-                raise SurfcolorError("bad color %r" % color_s)
-            if not (0 <= color < modulus):
-                raise SurfcolorError("color %d out of range 0..%d" % (color, modulus - 1))
-            if v in psi and psi[v] != color:
-                raise SurfcolorError("conflicting colors for vertex %r" % name)
-            psi[v] = color
+                raise SurfcolorError("unknown vertex %r" % name)
+            if not (0 <= v < len(labels)):
+                raise SurfcolorError("vertex id %d out of range" % v)
+        try:
+            color = int(color_s)
+        except ValueError:
+            raise SurfcolorError("bad color %r" % color_s)
+        if not (0 <= color < modulus):
+            raise SurfcolorError("color %d out of range 0..%d" % (color, modulus - 1))
+        if v in psi and psi[v] != color:
+            raise SurfcolorError("conflicting colors for vertex %r" % name)
+        psi[v] = color
     return psi
 
 

@@ -4,7 +4,9 @@ The basis construction: take a spanning tree T of the graph, then a
 spanning tree T' of the dual avoiding the duals of T's edges.  The g
 leftover edges Y index paired simple chains: f_e is the fundamental
 cycle of e in T and K_e the fundamental cocycle of e in the cotree, with
-f_e and K_e' pairing to the g x g identity matrix.
+f_e and K_e' pairing to the g x g identity matrix.  Both trees, and
+the dual trees that carry copaths, come from one BFS over the arrays
+of one side: (rot, tgt) for the graph and (faces, left) for the dual.
 """
 
 from __future__ import annotations
@@ -56,58 +58,26 @@ class CohomologyBasis:
         return out
 
 
-def _bfs_tree(num_nodes, root, arcs_of):
-    """BFS spanning tree, visiting arcs in the deterministic order given
-    by arcs_of(node) -> iterable of (arc_id, neighbour).
-
-    Returns (parent_arc, order) where parent_arc[v] is the arc that
-    discovered v (None at the root).
+def _bfs_tree(m, cycles, head, root, excluded=frozenset()):
+    """BFS spanning tree of the graph (cycles, head = m.rot, m.tgt) or of
+    the dual (m.faces, m.left), skipping the edges in excluded (by
+    canonical half-edge).  Node v tries the half-edges h of cycles[v] in
+    ascending id; h points into v, so it is the arc from head[opp(h)]
+    toward v.  parent_arc[w] is the arc that discovered w (None at the
+    root), so walking parent arcs ascends to the root.
     """
-    parent_arc = [None] * num_nodes
-    seen = [False] * num_nodes
+    parent_arc = [None] * len(cycles)
+    seen = [False] * len(cycles)
     seen[root] = True
     queue = [root]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for arc, w in arcs_of(v):
-            if not seen[w]:
+    for v in queue:
+        for h in sorted(cycles[v]):
+            w = head[m.opp[h]]
+            if not seen[w] and m.canonical(h) not in excluded:
                 seen[w] = True
-                parent_arc[w] = arc
+                parent_arc[w] = h
                 queue.append(w)
-    return parent_arc, queue
-
-
-def _primal_tree(m, root=0):
-    """Spanning tree of the graph.  parent_arc[v] is the half-edge from v
-    to its parent (tgt = parent), so walking parent arcs ascends to root."""
-
-    def arcs_of(v):
-        # h points into v, so h itself is the arc neighbour -> v
-        for h in sorted(m.rot[v]):
-            yield h, m.tgt[m.opp[h]]
-
-    return _bfs_tree(m.num_vertices, root, arcs_of)
-
-
-def _dual_tree(m, root, excluded_edges):
-    """Spanning tree of the dual avoiding excluded edge ids.
-    parent_arc[x] is the half-edge with left = parent(x) and
-    left(opp) = x, the dual arc from x toward the root."""
-    incoming = [[] for _ in range(m.num_faces)]
-    for h in m.half_edges():
-        incoming[m.left[h]].append(h)
-
-    def arcs_of(x):
-        for h in sorted(incoming[x]):
-            if m.canonical(h) in excluded_edges:
-                continue
-            # h is the dual arc (other side -> x); it serves the face on
-            # the other side as its arc toward x
-            yield h, m.left[m.opp[h]]
-
-    return _bfs_tree(m.num_faces, root, arcs_of)
+    return parent_arc
 
 
 def _walk_to_root(parent_arc, head, node):
@@ -128,9 +98,9 @@ def cohomology_basis(m):
     smallest-id tie-breaking, and each basis edge uses its canonical
     half-edge.
     """
-    parent_v, _ = _primal_tree(m, 0)
+    parent_v = _bfs_tree(m, m.rot, m.tgt, 0)
     tree_edges = {m.canonical(h) for h in parent_v if h is not None}
-    parent_f, _ = _dual_tree(m, 0, tree_edges)
+    parent_f = _bfs_tree(m, m.faces, m.left, 0, tree_edges)
     cotree_edges = {m.canonical(h) for h in parent_f if h is not None}
     assert not (tree_edges & cotree_edges)
 
@@ -172,7 +142,7 @@ def copaths_from(m, x, targets=None):
     with left = f2; the returned chains are simple and the copath to x
     itself is the zero chain.  With targets=None, all faces are covered.
     """
-    parent_f, _ = _dual_tree(m, x, frozenset())
+    parent_f = _bfs_tree(m, m.faces, m.left, x)
     if targets is None:
         targets = range(m.num_faces)
     out = {}

@@ -209,24 +209,24 @@ def build_map(rotations, opp=None):
 def dual(m):
     """The dual map: vertices are the faces of m, sharing half-edge ids.
 
-    A half-edge h of the dual points into the face left(h) of m, so the
-    dual's tgt is m.left and its rotation at face x is the face orbit of
-    x.  The face orbits of the dual are exactly the vertex rotations of
-    m, and the dual's face ids are relabelled to m's vertex ids, so that
-    dual(dual(m)) reproduces m and the dual's left equals m.tgt.
+    The dual is m with the roles of vertices and faces swapped: its tgt
+    and rot are m.left and m.faces, and its left is m.tgt.  Its face
+    orbits are m's vertex rotations, because the dual's face tracing
+    sends h to rot_next(h) in m; face v starts at its smallest
+    half-edge, where build_map's tracing would start it.  So
+    dual(dual(m)) reproduces m, each rotation starting at its smallest
+    half-edge.  Maps are immutable, so the arrays are shared with m.
     """
-    d = build_map([list(orbit) for orbit in m.faces], m.opp)
-    # relabel dual faces by the primal vertices they correspond to
-    relabel = [-1] * d.num_faces
-    for x, orbit in enumerate(d.faces):
-        relabel[x] = m.tgt[orbit[0]] if orbit else 0
-    assert sorted(relabel) == list(range(m.num_vertices))
-    new_left = [relabel[x] for x in d.left]
-    new_faces = [None] * d.num_faces
-    for x, orbit in enumerate(d.faces):
-        new_faces[relabel[x]] = orbit
+    faces = []
+    for cyc in m.rot:
+        i = cyc.index(min(cyc)) if cyc else 0
+        faces.append(cyc[i:] + cyc[:i])
+    rot_index = [0] * m.half_edge_count
+    for orbit in m.faces:
+        for i, h in enumerate(orbit):
+            rot_index[h] = i
     return CombinatorialMap(
-        d.half_edge_count, d.opp, d.tgt, d.rot, new_left, new_faces, d.rot_index, d.euler_genus
+        m.half_edge_count, m.opp, m.left, m.faces, m.tgt, faces, rot_index, m.euler_genus
     )
 
 

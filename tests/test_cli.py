@@ -155,6 +155,24 @@ def test_bad_map_file(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("option", ["--map", "--precolor"])
+def test_non_ascii_input_file_is_invalid_input(capsys, tmp_path, option):
+    # the byte sits in a comment, which the parser would skip; the file
+    # is still refused as input, not reported as an internal error
+    path = tmp_path / "input.txt"
+    if option == "--map":
+        args = ["--map", str(path)]
+        path.write_bytes(b"# caf\xc3\xa9\nsurfmap 1\nhalfedges 2\nvertex 0: 0\nvertex 1: 1\n")
+    else:
+        args = ["--grid", "3", "3", "--precolor", str(path)]
+        path.write_bytes(b"# caf\xc3\xa9\nv0,0 0\n")
+    code, out, err = run_cli(capsys, "solve", *args)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s: non-ASCII byte 0xc3 at offset 5\n" % path
+    assert "Traceback" not in err
+
+
 def test_missing_map_file(capsys):
     code, _, err = run_cli(capsys, "solve", "--map", "/nonexistent/x.surfmap")
     assert code == 2

@@ -8,7 +8,7 @@ from surfcolor import build_map, chains, errors, homology
 from surfcolor.chains import Chain1, Chain2, coboundary1, is_cocycle, is_cycle, pair
 from surfcolor.cli import gen_bouquet, gen_grid
 
-from conftest import random_map
+from conftest import DIFFERENTIAL_MAPS, random_map
 
 
 def test_bouquet2_basis():
@@ -177,3 +177,67 @@ def test_q13_dual_basis_is_pinned():
         [{0: 1, 10: 1, 18: 1, 36: 1, 44: 1}, {0: -1, 16: -1, 28: 1, 30: 1, 32: 1}],
         [{4: 1, 6: 1, 18: 1, 34: 1, 46: 1}, {14: -1, 22: -1, 32: 1, 40: 1, 48: 1}],
     )
+
+
+def _reference_bfs_tree(num_nodes, root, arcs_of):
+    parent_arc = [None] * num_nodes
+    seen = [False] * num_nodes
+    seen[root] = True
+    queue = [root]
+    qi = 0
+    while qi < len(queue):
+        v = queue[qi]
+        qi += 1
+        for arc, w in arcs_of(v):
+            if not seen[w]:
+                seen[w] = True
+                parent_arc[w] = arc
+                queue.append(w)
+    return parent_arc
+
+
+def reference_primal_tree(m, root=0):
+    """The graph's BFS tree as separate builders made it, as a check on
+    the one tree builder."""
+
+    def arcs_of(v):
+        for h in sorted(m.rot[v]):
+            yield h, m.tgt[m.opp[h]]
+
+    return _reference_bfs_tree(m.num_vertices, root, arcs_of)
+
+
+def reference_dual_tree(m, root, excluded_edges):
+    """The dual's BFS tree from a rebuilt list of each face's incoming
+    half-edges, skipping excluded edges."""
+    incoming = [[] for _ in range(m.num_faces)]
+    for h in m.half_edges():
+        incoming[m.left[h]].append(h)
+
+    def arcs_of(x):
+        for h in sorted(incoming[x]):
+            if m.canonical(h) not in excluded_edges:
+                yield h, m.left[m.opp[h]]
+
+    return _reference_bfs_tree(m.num_faces, root, arcs_of)
+
+
+@pytest.mark.parametrize("kind", sorted(DIFFERENTIAL_MAPS))
+def test_one_tree_builder_equals_the_separate_builders(kind):
+    rng = random.Random(kind)
+    for m in DIFFERENTIAL_MAPS[kind]:
+        parent_v = homology._bfs_tree(m, m.rot, m.tgt, 0)
+        assert parent_v == reference_primal_tree(m)
+        # the cotree avoids the tree's edges, as cohomology_basis builds it
+        tree_edges = {m.canonical(h) for h in parent_v if h is not None}
+        cotree = homology._bfs_tree(m, m.faces, m.left, 0, tree_edges)
+        assert cotree == reference_dual_tree(m, 0, tree_edges)
+        # a copath tree from a random root, and a dual tree avoiding a
+        # random edge set that may leave faces unreached
+        x = rng.randrange(m.num_faces)
+        assert homology._bfs_tree(m, m.faces, m.left, x) == reference_dual_tree(m, x, frozenset())
+        edges = m.canonical_half_edges()
+        excluded = set(rng.sample(edges, rng.randint(0, len(edges))))
+        assert homology._bfs_tree(m, m.faces, m.left, x, excluded) == reference_dual_tree(
+            m, x, excluded
+        )

@@ -9,24 +9,7 @@ from surfcolor.cli import gen_grid
 from surfcolor.flows import relevant_boundaries
 from surfcolor.solver import Precoloring, extend_precoloring, verify_homomorphism
 
-from conftest import backtrack_extendable
-
-
-def delete_edges(m, canonical_halves):
-    """The map with the given edges removed (faces merge across them)."""
-    dead = set()
-    for h in canonical_halves:
-        dead.add(h)
-        dead.add(m.opp[h])
-    keep = [h for h in range(m.half_edge_count) if h not in dead]
-    new_id = {h: i for i, h in enumerate(keep)}
-    rots = []
-    for v in range(m.num_vertices):
-        rots.append([new_id[h] for h in m.rot[v] if h not in dead])
-    opp = [0] * len(keep)
-    for h in keep:
-        opp[new_id[h]] = new_id[m.opp[h]]
-    return build_map(rots, opp)
+from conftest import backtrack_extendable, delete_edges
 
 
 def two_hexagon_grid():

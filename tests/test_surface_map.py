@@ -7,6 +7,8 @@ from surfcolor import build_map, chains, dual, errors, face_profile, is_isomorph
 from surfcolor.cli import gen_bouquet, gen_grid
 from surfcolor.surface_map import load_surfmap, save_surfmap
 
+from conftest import DIFFERENTIAL_MAPS
+
 
 def test_bouquet2_single_face_orbit():
     m = gen_bouquet(2)
@@ -77,6 +79,43 @@ def test_dual_preserves_genus_and_swaps_roles(corpus_map):
     assert all(d.tgt[h] == m.left[h] for h in m.half_edges())
     assert all(d.left[h] == m.tgt[h] for h in m.half_edges())
     assert is_isomorphic(dual(d), m)
+
+
+def _map_arrays(m):
+    return (
+        m.half_edge_count, m.opp, m.tgt, m.rot, m.left, m.faces, m.rot_index, m.euler_genus
+    )
+
+
+def reference_dual(m):
+    """The dual built the long way, as a check on dual(): build_map over
+    m's face orbits with m's opp, then each traced face relabelled by the
+    primal vertex its first half-edge points into."""
+    d = build_map([list(orbit) for orbit in m.faces], m.opp)
+    relabel = [m.tgt[orbit[0]] if orbit else 0 for orbit in d.faces]
+    assert sorted(relabel) == list(range(m.num_vertices))
+    faces = [None] * d.num_faces
+    for x, orbit in enumerate(d.faces):
+        faces[relabel[x]] = orbit
+    left = [relabel[x] for x in d.left]
+    return (
+        d.half_edge_count, d.opp, d.tgt, d.rot, left, faces, d.rot_index, d.euler_genus
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(DIFFERENTIAL_MAPS))
+def test_dual_arrays_equal_the_rebuilt_dual(kind):
+    maps = DIFFERENTIAL_MAPS[kind]
+    for m in maps:
+        d = dual(m)
+        assert _map_arrays(d) == reference_dual(m)
+        assert _map_arrays(dual(d)) == reference_dual(d)
+    if kind == "random":
+        assert len(maps) >= 200
+    if kind == "deleted":
+        # the class exercises opp other than the standard pairing
+        shuffled = [m for m in maps if any(m.opp[h] != h ^ 1 for h in m.half_edges())]
+        assert len(shuffled) >= len(maps) // 2
 
 
 def test_face_lengths_equal_dual_degrees(corpus_map):

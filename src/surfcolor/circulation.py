@@ -7,7 +7,8 @@ the boundary of a 2-chain of shortest-path distances on the dual, taken
 by one call of the ``paths.shortest_paths`` kernel from the faces of S.
 When no circulation exists, the negative cycle or negative
 source-to-source path that call finds yields a simple copath certifying
-infeasibility.
+infeasibility.  The engine is the polytope oracle of ``lattice.membership``
+without a search state; a search reads its circulation off its own pass.
 
 The dual arcs depend on the map alone: ``CombinatorialMap.dual_arcs``
 builds them once per map.  The f-part of their lengths depends on f
@@ -141,14 +142,10 @@ def repair_network(m, basis, f, target):
     return b, patched_network(m, base_network(m, f), b)
 
 
-def circulation_or_certificate(m, basis, f, target, network=None):
+def circulation_or_certificate(m, basis, f, target):
     """Find an f-circulation realizing the target pairings, or a
-    certificate that none exists.  The two outcomes are exhaustive.
-
-    network, when given, is the (b, lengths) that repair_network(m, basis,
-    f, target) would build; the engine only reads it.
-    """
-    b, lengths = network if network is not None else repair_network(m, basis, f, target)
+    certificate that none exists.  The two outcomes are exhaustive."""
+    b, lengths = repair_network(m, basis, f, target)
 
     # every edge gives dual arcs both ways, so the sources reach every
     # negative cycle
@@ -221,15 +218,19 @@ def validate_circulation(m, basis, f, target, c):
 
 
 def validate_certificate(m, basis, f, target, cert):
-    """Assert the full contract of a returned certificate."""
-    assert cert.D.is_simple(), "certificate copath is not simple"
-    bnd = chains.coboundary1(cert.D)
+    """Check the full contract of a returned certificate, raising
+    AssertionError explicitly, so that it checks under python -O too."""
+    if not cert.D.is_simple():
+        raise AssertionError("certificate copath is not simple")
     expect = Chain2(m, {cert.y_prime: 1}) - Chain2(m, {cert.y: 1})
-    assert bnd == expect, "certificate endpoints do not match its coboundary"
-    assert cert.lhs > cert.rhs, "certificate inequality is not strict"
+    if chains.coboundary1(cert.D) != expect:
+        raise AssertionError("certificate endpoints do not match its coboundary")
+    if not cert.lhs > cert.rhs:
+        raise AssertionError("certificate inequality is not strict")
     recomputed = homology.homology_class(
         cert.D
         - (target.copaths[cert.y_prime].chain - target.copaths[cert.y].chain),
         basis,
     )
-    assert tuple(cert.z) == recomputed, "certificate homology class mismatch"
+    if tuple(cert.z) != recomputed:
+        raise AssertionError("certificate homology class mismatch")

@@ -140,30 +140,26 @@ def nowhere_zero_completion(m, f1):
             raise ParityViolation("zero-edge subgraph has odd degree at vertex %d" % v)
         zero_out[v].sort()
 
+    # the circuits' arcs are recorded as they are traversed: walk_chain
+    # sums them per half-edge, so their order does not matter
     edge_used = set()
     pos = [0] * m.num_vertices
     circuit_arcs = []
     for v0 in range(m.num_vertices):
-        if pos[v0] >= len(zero_out[v0]):
-            continue
-        stack = [(v0, None)]
+        stack = [v0]
         while stack:
-            v, arc_in = stack[-1]
-            advanced = False
+            v = stack[-1]
             while pos[v] < len(zero_out[v]):
                 a = zero_out[v][pos[v]]
                 pos[v] += 1
                 e = m.canonical(a)
-                if e in edge_used:
-                    continue
-                edge_used.add(e)
-                stack.append((m.tgt[a], a))
-                advanced = True
-                break
-            if not advanced:
+                if e not in edge_used:
+                    edge_used.add(e)
+                    circuit_arcs.append(a)
+                    stack.append(m.tgt[a])
+                    break
+            else:
                 stack.pop()
-                if arc_in is not None:
-                    circuit_arcs.append(arc_in)
 
     f0 = chain + chains.walk_chain(m, circuit_arcs)
     flow = Flow(f0)

@@ -8,18 +8,18 @@ its copath pairings.  ``layered_residue_solve`` finds the largest such
 labels, or proves there are none, with one shortest-path run over m
 residue copies of the repair network; a negative cycle means that u is
 outside the polytope or that the residue system has no solution there,
-so the pass is the search's only test of a box point, and the
-circulation engine runs once, to extract the circulation at the point
-that passes.  ``rhs_table`` and ``residue_difference_solve`` do the
-pass's work in two steps (one run per face of S, then a difference
-system over S); they are kept as the reference for tests.
+so the pass is the search's only test of a box point, and its
+distances at the point that passes give the circulation.  ``rhs_table``
+and ``residue_difference_solve`` do the pass's work in two steps (one
+run per face of S, then a difference system over S); they are kept as
+the reference for tests.
 
-One search keeps one ``SearchState`` for its fixed f and residue system:
-the f-part of the repair lengths, patched at each box point, the layered
-arcs, built at the first pass, and one list of integer cuts (z, rhs),
-each answering the pass at every box point u' with <z, u'> > rhs.  When
-the pass at a box point u finds a negative cycle W, W gives the cut
-(z, P + D):
+One search keeps one ``SearchState`` for its fixed f and residue system,
+built once: the f-part of the repair lengths, patched at each box point,
+the k(y) and arcs of the layered network, built at the anchor, and one
+list of integer cuts (z, rhs), each answering the pass at every box
+point u' with <z, u'> > rhs.  When the pass at a box point u finds a
+negative cycle W, W gives the cut (z, P + D):
 - every box point of one search is congruent to u mod m, because
   ``lex_box_points`` steps by m, and the layered pass uses the same
   modulus;
@@ -45,8 +45,8 @@ since c lies between 0 and f.  A cut depends on S, x, the copaths, the
 modulus and the residues r as well as f, so it is kept for one residue
 system only.
 
-All arithmetic is exact: rational queries are scaled to integers by the
-lcm of their denominators and handed to the circulation engine.
+All arithmetic is exact: without a state, ``membership`` scales a query
+to integers by the lcm of its denominators for the circulation engine.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import chains, circulation, homology
-from .chains import pair, pair_plus
+from .chains import Chain2, pair, pair_plus
 from .circulation import Circulation, HomologyTarget
 from .errors import AnchorOutsidePolytope, BudgetExceeded
 from .paths import shortest_paths
@@ -133,7 +133,7 @@ def membership(m, basis, f, S, x, copaths, point, search=None):
     search's decision at the integral box point point.u, for the state's
     f and residue system: a kept cut (z, rhs) with <z, u> > rhs answers
     first, else one ``layered_residue_solve`` pass.  It returns None, and
-    leaves the pass's labels on the state as ``ell``, when the pass
+    leaves the pass's labels and circulation on the state, when the pass
     succeeds; otherwise it returns the cut that answered, or the one the
     failed pass kept, as a Separator without copath terms.  A point
     outside the polytope is never accepted, but an inside point whose
@@ -147,8 +147,7 @@ def membership(m, basis, f, S, x, copaths, point, search=None):
             if sum(zi * ui for zi, ui in zip(z, u)) > rhs:
                 search.stats.points_cut += 1
                 return Separator(z, {}, rhs)
-        search.ell = layered_residue_solve(m, basis, f, u, *search.residues, search)
-        if search.ell is not None:
+        if layered_residue_solve(search, u) is not None:
             return None
         z, rhs = search.cuts[-1]
         return Separator(z, {}, rhs)
@@ -253,21 +252,20 @@ def _layered_arcs(m, lengths, mod, kept):
     return out
 
 
-def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r, search=None):
-    """The largest ell: S -> Z with ell(x) = 0, ell(y) = r(y) (mod mod) and
+def layered_residue_solve(search, a):
+    """The largest ell: S -> Z with ell(x) = 0, ell(y) = r(y) (mod m) and
     ell(y') - ell(y) <= beta(y, y') for all y, y' in S (see ``rhs_table``),
-    or None when no such ell exists; r(x) must be 0 mod mod.
+    at the box point a of the search, or None when no such ell exists.
 
-    One shortest-path run from (x, 0) over a residue-layered copy of the
-    repair network of the integral anchor a (S = (x,), as in
-    ``rhs_table``):
-    - each face v has mod copies (v, c), and a path reaching (v, c) has
+    One shortest-path run from (x, 0) over the search's residue-layered
+    copy of the repair network of a (S = (x,), as in ``rhs_table``):
+    - each face v has m copies (v, c), and a path reaching (v, c) has
       length congruent to c;
-    - a repair arc v -> w of length l becomes (v, c) -> (w, c + l mod mod),
+    - a repair arc v -> w of length l becomes (v, c) -> (w, c + l mod m),
       of length l;
-    - at y in S, with k(y) = r(y) - pair(b, P(y)) mod mod, every copy
+    - at y in S, with k(y) = r(y) - pair(b, P(y)) mod m, every copy
       (y, c) with c != k(y) has one arc, a drop to (y, k(y)) of length
-      -((c - k(y)) mod mod), and only (y, k(y)) keeps y's arcs.
+      -((c - k(y)) mod m), and only (y, k(y)) keeps y's arcs.
     A drop rounds a length down to the residue class k(y).  Given any
     solution ell, put L(y) = ell(y) - pair(b, P(y)): every path from
     (x, 0) to a copy of v is at least min over y in S of L(y) + dist(y, v),
@@ -276,56 +274,46 @@ def layered_residue_solve(m, basis, f, a, S, x, copaths, mod, r, search=None):
     below, while the distances satisfy every constraint: they give the
     largest solution, ell(y) = dist((x, 0), (y, k(y))) + pair(b, P(y)),
     as the two-step solver does.  A negative cycle thus exists if and only
-    if the system is infeasible or the anchor lies outside the polytope
-    (a negative dual cycle, repeated mod times, returns to its layer).
-    Base arcs keep their half-edge ids, below those of the drops, so the
-    cycle W the kernel returns projects to a closed dual walk, of
-    homology class z and length P - <z, a>, where P sums the f+-parts of
-    its half-edges: a negative walk proves the anchor outside and raises
-    AnchorOutsidePolytope, as ``rhs_table`` does.  At an outside anchor
-    the cycle found may instead close through a drop, and None is
-    returned.
+    if the system is infeasible or a lies outside the polytope (a negative
+    dual cycle, repeated m times, returns to its layer).
 
-    With the SearchState of f, whose residue system (S, x, copaths, mod,
-    r) this call must use, the pass reads the state's arcs and base, and a
-    failed pass keeps the cut (z, P + D), D being the sum of W's drops,
-    instead of raising: W stays negative at every box point u' of the
-    search with <z, u'> > P + D (see the module docstring).
+    On success the pass leaves ell on the state, and as ``chain`` the
+    circulation b + boundary2(Lambda), Lambda(v) being the least distance
+    over v's copies: min over y of L(y) + dist(y, v), as a drop only
+    shortens a path.  That is the engine's repair potential of the full
+    target HomologyTarget(a, S, x, copaths, ell), shifted by L on S, so
+    the engine would build the same circulation.
+
+    A failed pass keeps the cut (z, P + D) on the state: base arcs keep
+    their half-edge ids, below those of the drops, so the cycle W the
+    kernel returns projects to a closed dual walk of homology class z; P
+    sums the f+-parts of its half-edges and D the drops of W.  W stays
+    negative at every box point u of the search with <z, u> > P + D (see
+    the module docstring).
     """
-    target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
-    if search is not None:
-        b, lengths = search.network(target)
-    else:
-        b, lengths = circulation.repair_network(m, basis, f, target)
+    m, mod, S, copaths = search.map, search.mod, search.S, search.copaths
+    b, lengths = search.network(a)
     pairings = {y: pair(b, copaths[y].chain) for y in S}
-    kept = {y: (r[y] - pairings[y]) % mod for y in S}
-    out = search.layers if search is not None else None
-    if out is None:
-        out = _layered_arcs(m, lengths, mod, kept)
-        if search is not None:
-            search.layers = out
     H = len(lengths)
     lengths.extend(range(0, -mod, -1))
-    dist, _, cyc = shortest_paths(len(out), out, lengths, (x * mod,))
+    dist, _, cyc = shortest_paths(len(search.layers), search.layers, lengths, (search.x * mod,))
     if cyc is not None:
         walk = [h for h in cyc if h < H]
-        z = homology.homology_class(chains.walk_chain(m, walk), basis)
-        plus = sum(max(f[h], 0) for h in walk)
-        za = sum(zi * ai for zi, ai in zip(z, a))
-        if plus < za and search is None:
-            raise AnchorOutsidePolytope("anchor admits a negative dual cycle")
-        rhs = plus + sum(lengths[h] for h in cyc if h >= H)
+        z = homology.homology_class(chains.walk_chain(m, walk), search.basis)
+        rhs = sum(search.base[h] for h in walk) + sum(lengths[h] for h in cyc if h >= H)
         # checked under python -O too: a bogus cut would skip box points
-        if za <= rhs:
+        if sum(zi * ai for zi, ai in zip(z, a)) <= rhs:
             raise AssertionError("layered cycle is not negative")
-        if search is not None:
-            search.cuts.append((z, rhs))
+        search.cuts.append((z, rhs))
         return None
-    ell = {y: dist[y * mod + kept[y]] + pairings[y] for y in S}
+    ell = {y: dist[y * mod + search.kept[y]] + pairings[y] for y in S}
     if __debug__:
-        assert ell[x] == 0
+        assert ell[search.x] == 0
         for y in S:
-            assert (ell[y] - r[y]) % mod == 0
+            assert (ell[y] - search.r[y]) % mod == 0
+    least = [min(d for d in dist[i:i + mod] if d is not None) for i in range(0, len(dist), mod)]
+    search.ell = ell
+    search.chain = b + chains.boundary2(Chain2(m, dict(enumerate(least))))
     return ell
 
 
@@ -351,37 +339,52 @@ class SearchStats:
 
 
 class SearchState:
-    """What one lattice search keeps for its fixed f.
+    """What one lattice search keeps for its fixed f and residue system
+    (S, x, copaths, mod = spec.m, and r: spec.r0_prime, 0 at x).
 
     - base: the f-part of every repair network's lengths
       (``circulation.base_network``); each target patches a copy of it.
-    - layers: the arcs of the layered network, built at the first pass:
-      only the lengths move between box points (see the module docstring).
-    - residues: the residue system (S, x, copaths, mod, r) of the search's
-      layered passes, given at construction.
-    - cuts: the pairs (z, rhs) that the failed passes kept (see
-      ``layered_residue_solve``).  Each answers the pass at every later
-      box point u with <z, u> > rhs: that pass fails too (see the module
-      docstring).
-    - ell: the labels of the last pass that ``membership`` ran.
+    - kept, layers: the k(y) and the arcs of the layered network of
+      ``layered_residue_solve``, built at the anchor spec.r0.  Every box
+      point of the search is congruent to spec.r0 mod m, so both are the
+      same at each of them (see the module docstring).
+    - cuts: the pairs (z, rhs) that the failed passes kept.  Each answers
+      the pass at every later box point u with <z, u> > rhs: that pass
+      fails too (see the module docstring).
+    - ell, chain: the labels and circulation of the last pass that
+      succeeded.
     """
 
-    __slots__ = ("map", "basis", "f", "base", "layers", "residues", "cuts", "stats", "ell")
+    __slots__ = (
+        "map", "basis", "f", "S", "x", "copaths", "mod", "r",
+        "base", "kept", "layers", "cuts", "stats", "ell", "chain",
+    )
 
-    def __init__(self, m, basis, f, residues=None, stats=None):
+    def __init__(self, m, basis, f, spec, S, x, copaths, stats=None):
         self.map = m
         self.basis = basis
         self.f = f
+        self.S = S
+        self.x = x
+        self.copaths = copaths
+        self.mod = spec.m
+        self.r = {y: 0 for y in S}
+        self.r.update(spec.r0_prime)
+        self.r[x] = 0
         self.base = circulation.base_network(m, f)
-        self.layers = None
-        self.residues = residues
+        b, lengths = self.network(spec.r0)
+        self.kept = {y: (self.r[y] - pair(b, copaths[y].chain)) % self.mod for y in S}
+        self.layers = _layered_arcs(m, lengths, self.mod, self.kept)
         self.cuts = []
         self.stats = stats if stats is not None else SearchStats()
         self.ell = None
+        self.chain = None
 
-    def network(self, target):
+    def network(self, a):
         """The (b, lengths) of ``circulation.repair_network`` for this f and
-        the target, length for length."""
+        the one-face target (S = (x,)) at anchor a, length for length."""
+        x = self.x
+        target = HomologyTarget(a, (x,), x, {x: self.copaths[x]}, {x: 0})
         b = circulation.prescribed_cycle(self.map, self.basis, target)
         return b, circulation.patched_network(self.map, self.base, b)
 
@@ -393,27 +396,22 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
     Iterates the residue-aligned integer vectors of the coordinate box in
     lexicographic order and asks ``membership`` with the search's state
     at each: a kept cut or one ``layered_residue_solve`` pass decides the
-    point.  At the first point that passes, the circulation engine
-    extracts a concrete circulation for the full target, through the
-    search's network.  Returns None when the box is exhausted.
+    point.  The first pass that succeeds also gives the circulation,
+    which is returned once ``circulation.validate_circulation`` accepts
+    it for the full target.  Returns None when the box is exhausted.
     """
     fchain = f0.chain if hasattr(f0, "chain") else f0
     box, _ = pairing_bounds(fchain, basis, copaths)
-    r = {y: 0 for y in S}
-    r.update(spec.r0_prime)
-    r[x] = 0
-    search = SearchState(m, basis, fchain, (S, x, copaths, spec.m, r), stats)
+    search = SearchState(m, basis, fchain, spec, S, x, copaths, stats)
     for u in lex_box_points(box, spec.r0, spec.m):
         search.stats.points_tested += 1
         point = HomologyPoint(u, {x: 0})
         if membership(m, basis, fchain, S, x, copaths, point, search) is not None:
             continue
+        res = Circulation(search.chain)
+        # checked under python -O too: wrong labels must not pass silently
         target = HomologyTarget(u, S, x, copaths, search.ell)
-        network = search.network(target)
-        res = circulation.circulation_or_certificate(m, basis, fchain, target, network)
-        # checked under python -O too: a wrong ell must not pass silently
-        if not isinstance(res, Circulation):
-            raise AssertionError("feasible target must yield a circulation")
+        circulation.validate_circulation(m, basis, fchain, target, res)
         return res
     return None
 

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from surfcolor import chains, circulation, homology
 from surfcolor.chains import Chain1, pair, pair_plus
 from surfcolor.circulation import Certificate, Circulation, HomologyTarget
@@ -93,6 +95,36 @@ def test_engine_bouquet_certificate():
     assert res.lhs > res.rhs
     assert pair_plus(f, res.D) == res.rhs == 1
     assert res.lhs == 2
+
+
+def _tamper(cert, **changes):
+    fields = {k: getattr(cert, k) for k in Certificate.__slots__}
+    fields.update(changes)
+    return Certificate(**fields)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (lambda c: {"lhs": c.rhs}, "certificate inequality is not strict"),
+        (lambda c: {"z": (c.z[0] + 1,) + tuple(c.z[1:])}, "certificate homology class mismatch"),
+        (lambda c: {"y": c.y_prime, "y_prime": c.y}, "certificate endpoints do not match its coboundary"),
+        (lambda c: {"D": 2 * c.D}, "certificate copath is not simple"),
+    ],
+    ids=["non-strict", "wrong-z", "wrong-endpoints", "not-simple"],
+)
+def test_tampered_certificates_raise(changes, message):
+    # the checks raise AssertionError explicitly, so they hold under
+    # python -O too, where assert statements are stripped
+    m = gen_grid(3, 3)
+    basis = homology.cohomology_basis(m)
+    f = Chain1(m, {h: 1 for h in m.canonical_half_edges()})
+    t = _target(m, basis, (0, 0), (0, 4), 0, {0: 0, 4: 2})
+    cert = circulation.circulation_or_certificate(m, basis, f, t)
+    assert isinstance(cert, Certificate) and (cert.y, cert.y_prime) == (0, 4)
+    circulation.validate_certificate(m, basis, f, t, cert)
+    with pytest.raises(AssertionError, match=message):
+        circulation.validate_certificate(m, basis, f, t, _tamper(cert, **changes(cert)))
 
 
 def test_engine_zero_target_on_nonnegative_f():

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, formats, and determinism."""
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import sys
 import pytest
 
 from surfcolor import cli, is_isomorphic, load_surfmap
-from surfcolor.cli import gen_grid, gen_q13
+from surfcolor.cli import gen_bouquet, gen_grid, gen_q13
+from surfcolor.surface_map import save_surfmap
 
 
 def run_cli(capsys, *argv):
@@ -288,3 +290,47 @@ def test_gen_output_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "gen", "--grid", "4", "3")
     _, out2, _ = run_cli(capsys, "gen", "--grid", "4", "3")
     assert out1 == out2
+
+
+def mutate(rng, text, alphabet):
+    """text with one to six random character replacements, insertions
+    and deletions."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 6)):
+        op = rng.randrange(3)
+        pos = rng.randrange(len(chars) + 1)
+        if op == 1 or pos == len(chars):
+            chars.insert(pos, rng.choice(alphabet))
+        elif op == 0:
+            chars[pos] = rng.choice(alphabet)
+        else:
+            del chars[pos]
+    return "".join(chars)
+
+
+def test_mutated_input_files_never_exit_3(capsys, tmp_path):
+    # seeded fuzz of the file inputs: every run exits 0, 1 or 2, and an
+    # invalid input is reported on exactly one stderr line
+    rng = random.Random(419)
+    bases = [save_surfmap(gen_grid(3, 3)), save_surfmap(gen_bouquet(2))]
+    map_path, pre_path = tmp_path / "in.surfmap", tmp_path / "pre.txt"
+    codes = {}
+    for _ in range(1000):
+        command = rng.choice(("solve", "stats", "dual", "polytope"))
+        text = rng.choice(bases)
+        if rng.random() < 0.8:
+            text = mutate(rng, text, "0123456789 \nvertexsurfmaphalfedges:#-")
+        map_path.write_text(text, encoding="ascii")
+        argv = [command, "--map", str(map_path)]
+        if command == "solve":
+            pre = "v0 0\nv4 1\n" if rng.random() < 0.5 else "4 2 # v4\n"
+            pre_path.write_text(mutate(rng, pre, "0123456789 \nv,#-x"), encoding="ascii")
+            argv += ["--precolor", str(pre_path)]
+        code, out, err = run_cli(capsys, *argv)
+        codes[code] = codes.get(code, 0) + 1
+        assert code in (0, 1, 2), (argv, text, err)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert err == "", err
+    assert codes.get(2, 0) >= 500 and codes.get(0, 0) + codes.get(1, 0) >= 50, codes

@@ -1,6 +1,6 @@
 """The residue-layered solver against the two-step reference (rhs_table
-plus residue_difference_solve) and brute force, alone and inside full
-solves."""
+plus residue_difference_solve) and brute force, on a fresh search state
+and inside full solves."""
 
 import os
 import random
@@ -9,12 +9,14 @@ import sys
 
 import pytest
 
-from surfcolor import circulation, errors, homology, lattice
+from surfcolor import circulation, homology, lattice
 from surfcolor.chains import Chain1
 from surfcolor.circulation import HomologyTarget
 from surfcolor.cli import gen_bouquet, gen_grid
 from surfcolor.lattice import (
     HomologyPoint,
+    ResidueSpec,
+    SearchState,
     integer_points_bruteforce,
     layered_residue_solve,
     residue_difference_solve,
@@ -26,10 +28,17 @@ from conftest import CORPUS, random_map, random_nowhere_zero
 from test_near_quadrangulations import delete_edges
 
 
-def two_step(m, basis, f, a, S, x, copaths, mod, r, search=None):
+def two_step(m, basis, f, a, S, x, copaths, mod, r):
     """The reference: |S| shortest-path rows, then the residue system."""
     beta = rhs_table(m, basis, f, a, S, x, copaths)
     return residue_difference_solve(S, x, mod, beta, r)
+
+
+def fresh_pass(m, basis, f, a, S, x, copaths, mod, r):
+    """The layered pass at a on a fresh search state: the search's own
+    computation, without reuse across points."""
+    state = SearchState(m, basis, f, ResidueSpec(mod, a, r), S, x, copaths)
+    return layered_residue_solve(state, a)
 
 
 def test_layered_solve_matches_two_step_solver():
@@ -48,7 +57,7 @@ def test_layered_solve_matches_two_step_solver():
         for a in rng.sample(anchors, min(3, len(anchors))):
             for mod in (3, 5, 7):
                 r = {y: 0 if y == x else rng.randrange(mod) for y in S}
-                got = layered_residue_solve(m, basis, f, a, S, x, cps, mod, r)
+                got = fresh_pass(m, basis, f, a, S, x, cps, mod, r)
                 assert got == two_step(m, basis, f, a, S, x, cps, mod, r)
                 counts[got is not None] += 1
     assert counts[True] >= 20 and counts[False] >= 20, counts
@@ -58,7 +67,7 @@ def test_layered_solve_returns_the_largest_brute_force_labels():
     # at a box point u the labels are the a' of the brute-forced integer
     # points (u, a') with a'(x) = 0 and a' = r (mod m): the pass returns
     # None exactly when there are none, else their componentwise maximum,
-    # which is one of them; without a state an outside u raises instead
+    # which is one of them; a fresh state gives the same answer
     rng = random.Random(347)
     maps = [m for _, m in CORPUS] + [random_map(rng, max_edges=12) for _ in range(150)]
     counts = {True: 0, False: 0, "outside": 0}
@@ -75,35 +84,37 @@ def test_layered_solve_returns_the_largest_brute_force_labels():
         for mod in (3, 5):
             r = {y: 0 if y == x else rng.randrange(mod) for y in S}
             r0 = [rng.randrange(mod) for _ in basis.Y]
-            state = lattice.SearchState(m, basis, f, (S, x, cps, mod, r))
+            state = SearchState(m, basis, f, ResidueSpec(mod, r0, r), S, x, cps)
             for u in lattice.lex_box_points(box, r0, mod):
                 labels = [dict(zip(sorted(S), ap)) for a, ap in points if a == u]
                 labels = [ell for ell in labels if all((ell[y] - r[y]) % mod == 0 for y in S)]
                 assert all(ell[x] == 0 for ell in labels)
-                got = layered_residue_solve(m, basis, f, u, S, x, cps, mod, r, state)
+                got = layered_residue_solve(state, u)
                 if labels:
                     top = {y: max(ell[y] for ell in labels) for y in S}
                     assert top in labels and got == top
                 else:
                     assert got is None
-                try:
-                    alone = layered_residue_solve(m, basis, f, u, S, x, cps, mod, r)
-                except errors.AnchorOutsidePolytope:
-                    assert all(a != u for a, _ in points)
+                if all(a != u for a, _ in points):
                     counts["outside"] += 1
-                    alone = None
-                assert alone == got
+                assert fresh_pass(m, basis, f, u, S, x, cps, mod, r) == got
                 counts[got is not None] += 1
     assert counts[True] >= 60 and counts[False] >= 60 and counts["outside"] >= 20, counts
 
 
 def test_layered_solve_rejects_outside_anchor():
+    # the stateless membership oracle separates (5, 0); the pass fails
+    # there and keeps a cut that the anchor violates
     m = gen_bouquet(2)
     basis = homology.cohomology_basis(m)
     cps = homology.copaths_from(m, 0, (0,))
     f = Chain1(m, {0: 1, 2: 1})
-    with pytest.raises(errors.AnchorOutsidePolytope):
-        layered_residue_solve(m, basis, f, (5, 0), (0,), 0, cps, 3, {0: 0})
+    a = (5, 0)
+    assert lattice.membership(m, basis, f, (0,), 0, cps, HomologyPoint(a, {0: 0})) is not None
+    state = SearchState(m, basis, f, ResidueSpec(3, a, {}), (0,), 0, cps)
+    assert layered_residue_solve(state, a) is None
+    [(z, rhs)] = state.cuts
+    assert sum(zi * ai for zi, ai in zip(z, a)) > rhs
 
 
 def hexagon_grid(n, k, rng):
@@ -162,9 +173,9 @@ def outcome(res):
     )
 
 
-def reference_search(m, basis, f0, spec, S, x, copaths, solve=layered_residue_solve):
+def reference_search(m, basis, f0, spec, S, x, copaths, solve=fresh_pass):
     """The lattice search without its state, point by point: the stateless
-    membership oracle, then the stateless solve at the points inside.
+    membership oracle, then a solve on a fresh state at the points inside.
     Returns the circulation, or None, and the number of points tested."""
     f = f0.chain
     box, _ = lattice.pairing_bounds(f, basis, copaths)
@@ -231,17 +242,21 @@ def test_points_cut_counts_the_points_a_kept_cut_answers(monkeypatch):
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_wrong_labels_raise_under_optimization(flags):
     # the check must survive python -O, which strips assert statements:
-    # labels that keep their residues but exceed every copath's capacity
-    # make the engine return a certificate
+    # labels that keep their residues but not the circulation's copath
+    # pairings fail the validation of the returned circulation
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     script = (
         "from surfcolor import lattice\n"
         "from surfcolor.cli import gen_grid\n"
         "from surfcolor.solver import Precoloring, extend_precoloring\n"
         "real = lattice.layered_residue_solve\n"
-        "def wrong(m, basis, f, a, S, x, copaths, mod, r, search=None):\n"
-        "    ell = real(m, basis, f, a, S, x, copaths, mod, r)\n"
-        "    return ell and {y: v if y == x else v + 100 * mod for y, v in ell.items()}\n"
+        "def wrong(search, a):\n"
+        "    ell = real(search, a)\n"
+        "    if ell is not None:\n"
+        "        for y in ell:\n"
+        "            if y != search.x:\n"
+        "                search.ell[y] += 100 * search.mod\n"
+        "    return ell\n"
         "lattice.layered_residue_solve = wrong\n"
         "extend_precoloring(gen_grid(4, 4), Precoloring(3, {0: 0, 5: 2}))\n"
     )
@@ -252,5 +267,5 @@ def test_wrong_labels_raise_under_optimization(flags):
     )
     assert p.returncode == 1
     assert p.stderr.rstrip().endswith(
-        "AssertionError: feasible target must yield a circulation"
+        "AssertionError: copath pairing mismatch at face 5"
     )

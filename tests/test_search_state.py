@@ -1,5 +1,6 @@
 """The per-search state of the lattice search: patched repair networks,
-the kept cuts of failed layered passes, and the counts the benchmark's
+the layered network built once, the kept cuts of failed layered passes,
+the circulation of the accepting pass, and the counts the benchmark's
 traced run relies on; and the dominance check of a returned circulation,
 which reads both orientations of each edge."""
 
@@ -14,15 +15,15 @@ from surfcolor.circulation import Circulation, HomologyTarget
 from surfcolor.cli import brute_force_extendable, gen_bouquet
 from surfcolor.lattice import (
     HomologyPoint,
+    ResidueSpec,
     SearchState,
     integer_points_bruteforce,
-    layered_residue_solve,
 )
 from surfcolor.solver import Precoloring, extend_precoloring
 from surfcolor.surface_map import CombinatorialMap
 
 from conftest import CORPUS, random_map, random_nowhere_zero
-from test_layered_residue import hexagon_instances, reference_search, two_step
+from test_layered_residue import fresh_pass, hexagon_instances, reference_search, two_step
 
 
 def full_build(m, f, b):
@@ -53,32 +54,28 @@ def test_patched_network_equals_the_full_build():
             continue
         basis = homology.cohomology_basis(m)
         f = Chain1(m, {h: rng.choice((-2, -1, 0, 1, 2)) for h in m.canonical_half_edges()})
-        state = SearchState(m, basis, f)
-        base = list(state.base)
+        base = circulation.base_network(m, f)
         for _ in range(6):
             x = rng.randrange(m.num_faces)
             S = tuple(sorted({x} | {rng.randrange(m.num_faces) for _ in range(rng.randint(0, 2))}))
             cps = homology.copaths_from(m, x, S)
+            state = SearchState(m, basis, f, ResidueSpec(3, (0,) * len(basis.Y), {}), S, x, cps)
             target = random_target(rng, m, basis, f, S, x, cps)
-            b, lengths = state.network(target)
-            assert b == circulation.prescribed_cycle(m, basis, target)
+            b = circulation.prescribed_cycle(m, basis, target)
+            lengths = circulation.patched_network(m, state.base, b)
             assert (m.dual_arcs(), lengths) == full_build(m, f, b)
             assert circulation.repair_network(m, basis, f, target) == (b, lengths)
-            # asking again at the same target gives the same network
-            assert state.network(target) == (b, lengths)
+            # the state's network is the one-face target's at the anchor,
+            # and asking again gives the same network
+            one_face = HomologyTarget(target.a, (x,), x, {x: cps[x]}, {x: 0})
+            b1, lengths1 = state.network(target.a)
+            assert (m.dual_arcs(), lengths1) == full_build(m, f, b1)
+            assert circulation.repair_network(m, basis, f, one_face) == (b1, lengths1)
+            assert state.network(target.a) == (b1, lengths1)
+            # patching never writes into the shared base list
+            assert state.base == base
             checked += 1
-        # patching never writes into the shared base list
-        assert state.base == base
     assert checked >= 200
-
-
-def stateless_pass(*args):
-    """The layered pass without a state: its labels, or None where it
-    fails, whether it returns None or finds the anchor outside."""
-    try:
-        return layered_residue_solve(*args)
-    except errors.AnchorOutsidePolytope:
-        return None
 
 
 def test_every_kept_cut_holds_where_the_stateless_pass_succeeds(monkeypatch):
@@ -89,15 +86,16 @@ def test_every_kept_cut_holds_where_the_stateless_pass_succeeds(monkeypatch):
     kept_at = {"outside": 0, "inside": 0}
     real = lattice.layered_residue_solve
 
-    def recorded(m, basis, f, a, S, x, copaths, mod, r, search=None):
+    def recorded(search, a):
         # no cut is kept before the first pass, so each search's first
         # box point is a pass
         first_point.setdefault(search, a)
         before = len(search.cuts)
-        ell = real(m, basis, f, a, S, x, copaths, mod, r, search)
+        ell = real(search, a)
         if len(search.cuts) > before:
+            x = search.x
             point = HomologyPoint(a, {x: 0})
-            alone = lattice.membership(m, basis, f, (x,), x, {x: copaths[x]}, point)
+            alone = lattice.membership(search.map, search.basis, search.f, (x,), x, {x: search.copaths[x]}, point)
             kept_at["inside" if alone is None else "outside"] += 1
         return ell
 
@@ -107,11 +105,11 @@ def test_every_kept_cut_holds_where_the_stateless_pass_succeeds(monkeypatch):
         cut_points += extend_precoloring(g, pre).points_cut
     for state, first in first_point.items():
         m, basis, f = state.map, state.basis, state.f
-        S, x, cps, mod, r = state.residues
+        S, x, cps, mod, r = state.S, state.x, state.copaths, state.mod, state.r
         # the search's box points are those congruent to its first one
         box, _ = lattice.pairing_bounds(f, basis, cps)
         for u in lattice.lex_box_points(box, [c % mod for c in first], mod):
-            if stateless_pass(m, basis, f, u, S, x, cps, mod, r) is not None:
+            if fresh_pass(m, basis, f, u, S, x, cps, mod, r) is not None:
                 for z, rhs in state.cuts:
                     assert sum(zi * ui for zi, ui in zip(z, u)) <= rhs
         s_order = sorted(S)
@@ -159,26 +157,29 @@ def layered_network(m, basis, f, a, S, x, copaths, mod, r):
 def test_the_layered_network_is_the_same_at_every_box_point_of_a_search(monkeypatch):
     # the lemma the residue cuts rest on: from one box point of a search
     # to another, the arcs keep their heads and ids and only the base
-    # lengths move, each by a multiple of m
+    # lengths move, each by a multiple of m; so the network the state
+    # built at its anchor is the one of every pass
     searches = {}
     real = lattice.layered_residue_solve
 
-    def recorded(m, basis, f, a, S, x, copaths, mod, r, search=None):
-        searches.setdefault(search, (m, basis, f, a, S, x, copaths, mod, r))
-        return real(m, basis, f, a, S, x, copaths, mod, r, search)
+    def recorded(search, a):
+        args = (search.map, search.basis, search.f, a, search.S, search.x, search.copaths, search.mod, search.r)
+        arcs, lengths, kept = layered_network(*args)
+        assert (arcs, kept) == (search.layers, search.kept)
+        searches.setdefault(search, (args, lengths))
+        return real(search, a)
 
     monkeypatch.setattr(lattice, "layered_residue_solve", recorded)
     for g, pre in hexagon_instances():
         extend_precoloring(g, pre)
     pairs = {3: 0, 5: 0}
-    for m, basis, f, a, S, x, cps, mod, r in searches.values():
-        arcs, lengths, kept = layered_network(m, basis, f, a, S, x, cps, mod, r)
+    for state, ((m, basis, f, a, S, x, cps, mod, r), lengths) in searches.items():
         box, _ = lattice.pairing_bounds(f, basis, cps)
         points = [u for u in lattice.lex_box_points(box, [ai % mod for ai in a], mod) if u != a]
         for u in points[:6]:
             arcs2, lengths2, kept2 = layered_network(m, basis, f, u, S, x, cps, mod, r)
-            assert kept2 == kept
-            assert arcs2 == arcs
+            assert kept2 == state.kept
+            assert arcs2 == state.layers
             assert len(lengths2) == len(lengths)
             assert all((l - l2) % mod == 0 for l, l2 in zip(lengths, lengths2))
             assert lengths2 != lengths
@@ -227,9 +228,8 @@ def test_every_point_a_residue_cut_skips_fails_the_stateless_passes(monkeypatch)
         res = extend_precoloring(g, pre)
         assert res.points_cut == len(skipped) - before
         for state, u in skipped[before:]:
-            S, x, cps, mod, r = state.residues
-            args = (state.map, state.basis, state.f, u, S, x, cps, mod, r)
-            assert stateless_pass(*args) is None
+            args = (state.map, state.basis, state.f, u, state.S, state.x, state.copaths, state.mod, state.r)
+            assert fresh_pass(*args) is None
             try:
                 assert two_step(*args) is None
             except errors.AnchorOutsidePolytope:
@@ -304,16 +304,18 @@ def test_a_search_builds_no_full_repair_network(monkeypatch):
 
 
 def test_one_layered_network_per_search_and_one_dual_arc_list_per_map(monkeypatch):
-    # the passes of a search read the arcs built at its first pass, and
-    # every network of a map reads that map's one set of dual arcs
+    # each search builds its layered arcs once, at construction, and the
+    # passes read them; every network of a map reads that map's one set
+    # of dual arcs
     builds = []
     count_calls(monkeypatch, lattice, "_layered_arcs", builds)
+    count_calls(monkeypatch, lattice, "find_constrained_circulation", builds)
     searches = set()
     real = lattice.layered_residue_solve
 
-    def recorded(m, basis, f, a, S, x, copaths, mod, r, search=None):
+    def recorded(search, a):
         searches.add(search)
-        return real(m, basis, f, a, S, x, copaths, mod, r, search)
+        return real(search, a)
 
     monkeypatch.setattr(lattice, "layered_residue_solve", recorded)
     arcs = {}
@@ -329,6 +331,42 @@ def test_one_layered_network_per_search_and_one_dual_arc_list_per_map(monkeypatc
     for g, pre in hexagon_instances():
         res = extend_precoloring(g, pre)
         passes += res.points_tested - res.points_cut
-    assert None not in searches and len(searches) > 1
-    assert len(builds) == len(searches) < passes
+    assert len(searches) > 1
+    assert builds.count("_layered_arcs") == builds.count("find_constrained_circulation") < passes
     assert arcs and all(len(ids) == 1 for ids in arcs.values())
+
+
+def test_the_accepting_pass_gives_the_engines_circulation(monkeypatch):
+    # at every accepted box point u with labels ell, the search returns
+    # the circulation the engine builds for HomologyTarget(u, S, x,
+    # copaths, ell)
+    accepted = []
+    real_pass = lattice.layered_residue_solve
+    real_search = lattice.find_constrained_circulation
+
+    def recorded_pass(search, a):
+        ell = real_pass(search, a)
+        if ell is not None:
+            accepted.append((a, dict(ell)))
+        return ell
+
+    found = []
+
+    def recorded_search(m, basis, f0, spec, S, x, copaths, stats=None):
+        before = len(accepted)
+        res = real_search(m, basis, f0, spec, S, x, copaths, stats)
+        # the first pass that succeeds ends the search
+        assert len(accepted) - before == (res is not None)
+        if res is not None:
+            u, ell = accepted[-1]
+            target = HomologyTarget(u, S, x, copaths, ell)
+            engine = circulation.circulation_or_certificate(m, basis, f0.chain, target)
+            assert isinstance(engine, Circulation) and engine.chain == res.chain
+            found.append(res)
+        return res
+
+    monkeypatch.setattr(lattice, "layered_residue_solve", recorded_pass)
+    monkeypatch.setattr(lattice, "find_constrained_circulation", recorded_search)
+    for g, pre in [*small_instances(300), *hexagon_instances()]:
+        extend_precoloring(g, pre)
+    assert len(found) >= 60, len(found)

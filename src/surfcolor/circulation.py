@@ -5,10 +5,13 @@ cocycles and a family of copaths, the engine first builds a 1-cycle b
 realizing the pairings, then repairs it into an f-circulation by adding
 the boundary of a 2-chain of shortest-path distances on the dual, taken
 by one call of the ``paths.shortest_paths`` kernel from the faces of S.
-When no circulation exists, the negative cycle or negative
-source-to-source path that call finds yields a simple copath certifying
-infeasibility.  The engine is the polytope oracle of ``lattice.membership``
-without a search state; a search reads its circulation off its own pass.
+When no circulation exists, the negative source-to-source path that
+call finds yields a simple copath from y to y' in S certifying
+infeasibility.  A negative cycle is the case y = y' = x, a copath from
+x back to x, where P(x) - P(x) and a'(x) - a'(x) vanish, so one
+construction builds both certificates.  The engine is the polytope
+oracle of ``lattice.membership`` without a search state; a search reads
+its circulation off its own pass.
 
 The dual arcs depend on the map alone: ``CombinatorialMap.dual_arcs``
 builds them once per map.  The f-part of their lengths depends on f
@@ -149,49 +152,39 @@ def circulation_or_certificate(m, basis, f, target):
 
     # every edge gives dual arcs both ways, so the sources reach every
     # negative cycle
-    dist, pred, cyc = shortest_paths(m.num_faces, m.dual_arcs(), lengths, target.S)
-    if cyc is not None:
-        D = chains.walk_chain(m, cyc)
-        z = homology.homology_class(D, basis)
-        lhs = sum(zi * ai for zi, ai in zip(z, target.a))
-        rhs = pair_plus(f, D)
-        cert = Certificate(D, target.x, target.x, z, lhs, rhs)
-        if __debug__:
-            validate_certificate(m, basis, f, target, cert)
-        return cert
-
-    assert all(d is not None for d in dist)
-    neg = [y for y in target.S if dist[y] < 0]
-    if neg:
-        y_prime = min(neg)
-        arcs = []
-        v = y_prime
-        while pred[v] is not None:
-            v, h = pred[v]
-            arcs.append(h)
-        arcs.reverse()
-        y = v
-        D = chains.walk_chain(m, arcs)
-        z = homology.homology_class(
-            D - (target.copaths[y_prime].chain - target.copaths[y].chain), basis
-        )
-        lhs = (
-            sum(zi * ai for zi, ai in zip(z, target.a))
-            + target.a_prime[y_prime]
-            - target.a_prime[y]
-        )
-        rhs = pair_plus(f, D)
-        cert = Certificate(D, y, y_prime, z, lhs, rhs)
-        if __debug__:
-            validate_certificate(m, basis, f, target, cert)
-        return cert
-
-    assert all(dist[y] == 0 for y in target.S)
-    L = Chain2(m, {x: d for x, d in enumerate(dist) if d})
-    c = Circulation(b + chains.boundary2(L))
+    dist, pred, walk = shortest_paths(m.num_faces, m.dual_arcs(), lengths, target.S)
+    if walk is None:
+        assert all(d is not None for d in dist)
+        neg = [y for y in target.S if dist[y] < 0]
+        if not neg:
+            assert all(dist[y] == 0 for y in target.S)
+            L = Chain2(m, {x: d for x, d in enumerate(dist) if d})
+            c = Circulation(b + chains.boundary2(L))
+            if __debug__:
+                validate_circulation(m, basis, f, target, c)
+            return c
+        y = y_prime = min(neg)
+        walk = []
+        while pred[y] is not None:
+            y, h = pred[y]
+            walk.append(h)
+        walk.reverse()
+    else:
+        # a negative cycle is a negative path from x back to x
+        y = y_prime = target.x
+    D = chains.walk_chain(m, walk)
+    z = homology.homology_class(
+        D - (target.copaths[y_prime].chain - target.copaths[y].chain), basis
+    )
+    lhs = (
+        sum(zi * ai for zi, ai in zip(z, target.a))
+        + target.a_prime[y_prime]
+        - target.a_prime[y]
+    )
+    cert = Certificate(D, y, y_prime, z, lhs, pair_plus(f, D))
     if __debug__:
-        validate_circulation(m, basis, f, target, c)
-    return c
+        validate_certificate(m, basis, f, target, cert)
+    return cert
 
 
 def validate_circulation(m, basis, f, target, c):

@@ -158,6 +158,9 @@ def brute_force_extendable(m, modulus, psi=None):
     adj = [[] for _ in range(n)]
     for h in m.canonical_half_edges():
         u, v = m.tgt[h], m.tgt[m.opp[h]]
+        if u == v:
+            # a loop needs c(v) - c(v) = +-1 (mod m), which no color gives
+            return False
         adj[u].append(v)
         adj[v].append(u)
     psi = psi or {}

@@ -161,14 +161,14 @@ def membership(m, basis, f, S, x, copaths, point, search=None):
     for y in S:
         a_prime.setdefault(y, 0)
     target = HomologyTarget(a, S, x, copaths, a_prime)
-    res = circulation.circulation_or_certificate(m, basis, f if mu == 1 else mu * f, target)
+    res = circulation.circulation_or_certificate(m, basis, mu * f, target)
     if isinstance(res, Circulation):
         return None
     z_prime = {}
     if res.y != res.y_prime:
         z_prime[res.y_prime] = 1
         z_prime[res.y] = -1
-    return Separator(res.z, z_prime, res.rhs if mu == 1 else Fraction(res.rhs, mu))
+    return Separator(res.z, z_prime, Fraction(res.rhs, mu))
 
 
 def rhs_table(m, basis, f, a, S, x, copaths):

@@ -10,6 +10,12 @@ it.  Faces are the orbits of the face-tracing permutation
 
 and ``left(h)`` is the face whose orbit contains h.  The Euler genus is
 derived from |V| - |E| + |F| = 2 - g and must come out even (orientable).
+
+A map stores exactly these arrays (``opp``, ``tgt``, ``rot``, ``left``,
+``faces``) and its Euler genus; what derives from them is not stored.
+A half-edge's position in its rotation is looked up by ``rot_next``,
+whose only caller is the isomorphism test, and ``dual`` swaps the roles
+of the arrays, building only its face orbits anew.
 """
 
 from __future__ import annotations
@@ -27,20 +33,18 @@ class CombinatorialMap:
         "rot",
         "left",
         "faces",
-        "rot_index",
         "euler_genus",
         "_adjacency",
         "_dual_arcs",
     )
 
-    def __init__(self, half_edge_count, opp, tgt, rot, left, faces, rot_index, euler_genus):
+    def __init__(self, half_edge_count, opp, tgt, rot, left, faces, euler_genus):
         self.half_edge_count = half_edge_count
         self.opp = opp              # list: half-edge -> half-edge
         self.tgt = tgt              # list: half-edge -> vertex
         self.rot = rot              # list of lists: vertex -> CCW cycle of incoming half-edges
         self.left = left            # list: half-edge -> face
         self.faces = faces          # list of lists: face -> orbit of sigma, cyclic
-        self.rot_index = rot_index  # list: half-edge -> position in rot[tgt[h]]
         self.euler_genus = euler_genus
         self._adjacency = None      # built by adjacency() on first use
         self._dual_arcs = None      # built by dual_arcs() on first use
@@ -100,8 +104,7 @@ class CombinatorialMap:
     def rot_next(self, h):
         """Successor of h in the rotation at tgt(h)."""
         cyc = self.rot[self.tgt[h]]
-        i = self.rot_index[h]
-        return cyc[(i + 1) % len(cyc)]
+        return cyc[(cyc.index(h) + 1) % len(cyc)]
 
     def is_loop(self, h):
         return self.tgt[h] == self.tgt[self.opp[h]]
@@ -203,7 +206,7 @@ def build_map(rotations, opp=None):
             "computed Euler genus %d; only orientable surfaces (even genus) supported" % genus
         )
 
-    return CombinatorialMap(n, opp_list, tgt, rot, left, faces, rot_index, genus)
+    return CombinatorialMap(n, opp_list, tgt, rot, left, faces, genus)
 
 
 def dual(m):
@@ -221,12 +224,8 @@ def dual(m):
     for cyc in m.rot:
         i = cyc.index(min(cyc)) if cyc else 0
         faces.append(cyc[i:] + cyc[:i])
-    rot_index = [0] * m.half_edge_count
-    for orbit in m.faces:
-        for i, h in enumerate(orbit):
-            rot_index[h] = i
     return CombinatorialMap(
-        m.half_edge_count, m.opp, m.left, m.faces, m.tgt, faces, rot_index, m.euler_genus
+        m.half_edge_count, m.opp, m.left, m.faces, m.tgt, faces, m.euler_genus
     )
 
 
@@ -325,7 +324,7 @@ def face_profile(m, modulus):
     return FaceProfile(modulus, lengths, qs, bs)
 
 
-def save_surfmap(m, comment=None):
+def save_surfmap(m):
     """Serialize to SURF-MAP v1 text.
 
     The format fixes opp(2i) = 2i+1, so half-edges are relabelled to that
@@ -339,11 +338,7 @@ def save_surfmap(m, comment=None):
             new_id[h] = 2 * next_edge
             new_id[m.opp[h]] = 2 * next_edge + 1
             next_edge += 1
-    lines = []
-    if comment:
-        lines.append("# " + comment)
-    lines.append("surfmap 1")
-    lines.append("halfedges %d" % m.half_edge_count)
+    lines = ["surfmap 1", "halfedges %d" % m.half_edge_count]
     for v, cyc in enumerate(m.rot):
         lines.append("vertex %d: %s" % (v, " ".join(str(new_id[h]) for h in cyc)))
     return "\n".join(lines) + "\n"

@@ -76,6 +76,12 @@ def test_solve_oracle_agrees(capsys):
     assert code == 0
 
 
+def test_solve_bouquet_oracle_agrees_on_none(capsys):
+    # a bouquet has loops, which no coloring into C_m survives
+    code, out, err = run_cli(capsys, "solve", "--bouquet", "--oracle")
+    assert (code, out, err) == (1, "NONE\n", "")
+
+
 def test_solve_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "solve", "--grid", "3", "4")
     code2, out2, _ = run_cli(capsys, "solve", "--grid", "3", "4")

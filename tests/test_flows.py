@@ -295,7 +295,7 @@ def stream_maps():
     ring = [(i, (i + j) % 16) for i in range(16) for j in (1, 2, 3)]
     maps.append(("degree7x16", edge_map(16, ring + [(i, i + 8) for i in range(8)])))
     maps.append(("one-vertex", build_map([[]])))
-    maps.append(("no-vertex", CombinatorialMap(0, [], [], [], [], [], [], 0)))
+    maps.append(("no-vertex", CombinatorialMap(0, [], [], [], [], [], 0)))
     return maps
 
 

@@ -200,6 +200,34 @@ def test_random_maps_match_bruteforce():
         done += 1
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("modulus", [3, 5])
+def test_bruteforce_oracle_rejects_loops(k, modulus):
+    assert not backtrack_extendable(gen_bouquet(k), modulus)
+
+
+def test_random_maps_with_loops_match_backtracking():
+    # random_map keeps its loops and parallel edges here; the floors keep
+    # the test from passing on maps that exercise only one side
+    rng = random.Random(151)
+    with_loop = extendable = loopless_none = 0
+    for _ in range(300):
+        m = random_map(rng, max_edges=12, max_vertices=7)
+        mod = rng.choice((3, 5, 7))
+        k = rng.randint(0, 3)
+        psi = {rng.randrange(m.num_vertices): rng.randrange(mod) for _ in range(k)}
+        res = extend_precoloring(m, Precoloring(mod, psi))
+        assert res.extendable == backtrack_extendable(m, mod, psi)
+        has_loop = any(m.is_loop(h) for h in m.canonical_half_edges())
+        with_loop += has_loop
+        if res.extendable:
+            assert verify_homomorphism(m, mod, res.coloring, psi)
+            extendable += 1
+        elif not has_loop:
+            loopless_none += 1
+    assert with_loop >= 150 and extendable >= 50 and loopless_none >= 30
+
+
 def test_boundary_accounting(corpus_map):
     from surfcolor.surface_map import face_profile
 

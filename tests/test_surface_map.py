@@ -83,7 +83,7 @@ def test_dual_preserves_genus_and_swaps_roles(corpus_map):
 
 def _map_arrays(m):
     return (
-        m.half_edge_count, m.opp, m.tgt, m.rot, m.left, m.faces, m.rot_index, m.euler_genus
+        m.half_edge_count, m.opp, m.tgt, m.rot, m.left, m.faces, m.euler_genus
     )
 
 
@@ -99,7 +99,7 @@ def reference_dual(m):
         faces[relabel[x]] = orbit
     left = [relabel[x] for x in d.left]
     return (
-        d.half_edge_count, d.opp, d.tgt, d.rot, left, faces, d.rot_index, d.euler_genus
+        d.half_edge_count, d.opp, d.tgt, d.rot, left, faces, d.euler_genus
     )
 
 

@@ -3,7 +3,8 @@
 A flow is a 1-chain with coefficients in {-1, 0, 1}; its boundary is the
 0-chain of vertex excesses.  Realizing a prescribed boundary reduces to
 a unit-capacity maximum flow; upgrading to a nowhere-zero flow orients
-the leftover all-even-degree subgraph along Eulerian circuits.  Before
+the leftover all-even-degree subgraph along Eulerian circuits, whose
+walk writes each arc into a copy of the flow's coefficients.  Before
 the max-flow, a cut check on the saturated vertices (|d[v]| = deg(v))
 rejects most unrealizable boundaries in time linear in their degrees.
 
@@ -126,13 +127,15 @@ def nowhere_zero_completion(m, f1):
 
     The edges where f1 vanishes form an all-even-degree subgraph when the
     boundary is parity-compliant; orienting each component along an
-    Eulerian circuit (Hierholzer) and adding the resulting unit chain
-    fills in every zero without touching the boundary.
+    Eulerian circuit (Hierholzer) fills in every zero without touching
+    the boundary.  The walk writes each traversed arc into a copy of f1's
+    coefficients (+1 on a canonical arc, -1 on its opposite), so an edge
+    that has a coefficient is one f1 carries or the walk has used.
     """
-    chain = f1.chain
+    coeffs = dict(f1.chain.coeffs)
     zero_out = [[] for _ in range(m.num_vertices)]
     for h in m.canonical_half_edges():
-        if chain[h] == 0:
+        if h not in coeffs:
             zero_out[m.tgt[h]].append(m.opp[h])
             zero_out[m.tgt[m.opp[h]]].append(h)
     for v in range(m.num_vertices):
@@ -140,11 +143,7 @@ def nowhere_zero_completion(m, f1):
             raise ParityViolation("zero-edge subgraph has odd degree at vertex %d" % v)
         zero_out[v].sort()
 
-    # the circuits' arcs are recorded as they are traversed: walk_chain
-    # sums them per half-edge, so their order does not matter
-    edge_used = set()
     pos = [0] * m.num_vertices
-    circuit_arcs = []
     for v0 in range(m.num_vertices):
         stack = [v0]
         while stack:
@@ -153,16 +152,14 @@ def nowhere_zero_completion(m, f1):
                 a = zero_out[v][pos[v]]
                 pos[v] += 1
                 e = m.canonical(a)
-                if e not in edge_used:
-                    edge_used.add(e)
-                    circuit_arcs.append(a)
+                if e not in coeffs:
+                    coeffs[e] = 1 if a == e else -1
                     stack.append(m.tgt[a])
                     break
             else:
                 stack.pop()
 
-    f0 = chain + chains.walk_chain(m, circuit_arcs)
-    flow = Flow(f0)
+    flow = Flow(Chain1._nonzero(m, coeffs))
     assert flow.nowhere_zero
     return flow
 

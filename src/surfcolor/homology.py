@@ -4,9 +4,11 @@ The basis construction: take a spanning tree T of the graph, then a
 spanning tree T' of the dual avoiding the duals of T's edges.  The g
 leftover edges Y index paired simple chains: f_e is the fundamental
 cycle of e in T and K_e the fundamental cocycle of e in the cotree, with
-f_e and K_e' pairing to the g x g identity matrix.  Both trees, and
-the dual trees that carry copaths, come from one BFS over the arrays
-of one side: (rot, tgt) for the graph and (faces, left) for the dual.
+f_e and K_e' pairing to the g x g identity matrix.  Both trees, the
+dual trees that carry copaths, and the dual tree along which
+``solver.flow_to_coloring`` decodes a flow come from one BFS over the
+arrays of one side: (rot, tgt) for the graph and (faces, left) for the
+dual.
 """
 
 from __future__ import annotations
@@ -63,8 +65,10 @@ def _bfs_tree(m, cycles, head, root, excluded=frozenset()):
     the dual (m.faces, m.left), skipping the edges in excluded (by
     canonical half-edge).  Node v tries the half-edges h of cycles[v] in
     ascending id; h points into v, so it is the arc from head[opp(h)]
-    toward v.  parent_arc[w] is the arc that discovered w (None at the
-    root), so walking parent arcs ascends to the root.
+    toward v.  Returns (parent_arc, order): parent_arc[w] is the arc that
+    discovered w (None at the root and at unreached nodes), so walking
+    parent arcs ascends to the root, and order lists the reached nodes in
+    BFS order, the root first and each node after its parent.
     """
     parent_arc = [None] * len(cycles)
     seen = [False] * len(cycles)
@@ -77,7 +81,7 @@ def _bfs_tree(m, cycles, head, root, excluded=frozenset()):
                 seen[w] = True
                 parent_arc[w] = h
                 queue.append(w)
-    return parent_arc
+    return parent_arc, queue
 
 
 def _walk_to_root(parent_arc, head, node):
@@ -98,9 +102,9 @@ def cohomology_basis(m):
     smallest-id tie-breaking, and each basis edge uses its canonical
     half-edge.
     """
-    parent_v = _bfs_tree(m, m.rot, m.tgt, 0)
+    parent_v, _ = _bfs_tree(m, m.rot, m.tgt, 0)
     tree_edges = {m.canonical(h) for h in parent_v if h is not None}
-    parent_f = _bfs_tree(m, m.faces, m.left, 0, tree_edges)
+    parent_f, _ = _bfs_tree(m, m.faces, m.left, 0, tree_edges)
     cotree_edges = {m.canonical(h) for h in parent_f if h is not None}
     assert not (tree_edges & cotree_edges)
 
@@ -142,7 +146,7 @@ def copaths_from(m, x, targets=None):
     with left = f2; the returned chains are simple and the copath to x
     itself is the zero chain.  With targets=None, all faces are covered.
     """
-    parent_f = _bfs_tree(m, m.faces, m.left, x)
+    parent_f, _ = _bfs_tree(m, m.faces, m.left, x)
     if targets is None:
         targets = range(m.num_faces)
     out = {}

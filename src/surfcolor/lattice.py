@@ -9,10 +9,7 @@ labels, or proves there are none, with one shortest-path run over m
 residue copies of the repair network; a negative cycle means that u is
 outside the polytope or that the residue system has no solution there,
 so the pass is the search's only test of a box point, and its
-distances at the point that passes give the circulation.  ``rhs_table``
-and ``residue_difference_solve`` do the pass's work in two steps (one
-run per face of S, then a difference system over S); they are kept as
-the reference for tests.
+distances at the point that passes give the circulation.
 
 One search keeps one ``SearchState`` for its fixed f and residue system,
 built once: the f-part of the repair lengths, patched at each box point,
@@ -58,7 +55,7 @@ from math import lcm
 from . import chains, circulation, homology
 from .chains import Chain2, pair, pair_plus
 from .circulation import Circulation, HomologyTarget
-from .errors import AnchorOutsidePolytope, BudgetExceeded
+from .errors import BudgetExceeded
 from .paths import shortest_paths
 
 
@@ -171,70 +168,6 @@ def membership(m, basis, f, S, x, copaths, point, search=None):
     return Separator(res.z, z_prime, Fraction(res.rhs, mu))
 
 
-def rhs_table(m, basis, f, a, S, x, copaths):
-    """The right-hand sides beta(y, y') of the inequalities
-    a'(y') - a'(y) <= beta(y, y') of the precolored sub-polytope, as a
-    dict keyed by (y, y'), for an integral anchor a inside the polytope:
-    beta(y, y') = pair(b, P(y')) - pair(b, P(y)) + dist(y, y')
-    where b realizes the anchor pairings and dist runs over the dual with
-    the repair lengths, one shortest-path call per element of S.
-
-    Raises AnchorOutsidePolytope when the lengths admit a negative cycle.
-    Reference for tests: the search calls ``layered_residue_solve``.
-    """
-    target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
-    b, lengths = circulation.repair_network(m, basis, f, target)
-    pairings = {y: pair(b, copaths[y].chain) for y in S}
-    ys = sorted(S)
-    beta = {}
-    for y in ys:
-        dist, _, cyc = shortest_paths(m.num_faces, m.dual_arcs(), lengths, (y,))
-        if cyc is not None:
-            raise AnchorOutsidePolytope("anchor admits a negative dual cycle")
-        for y2 in ys:
-            beta[(y, y2)] = pairings[y2] - pairings[y] + dist[y2]
-    return beta
-
-
-def residue_difference_solve(S, x, m, d, r):
-    """Find ell: S -> Z with ell(x) = 0, ell(y') - ell(y) <= d(y, y') and
-    ell(y) = r(y) (mod m), or None when the system is infeasible.
-
-    Each bound is first tightened to the largest value congruent to the
-    required residue difference; shortest distances from x over the
-    complete digraph on S, by the ``paths.shortest_paths`` kernel, then
-    solve the difference constraints, and a negative cycle means none.
-    Reference for tests: the search calls ``layered_residue_solve``.
-    """
-    nodes = sorted(S)
-    out = []
-    length = []
-    for y in nodes:
-        arcs = []
-        for j, y2 in enumerate(nodes):
-            base = d[(y, y2)]
-            tight = base - ((base - (r[y2] - r[y])) % m)
-            if y == y2:
-                if tight < 0:
-                    return None
-            else:
-                arcs.append((j, len(length)))
-                length.append(tight)
-        out.append(arcs)
-
-    dist, _, cyc = shortest_paths(len(nodes), out, length, (nodes.index(x),))
-    if cyc is not None:
-        return None
-    ell = dict(zip(nodes, dist))
-    if __debug__:
-        assert ell[x] == 0
-        for y in nodes:
-            assert (ell[y] - r[y]) % m == 0
-            for y2 in nodes:
-                assert ell[y2] - ell[y] <= d[(y, y2)]
-    return ell
-
-
 def _layered_arcs(m, lengths, mod, kept):
     """The out lists of the layered network of ``layered_residue_solve``:
     node v * mod + c is the copy (v, c) and kept maps y in S to k(y).  Base
@@ -254,11 +187,15 @@ def _layered_arcs(m, lengths, mod, kept):
 
 def layered_residue_solve(search, a):
     """The largest ell: S -> Z with ell(x) = 0, ell(y) = r(y) (mod m) and
-    ell(y') - ell(y) <= beta(y, y') for all y, y' in S (see ``rhs_table``),
-    at the box point a of the search, or None when no such ell exists.
+    ell(y') - ell(y) <= beta(y, y') for all y, y' in S, at the box point a
+    of the search, or None when no such ell exists.  The inequalities
+    a'(y') - a'(y) <= beta(y, y') cut the precolored sub-polytope at a:
+    with b and the lengths of the repair network of a for the one-face
+    target (S = (x,)), beta(y, y') = pair(b, P(y')) - pair(b, P(y)) +
+    dist(y, y'), the distance running over the dual with those lengths.
 
     One shortest-path run from (x, 0) over the search's residue-layered
-    copy of the repair network of a (S = (x,), as in ``rhs_table``):
+    copy of that repair network:
     - each face v has m copies (v, c), and a path reaching (v, c) has
       length congruent to c;
     - a repair arc v -> w of length l becomes (v, c) -> (w, c + l mod m),
@@ -272,10 +209,10 @@ def layered_residue_solve(search, a):
     because rounding down to k(y) keeps a length at or above L(y).  So a
     solution rules out negative cycles and bounds the distances from
     below, while the distances satisfy every constraint: they give the
-    largest solution, ell(y) = dist((x, 0), (y, k(y))) + pair(b, P(y)),
-    as the two-step solver does.  A negative cycle thus exists if and only
-    if the system is infeasible or a lies outside the polytope (a negative
-    dual cycle, repeated m times, returns to its layer).
+    largest solution, ell(y) = dist((x, 0), (y, k(y))) + pair(b, P(y)).
+    A negative cycle thus exists if and only if the system is infeasible
+    or a lies outside the polytope (a negative dual cycle, repeated m
+    times, returns to its layer).
 
     On success the pass leaves ell on the state, and as ``chain`` the
     circulation b + boundary2(Lambda), Lambda(v) being the least distance
@@ -400,7 +337,7 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
     which is returned once ``circulation.validate_circulation`` accepts
     it for the full target.  Returns None when the box is exhausted.
     """
-    fchain = f0.chain if hasattr(f0, "chain") else f0
+    fchain = f0.chain
     box, _ = pairing_bounds(fchain, basis, copaths)
     search = SearchState(m, basis, fchain, spec, S, x, copaths, stats)
     for u in lex_box_points(box, spec.r0, spec.m):

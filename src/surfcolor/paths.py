@@ -1,9 +1,7 @@
 """Shortest paths with negative-cycle detection: the one kernel behind
-the circulation engine, the residue-layered solver of the lattice search,
-and the two-step reference it is tested against (rhs tables and the
-residue solver).
-The arcs and their lengths come as two lists, so one graph's arcs can
-be read under several length lists.
+the circulation engine and the residue-layered solver of the lattice
+search.  The arcs and their lengths come as two lists, so one graph's
+arcs can be read under several length lists.
 
 FIFO queue-based Bellman-Ford with subtree disassembly (Tarjan 1981; see
 Cherkassky & Goldberg, "Negative-cycle detection algorithms", 1999): the

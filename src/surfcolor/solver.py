@@ -25,7 +25,7 @@ class Precoloring:
         self.m = m
         self.psi = dict(psi) if psi else {}
         for v, c in self.psi.items():
-            if not (0 <= c < m):
+            if not (isinstance(c, int) and 0 <= c < m):
                 raise ValueError("color %r out of range at vertex %r" % (c, v))
 
     def __repr__(self):
@@ -115,9 +115,10 @@ def flow_to_coloring(g, f, m, anchor, basis=None):
     anchor is a pair (face, color).  Requires the flow boundary and all
     basis pairings to vanish mod m; the color of face y is then
     anchor color + pair(f, P(y)) mod m, independent of the copaths.  The
-    colors are read off a potential walk over a BFS tree of the dual: a
-    step from face v to face w across half-edge h (left = v) adds the
-    flow f[opp(h)] that the copath step to w pairs with.
+    colors are read off a potential walk over the dual BFS tree of
+    ``homology._bfs_tree`` rooted at the anchor: a step from face v to
+    face w across half-edge h (left = v) adds the flow f[opp(h)] that the
+    copath step to w pairs with.
     """
     x, c0 = anchor
     fchain = f.chain if hasattr(f, "chain") else f
@@ -130,16 +131,12 @@ def flow_to_coloring(g, f, m, anchor, basis=None):
     for k in basis.cocycles:
         if pair(fchain, k) % m != 0:
             raise DivisibilityViolation("basis pairing not divisible by %d" % m)
+    parent_arc, order = homology._bfs_tree(g, g.faces, g.left, x)
     color = [None] * g.num_faces
     color[x] = c0 % m
-    queue = [x]
-    for v in queue:
-        for h in g.faces[v]:
-            o = g.opp[h]
-            w = g.left[o]
-            if color[w] is None:
-                color[w] = (color[v] + fchain[o]) % m
-                queue.append(w)
+    for w in order[1:]:
+        h = parent_arc[w]
+        color[w] = (color[g.left[h]] + fchain[g.opp[h]]) % m
     return dict(enumerate(color))
 
 
@@ -148,7 +145,7 @@ def extend_precoloring(h_map, pre):
     the odd cycle C_m, and produce a verified one when it does."""
     m = pre.m
     for v in pre.psi:
-        if not (0 <= v < h_map.num_vertices):
+        if not (isinstance(v, int) and 0 <= v < h_map.num_vertices):
             raise ValueError("precolored vertex %r not in the map" % (v,))
 
     # loops are never homomorphic to a cycle; adjacent precolored vertices

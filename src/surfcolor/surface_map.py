@@ -20,6 +20,8 @@ of the arrays, building only its face orbits anew.
 
 from __future__ import annotations
 
+from math import prod
+
 from . import errors
 
 
@@ -273,18 +275,11 @@ class FaceProfile:
     b_star is 1 plus the sum of the per-face b values.
     """
 
-    __slots__ = ("m", "face_lengths", "q_values", "b_values", "q_star", "b_star")
+    __slots__ = ("q_star", "b_star")
 
-    def __init__(self, m, face_lengths, q_values, b_values):
-        self.m = m
-        self.face_lengths = list(face_lengths)
-        self.q_values = list(q_values)
-        self.b_values = list(b_values)
-        q_star = 1
-        for q in self.q_values:
-            q_star *= q
+    def __init__(self, q_star, b_star):
         self.q_star = q_star
-        self.b_star = 1 + sum(self.b_values)
+        self.b_star = b_star
 
 
 def face_candidates(n, m):
@@ -307,8 +302,10 @@ def b_of(n, m):
 
 
 def check_modulus(modulus):
-    """Raise unless the modulus, the length of the target cycle, is odd
-    and at least 3."""
+    """Raise unless the modulus, the length of the target cycle, is an odd
+    integer and at least 3."""
+    if not isinstance(modulus, int):
+        raise errors.SurfcolorError("modulus must be an integer, got %r" % (modulus,))
     if modulus % 2 == 0:
         raise errors.EvenModulus("modulus must be odd, got %d" % modulus)
     if modulus < 3:
@@ -319,9 +316,8 @@ def face_profile(m, modulus):
     """Face profile of a map for an odd modulus >= 3."""
     check_modulus(modulus)
     lengths = m.face_lengths()
-    qs = [q_of(n, modulus) for n in lengths]
-    bs = [b_of(n, modulus) for n in lengths]
-    return FaceProfile(modulus, lengths, qs, bs)
+    q_star = prod(q_of(n, modulus) for n in lengths)
+    return FaceProfile(q_star, 1 + sum(b_of(n, modulus) for n in lengths))
 
 
 def save_surfmap(m):

@@ -226,18 +226,48 @@ def reference_dual_tree(m, root, excluded_edges):
 def test_one_tree_builder_equals_the_separate_builders(kind):
     rng = random.Random(kind)
     for m in DIFFERENTIAL_MAPS[kind]:
-        parent_v = homology._bfs_tree(m, m.rot, m.tgt, 0)
+        parent_v = homology._bfs_tree(m, m.rot, m.tgt, 0)[0]
         assert parent_v == reference_primal_tree(m)
         # the cotree avoids the tree's edges, as cohomology_basis builds it
         tree_edges = {m.canonical(h) for h in parent_v if h is not None}
-        cotree = homology._bfs_tree(m, m.faces, m.left, 0, tree_edges)
+        cotree = homology._bfs_tree(m, m.faces, m.left, 0, tree_edges)[0]
         assert cotree == reference_dual_tree(m, 0, tree_edges)
         # a copath tree from a random root, and a dual tree avoiding a
         # random edge set that may leave faces unreached
         x = rng.randrange(m.num_faces)
-        assert homology._bfs_tree(m, m.faces, m.left, x) == reference_dual_tree(m, x, frozenset())
+        assert homology._bfs_tree(m, m.faces, m.left, x)[0] == reference_dual_tree(m, x, frozenset())
         edges = m.canonical_half_edges()
         excluded = set(rng.sample(edges, rng.randint(0, len(edges))))
-        assert homology._bfs_tree(m, m.faces, m.left, x, excluded) == reference_dual_tree(
+        assert homology._bfs_tree(m, m.faces, m.left, x, excluded)[0] == reference_dual_tree(
             m, x, excluded
         )
+
+
+@pytest.mark.parametrize("kind", sorted(DIFFERENTIAL_MAPS))
+def test_tree_order_lists_each_reached_node_after_its_parent(kind):
+    rng = random.Random("order/" + kind)
+    unreached = 0
+    for m in DIFFERENTIAL_MAPS[kind]:
+        edges = m.canonical_half_edges()
+        x = rng.randrange(m.num_faces)
+        primal = homology._bfs_tree(m, m.rot, m.tgt, 0)
+        tree_edges = {m.canonical(h) for h in primal[0] if h is not None}
+        trees = [
+            (m.tgt, primal, 0),
+            (m.left, homology._bfs_tree(m, m.faces, m.left, 0, tree_edges), 0),
+            (m.left, homology._bfs_tree(m, m.faces, m.left, x), x),
+        ]
+        for _ in range(3):
+            excluded = set(rng.sample(edges, rng.randint(0, len(edges))))
+            trees.append((m.left, homology._bfs_tree(m, m.faces, m.left, x, excluded), x))
+        for head, (parent_arc, order), root in trees:
+            assert order[0] == root
+            reached = {root} | {w for w, h in enumerate(parent_arc) if h is not None}
+            assert len(order) == len(set(order)) and set(order) == reached
+            unreached += len(parent_arc) - len(order)
+            place = {w: i for i, w in enumerate(order)}
+            for w in order[1:]:
+                assert place[head[parent_arc[w]]] < place[w]
+    # the excluded-edge trees leave some faces unreached
+    if any(m.num_faces > 1 for m in DIFFERENTIAL_MAPS[kind]):
+        assert unreached > 0

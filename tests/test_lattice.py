@@ -15,12 +15,11 @@ from surfcolor.lattice import (
     ResidueSpec,
     integer_points_bruteforce,
     membership,
-    residue_difference_solve,
-    rhs_table,
     pairing_bounds,
 )
 
 from conftest import brute_circulations, random_map, random_nowhere_zero
+from residue_reference import residue_difference_solve, rhs_table
 
 
 def _setup(m, x=0, extra=()):

@@ -19,12 +19,11 @@ from surfcolor.lattice import (
     SearchState,
     integer_points_bruteforce,
     layered_residue_solve,
-    residue_difference_solve,
-    rhs_table,
 )
 from surfcolor.solver import Precoloring, extend_precoloring
 
 from conftest import CORPUS, random_map, random_nowhere_zero
+from residue_reference import residue_difference_solve, rhs_table
 from test_near_quadrangulations import delete_edges
 
 

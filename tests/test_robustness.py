@@ -13,6 +13,7 @@ from surfcolor.cli import gen_grid
 from surfcolor.surface_map import load_surfmap, save_surfmap
 
 from conftest import random_map, random_nowhere_zero
+from residue_reference import rhs_table
 
 
 def brute_feasible_general(m, basis, f, target):
@@ -133,7 +134,7 @@ def test_johnson_distances_equal_plain_bellman_ford():
         )
         if not zero_ok:
             continue
-        tbl = lattice.rhs_table(m, basis, f, a, S, x, cps)
+        tbl = rhs_table(m, basis, f, a, S, x, cps)
         # recompute the distances with plain Bellman-Ford per source
         target = HomologyTarget(a, (x,), x, {x: cps[x]}, {x: 0})
         b = circulation.prescribed_cycle(m, basis, target)

@@ -15,6 +15,7 @@ from surfcolor.solver import (
     flow_to_coloring,
     verify_homomorphism,
 )
+from surfcolor.surface_map import face_profile
 
 from conftest import backtrack_extendable, random_map
 
@@ -155,6 +156,31 @@ def test_precoloring_validation():
         Precoloring(1)
     with pytest.raises(ValueError):
         Precoloring(3, {0: 3})
+
+
+def _solve_grid33(modulus, psi=None):
+    return extend_precoloring(gen_grid(3, 3), Precoloring(modulus, psi))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _solve_grid33(3.0),
+        lambda: _solve_grid33("3"),
+        lambda: face_profile(gen_grid(3, 3), 3.0),
+        lambda: _solve_grid33(3, {0: 1.0, 4: 2}),
+        lambda: _solve_grid33(3, {0.0: 1}),
+        lambda: _solve_grid33(3, {"a": 1}),
+        lambda: _solve_grid33(3, {0: 0, 1: 1.5}),
+    ],
+    ids=["float-modulus", "str-modulus", "float-profile-modulus", "float-color",
+         "float-vertex", "str-vertex", "fractional-color"],
+)
+def test_non_integer_inputs_raise_value_error(call):
+    # a modulus, color or vertex id that is not an int is refused up front,
+    # not met as a TypeError inside the solve or answered NONE
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_grid33_m5_matches_bruteforce():

@@ -49,10 +49,6 @@ class NotAZeroBoundary(SurfcolorError):
     pass
 
 
-class ParityViolation(SurfcolorError):
-    pass
-
-
 class AnchorOutsidePolytope(SurfcolorError):
     pass
 

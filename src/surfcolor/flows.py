@@ -7,12 +7,13 @@ the leftover all-even-degree subgraph along Eulerian circuits, whose
 walk writes each arc into a copy of the flow's coefficients.  Before
 the max-flow, a cut check on the saturated vertices (|d[v]| = deg(v))
 rejects most unrealizable boundaries in time linear in their degrees.
+The completion's odd-degree test is the one parity test: it fails
+exactly when the boundary is not parity-compliant.  Both checks read
+only the map's arrays.
 
 The relevant boundaries are streamed by a DFS over the first vertices
 whose leaves are completed from a table of the last vertices' selections
-grouped by sum, built once per stream.  The parity and cut checks read
-the degrees, odd-degree vertices and neighbour lists that the map builds
-once, on first use (``CombinatorialMap.adjacency``).
+grouped by sum, built once per stream.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import itertools
 
 from . import chains
 from .chains import Chain0, Chain1
-from .errors import NotAZeroBoundary, ParityViolation
-from .surface_map import face_candidates
+from .errors import NotAZeroBoundary
+from .surface_map import check_modulus, face_candidates
 
 # relevant_boundaries tabulates the completions of a run of last vertices
 # with at most this many candidate selections
@@ -44,11 +45,6 @@ class Flow:
         return "Flow(%r, nowhere_zero=%s)" % (self.chain, self.nowhere_zero)
 
 
-def is_parity_compliant(m, d):
-    """True iff d[v] and deg(v) have the same parity at every vertex."""
-    return {v for v, c in d.coeffs.items() if c % 2} == m.adjacency()[1]
-
-
 def flow_with_boundary(m, d):
     """A flow f1 with boundary d, or None if none exists.
 
@@ -67,13 +63,14 @@ def flow_with_boundary(m, d):
     if chains.boundary0(d) != 0:
         raise NotAZeroBoundary("boundary entries must sum to zero")
     coeffs = d.coeffs
-    deg, _, nbrs = m.adjacency()
+    rot, tgt, opp = m.rot, m.tgt, m.opp
     for v, c in coeffs.items():
-        if abs(c) != deg[v]:
+        if abs(c) != len(rot[v]):
             continue
-        for u in nbrs[v]:
+        for h in rot[v]:
+            u = tgt[opp[h]]
             cu = coeffs.get(u, 0)
-            if cu * c > 0 and abs(cu) == deg[u]:
+            if cu * c > 0 and abs(cu) == len(rot[u]):
                 return None
 
     need = d.norm() // 2
@@ -123,14 +120,18 @@ def flow_with_boundary(m, d):
 
 
 def nowhere_zero_completion(m, f1):
-    """Extend a flow to a nowhere-zero flow with the same boundary.
+    """Extend a flow to a nowhere-zero flow with the same boundary d, or
+    None if none exists.
 
-    The edges where f1 vanishes form an all-even-degree subgraph when the
-    boundary is parity-compliant; orienting each component along an
-    Eulerian circuit (Hierholzer) fills in every zero without touching
-    the boundary.  The walk writes each traversed arc into a copy of f1's
-    coefficients (+1 on a canonical arc, -1 on its opposite), so an edge
-    that has a coefficient is one f1 carries or the walk has used.
+    f1 is nonzero on d[v] (mod 2) of the deg(v) half-edges at v, so the
+    edges where f1 vanishes form an all-even-degree subgraph exactly when
+    d is parity-compliant (d[v] = deg(v) mod 2); otherwise no nowhere-zero
+    flow has boundary d, and the answer is None.  Orienting each component
+    along an Eulerian circuit (Hierholzer) fills in every zero without
+    touching the boundary.  The walk writes each traversed arc into a
+    copy of f1's coefficients (+1 on a canonical arc, -1 on its
+    opposite), so an edge that has a coefficient is one f1 carries or
+    the walk has used.
     """
     coeffs = dict(f1.chain.coeffs)
     zero_out = [[] for _ in range(m.num_vertices)]
@@ -140,7 +141,7 @@ def nowhere_zero_completion(m, f1):
             zero_out[m.tgt[m.opp[h]]].append(h)
     for v in range(m.num_vertices):
         if len(zero_out[v]) % 2 != 0:
-            raise ParityViolation("zero-edge subgraph has odd degree at vertex %d" % v)
+            return None
         zero_out[v].sort()
 
     pos = [0] * m.num_vertices
@@ -165,9 +166,9 @@ def nowhere_zero_completion(m, f1):
 
 
 def nowhere_zero_flow_with_boundary(m, d):
-    """A nowhere-zero flow with boundary d, or None if none exists."""
-    if not is_parity_compliant(m, d):
-        return None
+    """A nowhere-zero flow with boundary d, or None if none exists: the
+    max-flow's f1, completed.  Raises NotAZeroBoundary unless d sums to
+    zero."""
     f1 = flow_with_boundary(m, d)
     if f1 is None:
         return None
@@ -193,6 +194,7 @@ def relevant_boundaries(m, modulus):
     order of the whole selections.  Each Chain0 is built once, from the
     prefix's nonzero entries and the tail's.
     """
+    check_modulus(modulus)
     nv = m.num_vertices
     cands = [face_candidates(m.degree(v), modulus) for v in range(nv)]
     if any(not c for c in cands):

@@ -36,7 +36,6 @@ class CombinatorialMap:
         "left",
         "faces",
         "euler_genus",
-        "_adjacency",
         "_dual_arcs",
     )
 
@@ -48,7 +47,6 @@ class CombinatorialMap:
         self.left = left            # list: half-edge -> face
         self.faces = faces          # list of lists: face -> orbit of sigma, cyclic
         self.euler_genus = euler_genus
-        self._adjacency = None      # built by adjacency() on first use
         self._dual_arcs = None      # built by dual_arcs() on first use
 
     @property
@@ -78,21 +76,9 @@ class CombinatorialMap:
     def degree(self, v):
         return len(self.rot[v])
 
-    def adjacency(self):
-        """(deg, odd, nbrs), built on the first call and kept: deg[v] is
-        the degree of v, odd the frozenset of odd-degree vertices, and
-        nbrs[v] lists tgt(opp(h)) for each h in rot[v], in rotation order.
-        Lazy, so building a map that never asks costs nothing."""
-        if self._adjacency is None:
-            deg = [len(cyc) for cyc in self.rot]
-            odd = frozenset(v for v, n in enumerate(deg) if n % 2)
-            nbrs = [[self.tgt[self.opp[h]] for h in cyc] for cyc in self.rot]
-            self._adjacency = (deg, odd, nbrs)
-        return self._adjacency
-
     def dual_arcs(self):
-        """The dual's out lists, built on the first call and kept, like
-        adjacency(): out[left(opp(h))] holds (left(h), h) in ascending h."""
+        """The dual's out lists, built on the first call and kept:
+        out[left(opp(h))] holds (left(h), h) in ascending h."""
         if self._dual_arcs is None:
             out = [[] for _ in self.faces]
             for h, o in enumerate(self.opp):

@@ -13,17 +13,25 @@ from surfcolor.surface_map import CombinatorialMap, face_candidates
 from conftest import CORPUS, random_map, random_nowhere_zero
 
 
+def parity_compliant(m, d):
+    """True iff d[v] and deg(v) have the same parity at every vertex."""
+    return all((d[v] - m.degree(v)) % 2 == 0 for v in range(m.num_vertices))
+
+
 def test_parity_compliance():
     m = gen_grid(3, 3)  # all degrees 4
-    assert flows.is_parity_compliant(m, Chain0(m))
+    assert parity_compliant(m, Chain0(m))
+    assert flows.nowhere_zero_flow_with_boundary(m, Chain0(m)) is not None
     m2 = build_map([[0], [1]])  # degrees 1
-    assert not flows.is_parity_compliant(m2, Chain0(m2))
+    assert not parity_compliant(m2, Chain0(m2))
+    assert flows.nowhere_zero_flow_with_boundary(m2, Chain0(m2)) is None
     d = Chain0(m2, {0: 1, 1: -1})
-    assert flows.is_parity_compliant(m2, d)
+    assert parity_compliant(m2, d)
+    assert flows.nowhere_zero_flow_with_boundary(m2, d) is not None
     # d[v] = deg(v) passes the parity test by definition
     m3 = gen_grid(3, 3)
     d3 = Chain0(m3, {v: m3.degree(v) for v in range(m3.num_vertices)})
-    assert flows.is_parity_compliant(m3, d3)
+    assert parity_compliant(m3, d3)
 
 
 def test_flow_with_zero_boundary_is_zero_flow():
@@ -92,9 +100,17 @@ def test_completion_keeps_f1_on_its_support():
 
 
 def test_completion_rejects_odd_zero_subgraph():
+    # the zero flow's zero-edge subgraph is the one edge, odd at both ends
     m = build_map([[0], [1]])
-    with pytest.raises(errors.ParityViolation):
-        flows.nowhere_zero_completion(m, flows.Flow(Chain1(m)))
+    assert flows.nowhere_zero_completion(m, flows.Flow(Chain1(m))) is None
+
+
+def test_nowhere_zero_flow_requires_zero_sum():
+    # the sum is checked before anything else, also for a boundary that
+    # is not parity-compliant (d[0] = 1 at a degree-4 vertex)
+    g = gen_grid(3, 3)
+    with pytest.raises(errors.NotAZeroBoundary):
+        flows.nowhere_zero_flow_with_boundary(g, Chain0(g, {0: 1}))
 
 
 def test_eulerian_orientation_on_even_maps(corpus_map):
@@ -182,7 +198,7 @@ def test_boundary_stream_is_sorted_and_bounded(corpus_map):
     assert len(set(keys)) == len(keys)
     for b in bs:
         assert b.norm() + 1 <= prof.b_star
-        assert flows.is_parity_compliant(m, b)
+        assert parity_compliant(m, b)
 
 
 def test_flow_boundaries_are_relevant(corpus_map):
@@ -246,7 +262,7 @@ def test_flow_with_boundary_matches_gale_cut_oracle():
     for _ in range(400):
         m = random_map(rng, max_edges=14, max_vertices=7)
         d = random_relevant_boundary(rng, m)
-        assert flows.is_parity_compliant(m, d)
+        assert parity_compliant(m, d)
         f = flows.flow_with_boundary(m, d)
         assert (f is None) == cut_violated(m, d)
         if f is None:
@@ -257,12 +273,21 @@ def test_flow_with_boundary_matches_gale_cut_oracle():
 
 
 def test_parity_compliance_matches_per_vertex_rule():
+    # the completion's odd-degree test is the package's parity test: on a
+    # flow f1 it returns None exactly when f1's boundary breaks the rule
     rng = random.Random(313)
+    rejected = 0
     for _ in range(300):
         m = random_map(rng, max_edges=10, max_vertices=6)
-        d = Chain0(m, {v: rng.randint(-4, 4) for v in range(m.num_vertices)})
-        want = all((d[v] - m.degree(v)) % 2 == 0 for v in range(m.num_vertices))
-        assert flows.is_parity_compliant(m, d) == want
+        f1 = Chain1(m, {h: rng.choice((-1, 0, 0, 1)) for h in m.canonical_half_edges()})
+        d = boundary1(f1)
+        f0 = flows.nowhere_zero_completion(m, flows.Flow(f1))
+        assert (f0 is None) == (not parity_compliant(m, d))
+        if f0 is None:
+            rejected += 1
+        else:
+            assert f0.nowhere_zero and boundary1(f0.chain) == d
+    assert 50 <= rejected <= 250, rejected
 
 
 @pytest.mark.parametrize(
@@ -283,7 +308,7 @@ def test_cut_check_rejects_saturated_vertices(nv, edges, d):
     m = edge_map(nv, edges)
     d = Chain0(m, d)
     assert all(abs(d[v]) <= m.degree(v) for v in range(nv))
-    assert flows.is_parity_compliant(m, d)
+    assert parity_compliant(m, d)
     assert cut_violated(m, d)
     assert flows.flow_with_boundary(m, d) is None
 
@@ -336,3 +361,73 @@ def test_boundary_table_and_prefix_both_take_part():
     m = dict(stream_maps())["degree7x16"]
     assert 2 ** m.num_vertices > flows.TABLE_LIMIT
     assert len(list(flows.relevant_boundaries(m, 7))) == 12870  # C(16, 8)
+
+
+def orientation_boundaries(m):
+    """Every boundary of a nowhere-zero flow on m, as a tuple over the
+    vertices, by running through the 2^E orientations one edge at a time."""
+    reach = {(0,) * m.num_vertices}
+    for h in m.canonical_half_edges():
+        unit = boundary1(Chain1(m, {h: 1}))
+        vec = [unit[v] for v in range(m.num_vertices)]
+        reach = {tuple(b + s * x for b, x in zip(bs, vec)) for bs in reach for s in (-1, 1)}
+    return reach
+
+
+def random_zero_sum(rng, m):
+    """A zero-sum d with entries drawn from [-deg(v) - 1, deg(v) + 1],
+    then moved one unit at a time to sum zero; mostly not parity-compliant."""
+    nv = m.num_vertices
+    d = [rng.randint(-m.degree(v) - 1, m.degree(v) + 1) for v in range(nv)]
+    while sum(d) != 0:
+        d[rng.randrange(nv)] -= 1 if sum(d) > 0 else -1
+    return Chain0(m, dict(enumerate(d)))
+
+
+def test_nowhere_zero_flow_matches_orientation_bruteforce():
+    rng = random.Random(317)
+    non_compliant = infeasible = realized = loops = 0
+    for _ in range(200):
+        m = random_map(rng, max_edges=10, max_vertices=6)
+        reach = orientation_boundaries(m)
+        for d in (
+            Chain0(m, dict(enumerate(rng.choice(sorted(reach))))),
+            random_relevant_boundary(rng, m),
+            random_zero_sum(rng, m),
+        ):
+            f = flows.nowhere_zero_flow_with_boundary(m, d)
+            key = tuple(d[v] for v in range(m.num_vertices))
+            assert (f is None) == (key not in reach), key
+            if not parity_compliant(m, d):
+                non_compliant += 1
+            elif f is None:
+                infeasible += 1
+            else:
+                assert f.nowhere_zero and boundary1(f.chain) == d
+                realized += 1
+                loops += any(m.is_loop(h) for h in m.canonical_half_edges())
+    # each way of finding nothing, and realizations on maps with loops
+    assert non_compliant >= 100 and infeasible >= 50 and realized >= 200 and loops >= 100, (
+        non_compliant,
+        infeasible,
+        realized,
+        loops,
+    )
+
+
+@pytest.mark.parametrize(
+    "modulus, error",
+    [
+        (0, errors.EvenModulus),
+        (1, errors.ModulusTooSmall),
+        (2, errors.EvenModulus),
+        (True, errors.ModulusTooSmall),
+        (-3, errors.ModulusTooSmall),
+        (3.0, errors.SurfcolorError),
+    ],
+    ids=["zero", "one", "two", "true", "minus-three", "float"],
+)
+def test_relevant_boundaries_check_the_modulus(modulus, error):
+    g = dual(gen_grid(3, 3))
+    with pytest.raises(error):
+        next(flows.relevant_boundaries(g, modulus))

@@ -7,22 +7,27 @@ fractions.  The enumeration walks all subsets of the grid in strictly
 convex position in ascending lexicographic order: each such subset is
 the vertex set of exactly one third-integral polytope in the box, and
 growing a set can only grow its hull, so branches whose hull contains an
-integer point are pruned for good.  Each extension adds one
-counterclockwise cap triangle to the hull, and only the cap needs a
-containment test.  Each hull passes its children only the points that
-survived its own tests: a point that is no vertex of conv(S + p) is no
-vertex of conv(S' + p) for S a subset of S', and an integer point in
-conv(S + p) is in conv(S' + p), so a rejected point stays rejected in
-the whole subtree.  Every hull that no grid point extends is then
-checked by the same narrow-direction search as ``narrow_direction``,
-with directions tried by increasing max-norm up to the given bound.
+integer point are pruned for good.
+
+Point sets are bitmasks over the non-integer grid points, and a hull's
+children are the bits of two ANDs of table rows (see ``_walk``).  A hull
+passes its children only the points that survived its own tests: a
+point that is no vertex of conv(S + p) is no vertex of conv(S' + p) for
+S a subset of S', and an integer point in conv(S + p) is in conv(S' + p),
+so a rejected point stays rejected in the whole subtree.  Every hull
+that no grid point extends then gets the search of ``narrow_direction``,
+trying directions by increasing max-norm up to the given bound.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import time
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, gcd
+from operator import or_
 
 from .errors import NotUnimodular, ZeroDirection
 
@@ -57,12 +62,16 @@ class ThirdIntegralPolygon:
 
     The stored vertex sequence is the strictly convex hull of the input,
     counterclockwise, starting at the lexicographically smallest vertex.
+    Every coordinate must be an int; a bool is not one.
     """
 
     __slots__ = ("vertices_thirds",)
 
     def __init__(self, vertices_thirds):
-        hull = convex_hull([(int(x), int(y)) for x, y in vertices_thirds])
+        pts = [(x, y) for x, y in vertices_thirds]
+        if not all(type(x) is int and type(y) is int for x, y in pts):
+            raise ValueError("vertex coordinates must be integers (in thirds)")
+        hull = convex_hull(pts)
         if not hull:
             raise ValueError("a polygon needs at least one vertex")
         start = hull.index(min(hull))
@@ -84,6 +93,8 @@ class ThirdIntegralPolygon:
 def width_along(poly, z):
     """Exact spread of the support function along an integer direction."""
     z1, z2 = z
+    if not (type(z1) is int and type(z2) is int):
+        raise ValueError("direction must have integer coordinates")
     if z1 == 0 and z2 == 0:
         raise ZeroDirection("direction must be nonzero")
     vals = [z1 * x + z2 * y for x, y in poly.vertices_thirds]
@@ -145,15 +156,13 @@ def coprime_directions(bound):
 def narrow_direction(poly, threshold=THRESHOLD, bound=42):
     """First searched direction along which the polygon is strictly
     narrower than the threshold, or None if the bound is exhausted."""
-    return _narrow(poly.vertices_thirds, ceil(3 * threshold), bound)
+    return _narrow(poly.vertices_thirds, ceil(3 * threshold), coprime_directions(bound))
 
 
-def _narrow(vertices, limit, bound):
-    """First direction of coprime_directions(bound) along which the
-    vertices, in thirds, span fewer than limit thirds, or None.  For an
-    integer width, below limit = ceil(3 * threshold) is below the
-    threshold."""
-    for z1, z2 in coprime_directions(bound):
+def _narrow(vertices, limit, directions):
+    """First of the directions along which the vertices span fewer than
+    limit = ceil(3 * threshold) thirds, below the threshold; or None."""
+    for z1, z2 in directions:
         vals = [z1 * x + z2 * y for x, y in vertices]
         if max(vals) - min(vals) < limit:
             return (z1, z2)
@@ -214,99 +223,89 @@ def _candidate_points(box_thirds):
     return [(x, y) for x in range(bx + 1) for y in range(by + 1) if x % 3 or y % 3]
 
 
-def _extend_convex(hull, p):
-    """Insert a point p lex-greater than every hull vertex.
-
-    The hull is counterclockwise and ends at its lex-greatest vertex t;
-    so does the new hull, which ends at p.  Returns (new_hull, cap) where
-    cap is the closed region added to the hull as a counterclockwise
-    triangle (a, p, b) of the visible edge a-b and p, or (a, p, a) for
-    the segment of a 1-point hull; or None when some existing vertex
-    would stop being a vertex (the extended set is not in strictly convex
-    position).  p lex-greater guarantees p lies strictly outside, so it
-    always becomes a vertex itself.
-
-    Three cross products decide it.  t is the unique lex-greatest point
-    of the hull, so the wedge of the hull at t (between its edges
-    (hull[-2], t) and (t, hull[0])) holds no point lex-greater than t,
-    and p is strictly right of (sees) at least one of those two edges.
-    The edges that p sees form one contiguous chain, the edges between
-    the two tangent points from p, and an edge whose line passes through
-    p lies on a tangent, next to that chain.  So exactly one edge is
-    visible and none is collinear with p iff one edge at t is visible
-    and both its neighbours, the other edge at t and its far neighbour,
-    have p strictly on their left.  For k = 2 the same formulas hold with
-    indices mod k, the two edges being the segment both ways round.
-    """
-    k = len(hull)
-    if k == 1:
-        a = hull[0]
-        return [a, p], (a, p, a)
-    t = hull[-1]
-    c_in = _cross(hull[-2], t, p)
-    c_out = _cross(t, hull[0], p)
-    if c_out < 0 < c_in:
-        if _cross(hull[0], hull[1 % k], p) <= 0:
-            return None
-        return hull + [p], (t, p, hull[0])
-    if c_in < 0 < c_out:
-        if _cross(hull[-3 % k], hull[-2], p) <= 0:
-            return None
-        return [t] + hull[:-1] + [p], (hull[-2], p, t)
-    # both edges at t visible (t is swallowed), or p on the line of one
-    return None
-
-
-def _explore_root(args):
-    """DFS all hollow strictly-convex subsets whose smallest point is
-    points[root]; returns (examined, maximal, failures)."""
-    box_thirds, bound, root = args
-    points = _candidate_points(box_thirds)
+def _tables(box_thirds):
+    """(points, size, left, hollow) of the box: bit i of a point set is
+    points[i], the ends are the candidates and then the integer points,
+    left[i * size + j] holds the candidates strictly left of ends[i] ->
+    ends[j] (all of them for i = j), and for candidates a and b,
+    hollow[a * size + b] holds the p for which the counterclockwise
+    triangle (a, p, b), or the segment a-p for a = b, has no integer point."""
     bx, by = box_thirds
-    int_pts = [(x, y) for x in range(0, bx + 1, 3) for y in range(0, by + 1, 3)]
-    limit = ceil(3 * THRESHOLD)
-    npts = len(points)
+    points = _candidate_points(box_thirds)
+    ends = points + [(x, y) for x in range(0, bx + 1, 3) for y in range(0, by + 1, 3)]
+    n, size = len(points), len(ends)
+    full = (1 << n) - 1
+    left, hollow = [full] * (size * size), [0] * (n * size)
+    lines = {}  # by primitive direction: the pairs of one line share its rows
+    for i, a in enumerate(ends):
+        for j, b in enumerate(ends):
+            g = gcd(b[0] - a[0], b[1] - a[1])
+            if g:  # left[i * size + i] stays full
+                lines.setdefault(((b[0] - a[0]) // g, (b[1] - a[1]) // g), []).append(i * size + j)
+    for (dx, dy), pairs in lines.items():
+        # cross(a, a + d, p) = v(p) - v(a) for v(p) = dx * py - dy * px
+        vals = [dx * y - dy * x for x, y in ends]
+        order = sorted(range(n), key=vals.__getitem__)
+        keys = [vals[p] for p in order]
+        above = [full ^ m for m in accumulate((1 << p for p in order), or_, initial=0)]
+        for ij in pairs:
+            left[ij] = above[bisect_right(keys, vals[ij // size])]
+    # for p strictly right of a -> b, q is in (a, p, b) iff q is left of or
+    # on b -> a and p right of or on a -> q and left of or on b -> q; and
+    # q is on the segment a-p, for p > a, iff q > a and p is on a -> q past q
+    for i, a in enumerate(points):
+        for j, b in enumerate(points):
+            mask = full
+            for k in range(n, size):
+                if i != j and _cross(b, a, ends[k]) >= 0:
+                    mask &= left[i * size + k] | left[k * size + j]
+                elif i == j and ends[k] > a:
+                    mask &= left[i * size + k] | left[k * size + i] | (1 << bisect_left(points, ends[k])) - 1
+            hollow[i * size + j] = mask
+    return points, size, left, hollow
 
-    examined = 0
-    maximal = 0
-    failures = []
 
-    def cap_hollow(cap):
-        # the cap is counterclockwise, so a point is in it (closed) when
-        # it is on the left of or on each of its three edges
-        a, p, b = cap
-        lo_x, hi_x = min(a[0], p[0], b[0]), max(a[0], p[0], b[0])
-        lo_y, hi_y = min(a[1], p[1], b[1]), max(a[1], p[1], b[1])
-        for q in int_pts:
-            if (
-                lo_x <= q[0] <= hi_x
-                and lo_y <= q[1] <= hi_y
-                and _cross(a, p, q) >= 0
-                and _cross(p, b, q) >= 0
-                and _cross(b, a, q) >= 0
-            ):
-                return False
-        return True
+def _walk(args):
+    """(examined, maximal, failures) of the DFS from the given roots.
+
+    A hull lists its vertices counterclockwise, h0, h1, ..., r, s, t
+    (indices mod its length), t lex-greatest.  The wedge at t holds no
+    lex-greater p, so p sees (is strictly right of) an edge at t; the
+    edges p sees form a chain, and an edge whose line meets p lies next
+    to it.  So p keeps every vertex iff it sees one edge at t and has
+    both neighbours of that edge strictly on its left: t -> h0 with
+    s -> t and h0 -> h1 (cap (t, p, h0); p follows t), or s -> t with
+    t -> h0 and r -> s (cap (s, p, t); the hull restarts at t).  A
+    one-point hull reads only i = j entries: its cap is the segment.
+    """
+    box_thirds, bound, limit, roots = args
+    points, size, left, hollow = _tables(box_thirds)
+    directions = []  # listed as the narrow check first draws them
+    drawn = (directions.append(z) or z for z in coprime_directions(bound))
+    examined, maximal, failures = 0, 0, []
 
     def visit(hull, cands):
         # cands: the lex-greater points that no hull above this one rejected
         nonlocal examined, maximal
         examined += 1
-        kept, hulls = [], []
-        for p in cands:
-            ext = _extend_convex(hull, p)
-            if ext is not None and cap_hollow(ext[1]):
-                kept.append(p)
-                hulls.append(ext[0])
+        k = len(hull)
+        h0, h1, r, s, t = hull[0], hull[1 % k], hull[-3 % k], hull[-2 % k], hull[-1]
+        st, th0 = s * size + t, t * size + h0
+        one = cands & left[st] & left[h0 * size + t] & left[h0 * size + h1] & hollow[th0]
+        two = cands & left[t * size + s] & left[th0] & left[r * size + s] & hollow[st]
+        kept = one | two
         if not kept:
             maximal += 1
-            if _narrow(hull, limit, bound) is None:
-                failures.append(tuple(sorted(hull)))
-        for i, new_hull in enumerate(hulls):
-            visit(new_hull, kept[i + 1:])
+            verts = [points[v] for v in hull]
+            if _narrow(verts, limit, directions) is None and _narrow(verts, limit, drawn) is None:
+                failures.append(tuple(sorted(verts)))
+        while kept:
+            p = (kept & -kept).bit_length() - 1
+            kept &= kept - 1
+            visit(hull + [p] if one >> p & 1 else [t] + hull[:-1] + [p], kept)
 
-    if root < npts:
-        visit([points[root]], points[root + 1:])
+    for root in roots:
+        visit([root], -2 << root)  # every bit above the root
     return examined, maximal, failures
 
 
@@ -314,19 +313,20 @@ def enumerate_and_verify(box_thirds=(8, 13), bound=42, jobs=1):
     """Enumerate every third-integral polytope in the box and verify that
     each hollow one is strictly narrower than THRESHOLD along some
     direction of max-norm at most bound.  DFS roots are independent, so
-    jobs > 1 fans them out over at most one process per root; the merged
+    jobs > 1 deals them out to at most one process per root; the merged
     report is identical either way.
     """
-    import time
-
     t0 = time.monotonic()
-    tasks = [(box_thirds, bound, r) for r in range(len(_candidate_points(box_thirds)))]
-    workers = min(jobs, len(tasks))
+    limit = ceil(3 * THRESHOLD)
+    roots = range(len(_candidate_points(box_thirds)))
+    workers = min(jobs, len(roots))
     if workers > 1:
+        # one task per worker, so that each builds the tables once
+        tasks = [(box_thirds, bound, limit, roots[w::workers]) for w in range(workers)]
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_explore_root, tasks)
+            results = pool.map(_walk, tasks)
     else:
-        results = [_explore_root(t) for t in tasks]
+        results = [_walk((box_thirds, bound, limit, roots))]
     examined = sum(r[0] for r in results)
     maximal = sum(r[1] for r in results)
     failures = sorted(f for r in results for f in r[2])

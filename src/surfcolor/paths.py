@@ -37,18 +37,16 @@ def shortest_paths(n, out, length, sources):
     queue = deque()
     queued = [False] * n
 
-    def attach(v, u):
-        depth[v] = depth[u] + 1
-        w = nxt[u]
-        nxt[u], prv[v], nxt[v], prv[w] = v, u, w, v
-        if not queued[v]:
-            queued[v] = True
-            queue.append(v)
-
+    # a node enters the tree as its parent's first child, spliced into the
+    # thread right after the parent, and joins the queue unless it is in it
     for s in sources:
         if dist[s] is None:
             dist[s] = 0
-            attach(s, root)
+            depth[s] = 1
+            w = nxt[root]
+            nxt[root], prv[s], nxt[s], prv[w] = s, root, w, s
+            queued[s] = True
+            queue.append(s)
 
     # a label is the length of a simple tree path, within n * span of 0,
     # and only falls, so no node is lowered more than 2 * n * span + 1
@@ -87,7 +85,12 @@ def shortest_paths(n, out, length, sources):
                 nxt[p], prv[w] = w, p
             dist[v] = d
             pred[v] = (u, arc)
-            attach(v, u)
+            depth[v] = depth[u] + 1
+            w = nxt[u]
+            nxt[u], prv[v], nxt[v], prv[w] = v, u, w, v
+            if not queued[v]:
+                queued[v] = True
+                queue.append(v)
     return dist, pred, None
 
 

@@ -1,7 +1,10 @@
 """Exact polygon primitives and the hollow-width enumeration."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -341,31 +344,129 @@ def _same_cycle(a, b):
     return len(a) == len(b) and any(a[i:] + a[:i] == b for i in range(len(a)))
 
 
+def _mask_extension(tables, hull, p):
+    """The walk's extension of a hull (candidate indices, counterclockwise,
+    ending at its lex-greatest vertex) by a lex-greater candidate p, read
+    off the tables as ``_walk`` reads them: (branch, new hull, cap, cap
+    hollow), branch being "one" or "two", or None when p would swallow a
+    vertex."""
+    points, size, left, hollow = tables
+    k = len(hull)
+    h0, h1, r, s, t = hull[0], hull[1 % k], hull[-3 % k], hull[-2 % k], hull[-1]
+    bit = 1 << p
+    one = bit & left[s * size + t] & left[h0 * size + t] & left[h0 * size + h1]
+    two = bit & left[t * size + s] & left[t * size + h0] & left[r * size + s]
+    # a one-point hull has every bit in both, and the walk takes "one"
+    assert not (one and two) or k == 1, (hull, p)
+    if one:
+        return "one", hull + [p], (t, p, h0), bool(bit & hollow[t * size + h0])
+    if two:
+        return "two", [t] + hull[:-1] + [p], (s, p, t), bool(bit & hollow[s * size + t])
+    return None
+
+
 @pytest.mark.parametrize("box", [(3, 3), (4, 4)])
 def test_extend_convex_matches_the_all_edges_reference(box):
     # every hull of the box walk, tried with every lex-greater point
-    points = h2._candidate_points(box)
+    tables = h2._tables(box)
+    points = tables[0]
     hulls = 0
-    outcomes = set()  # None, or which edge at the last vertex is visible
+    outcomes = set()  # None, or the branch the masks take
 
     def visit(hull):
         nonlocal hulls
         hulls += 1
         assert hull[-1] == max(hull)
-        for p in points[points.index(hull[-1]) + 1:]:
-            got = h2._extend_convex(hull, p)
-            want = _extend_convex_all_edges(hull, p)
-            assert (got is None) == (want is None), (hull, p)
+        coords = [points[v] for v in hull]
+        for p in range(hull[-1] + 1, len(points)):
+            got = _mask_extension(tables, hull, p)
+            want = _extend_convex_all_edges(coords, points[p])
+            assert (got is None) == (want is None), (coords, points[p])
             if got is None:
                 outcomes.add(None)
                 continue
-            outcomes.add(got[0][0] == hull[0])
-            assert got[1] == want[1], (hull, p)
-            assert _same_cycle(got[0], want[0]), (hull, p)
-            if not h2.contains_integer_point(Poly(list(got[1]))):
-                visit(got[0])
+            branch, new_hull, cap, cap_hollow = got
+            outcomes.add(branch)
+            assert tuple(points[v] for v in cap) == want[1], (coords, points[p])
+            assert _same_cycle([points[v] for v in new_hull], want[0]), (coords, points[p])
+            assert cap_hollow == (not h2.contains_integer_point(Poly(list(want[1])))), (coords, points[p])
+            if cap_hollow:
+                visit(new_hull)
 
-    for root in points:
+    for root in range(len(points)):
         visit([root])
     assert hulls == h2.enumerate_and_verify(box).hulls_examined
-    assert outcomes == {None, True, False}
+    assert outcomes == {None, "one", "two"}
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+@pytest.mark.parametrize("box", [(3, 3), (4, 5), (5, 7)])
+def test_tables_match_the_polygon_primitives(box):
+    points, size, left, hollow = h2._tables(box)
+    bx, by = box
+    ends = points + [(x, y) for x in range(0, bx + 1, 3) for y in range(0, by + 1, 3)]
+    assert len(ends) == size
+    n = len(points)
+    for i, a in enumerate(ends[:n]):
+        assert left[i * size + i] == (1 << n) - 1
+    for i, a in enumerate(ends):
+        for j, b in enumerate(ends):
+            if i != j:
+                want = sum(1 << p for p, c in enumerate(points) if _cross(a, b, c) > 0)
+                assert left[i * size + j] == want, (a, b)
+    seen = {"hollow": 0, "not hollow": 0, "segment hollow": 0, "segment not hollow": 0}
+    for i, a in enumerate(points):
+        for p in range(i + 1, n):
+            want = not h2.contains_integer_point(Poly([a, points[p]]))
+            assert bool(hollow[i * size + i] >> p & 1) == want, (a, points[p])
+            seen["segment hollow" if want else "segment not hollow"] += 1
+        for j, b in enumerate(points):
+            for p, c in enumerate(points):
+                if _cross(a, c, b) > 0:  # (a, c, b) counterclockwise
+                    want = not h2.contains_integer_point(Poly([a, c, b]))
+                    assert bool(hollow[i * size + j] >> p & 1) == want, (a, c, b)
+                    seen["hollow" if want else "not hollow"] += 1
+    # the integer points of the (3, 3) box are its corners, which no
+    # triangle or segment of candidates reaches
+    assert min(seen.values()) >= (0 if box == (3, 3) else 10), seen
+    assert seen["hollow"] >= 500 and seen["segment hollow"] >= 50, seen
+
+
+def _fresh_report(box, bound):
+    code = "from surfcolor import hollow2d; print(hollow2d.enumerate_and_verify(%r, bound=%d).format(), end='')"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(h2.__file__))))
+    return subprocess.run(
+        [sys.executable, "-c", code % (box, bound)], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_each_call_builds_its_own_tables():
+    # one process walks boxes of different sizes and bounds in turn
+    calls = [((4, 4), 42), ((4, 5), 3), ((4, 4), 42)]
+    fresh = {call: _fresh_report(*call) for call in set(calls)}
+    for box, bound in calls:
+        assert h2.enumerate_and_verify(box, bound=bound).format() == fresh[box, bound]
+
+
+def test_two_workers_match_one_process(monkeypatch):
+    # THRESHOLD is read by the caller, so the workers see the patched value
+    monkeypatch.setattr(h2, "THRESHOLD", Fraction(4, 3))
+    one = h2.enumerate_and_verify((5, 7), bound=3, jobs=1)
+    two = h2.enumerate_and_verify((5, 7), bound=3, jobs=2)
+    assert (one.hulls_examined, one.maximal_hulls, one.failures) == (42908, 28129, two.failures)
+    assert (two.hulls_examined, two.maximal_hulls, len(two.failures)) == (42908, 28129, 1687)
+
+
+def test_non_integer_coordinates_are_refused():
+    # int() used to truncate these to a triangle around no integer point
+    with pytest.raises(ValueError):
+        h2.is_hollow(Poly([(2.9, 2.9), (3.9, 2.9), (2.9, 3.9)]))
+    for bad in (1.0, True, Fraction(3), "3", None):
+        with pytest.raises(ValueError):
+            Poly([(0, 0), (bad, 1)])
+        with pytest.raises(ValueError):
+            h2.width_along(Poly([(0, 0), (3, 1)]), (1, bad))
+    assert h2.width_along(Poly([(0, 0), (3, 1)]), (1, -3)) == 0

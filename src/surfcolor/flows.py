@@ -3,10 +3,12 @@
 A flow is a 1-chain with coefficients in {-1, 0, 1}; its boundary is the
 0-chain of vertex excesses.  Realizing a prescribed boundary reduces to
 a unit-capacity maximum flow; upgrading to a nowhere-zero flow orients
-the leftover all-even-degree subgraph along Eulerian circuits, whose
-walk writes each arc into a copy of the flow's coefficients.  Before
-the max-flow, a cut check on the saturated vertices (|d[v]| = deg(v))
-rejects most unrealizable boundaries in time linear in their degrees.
+the leftover all-even-degree subgraph along Eulerian circuits.  Both
+steps hold the flow under construction as one antisymmetric array over
+the half-edges, f[opp(a)] = -f[a], and walk the same out-arc lists.
+Before the max-flow, a cut check on the saturated vertices
+(|d[v]| = deg(v)) rejects most unrealizable boundaries in time linear
+in their degrees.
 The completion's odd-degree test is the one parity test: it fails
 exactly when the boundary is not parity-compliant.  Both checks read
 only the map's arrays.
@@ -58,7 +60,10 @@ def flow_with_boundary(m, d):
     Auxiliary network: each edge becomes two opposite unit-capacity arcs;
     a super-source feeds every vertex with d[v] < 0 and every vertex with
     d[v] > 0 drains into a super-sink.  A flow with boundary d exists iff
-    the max-flow value reaches half the 1-norm of d.
+    the max-flow value reaches half the 1-norm of d.  The flow is one
+    antisymmetric array f over the half-edges: arc a has residual
+    capacity iff f[a] < 1, and a push along a adds 1 to f[a] and takes
+    1 from f[opp(a)].
     """
     if chains.boundary0(d) != 0:
         raise NotAZeroBoundary("boundary entries must sum to zero")
@@ -73,50 +78,34 @@ def flow_with_boundary(m, d):
             if cu * c > 0 and abs(cu) == len(rot[u]):
                 return None
 
-    need = d.norm() // 2
-    g = [0] * m.half_edge_count        # unit flow on the half-edge arcs
+    f = [0] * m.half_edge_count
     # excess not yet routed: below 0 at a source, above 0 at a sink
     rest = [coeffs.get(v, 0) for v in range(m.num_vertices)]
-    sources = [v for v, c in d.items() if c < 0]
-    out_arcs = [sorted(m.opp[h] for h in m.rot[v]) for v in range(m.num_vertices)]
+    out = _out_arcs(m)
 
-    sent = 0
-    while sent < need:
-        # BFS for an augmenting path in the residual network
-        parent = {v: None for v in sources if rest[v] < 0}
-        frontier = list(parent)
-        goal = None
-        while frontier and goal is None:
-            nxt = []
-            for v in frontier:
-                if rest[v] > 0:
-                    goal = v
-                    break
-                for a in out_arcs[v]:
-                    w = m.tgt[a]
-                    if w in parent:
-                        continue
-                    if (1 - g[a]) + g[m.opp[a]] > 0:
-                        parent[w] = a
-                        nxt.append(w)
-            frontier = nxt
-        if goal is None:
+    for _ in range(d.norm() // 2):
+        # BFS for an augmenting path; the loop breaks at its sink v
+        parent = {v: None for v, r in enumerate(rest) if r < 0}
+        queue = list(parent)
+        for v in queue:
+            if rest[v] > 0:
+                break
+            for a in out[v]:
+                w = tgt[a]
+                if w not in parent and f[a] < 1:
+                    parent[w] = a
+                    queue.append(w)
+        else:
             return None
         # push one unit back along the path
-        v = goal
         rest[v] -= 1
         while parent[v] is not None:
             a = parent[v]
-            if g[m.opp[a]] > 0:
-                g[m.opp[a]] -= 1
-            else:
-                g[a] = 1
-            v = m.tgt[m.opp[a]]
+            f[a] += 1
+            f[opp[a]] -= 1
+            v = tgt[opp[a]]
         rest[v] += 1
-        sent += 1
-
-    f1 = Chain1(m, {h: g[h] - g[m.opp[h]] for h in m.canonical_half_edges()})
-    return Flow(f1)
+    return _flow(m, f)
 
 
 def nowhere_zero_completion(m, f1):
@@ -128,41 +117,45 @@ def nowhere_zero_completion(m, f1):
     d is parity-compliant (d[v] = deg(v) mod 2); otherwise no nowhere-zero
     flow has boundary d, and the answer is None.  Orienting each component
     along an Eulerian circuit (Hierholzer) fills in every zero without
-    touching the boundary.  The walk writes each traversed arc into a
-    copy of f1's coefficients (+1 on a canonical arc, -1 on its
-    opposite), so an edge that has a coefficient is one f1 carries or
-    the walk has used.
+    touching the boundary.  The flow is one antisymmetric array over the
+    half-edges, loaded with f1; the walk takes an arc a only while
+    f[a] = 0 and sets f[a], f[opp(a)] = 1, -1, which marks its edge used.
     """
-    coeffs = dict(f1.chain.coeffs)
-    zero_out = [[] for _ in range(m.num_vertices)]
-    for h in m.canonical_half_edges():
-        if h not in coeffs:
-            zero_out[m.tgt[h]].append(m.opp[h])
-            zero_out[m.tgt[m.opp[h]]].append(h)
-    for v in range(m.num_vertices):
-        if len(zero_out[v]) % 2 != 0:
-            return None
-        zero_out[v].sort()
+    opp, tgt = m.opp, m.tgt
+    f = [0] * m.half_edge_count
+    for h, c in f1.chain.coeffs.items():
+        f[h], f[opp[h]] = c, -c
+    zero_out = [[a for a in arcs if not f[a]] for arcs in _out_arcs(m)]
+    if any(len(arcs) % 2 for arcs in zero_out):
+        return None
 
-    pos = [0] * m.num_vertices
+    unused = [iter(arcs) for arcs in zero_out]  # each resumes where it stopped
     for v0 in range(m.num_vertices):
         stack = [v0]
         while stack:
             v = stack[-1]
-            while pos[v] < len(zero_out[v]):
-                a = zero_out[v][pos[v]]
-                pos[v] += 1
-                e = m.canonical(a)
-                if e not in coeffs:
-                    coeffs[e] = 1 if a == e else -1
-                    stack.append(m.tgt[a])
+            for a in unused[v]:
+                if not f[a]:
+                    f[a], f[opp[a]] = 1, -1
+                    stack.append(tgt[a])
                     break
             else:
                 stack.pop()
 
-    flow = Flow(Chain1._nonzero(m, coeffs))
+    flow = _flow(m, f)
     assert flow.nowhere_zero
     return flow
+
+
+def _out_arcs(m):
+    """The half-edges leaving each vertex, in ascending id: opp(h) for
+    every h in rot[v]."""
+    return [sorted(m.opp[h] for h in cyc) for cyc in m.rot]
+
+
+def _flow(m, f):
+    """The Flow of an antisymmetric array f over the half-edges."""
+    return Flow(Chain1._canonical(m, {h: f[h] for h in m.canonical_half_edges()}))
 
 
 def nowhere_zero_flow_with_boundary(m, d):

@@ -314,7 +314,9 @@ def enumerate_and_verify(box_thirds=(8, 13), bound=42, jobs=1):
     each hollow one is strictly narrower than THRESHOLD along some
     direction of max-norm at most bound.  DFS roots are independent, so
     jobs > 1 deals them out to at most one process per root; the merged
-    report is identical either way.
+    report is identical either way.  The roots' subtrees shrink, roughly,
+    as the root grows, so the deal goes back and forth: worker w takes the
+    roots at positions w and 2W - 1 - w of each block of 2W.
     """
     t0 = time.monotonic()
     limit = ceil(3 * THRESHOLD)
@@ -322,7 +324,9 @@ def enumerate_and_verify(box_thirds=(8, 13), bound=42, jobs=1):
     workers = min(jobs, len(roots))
     if workers > 1:
         # one task per worker, so that each builds the tables once
-        tasks = [(box_thirds, bound, limit, roots[w::workers]) for w in range(workers)]
+        block = 2 * workers
+        shares = [[*roots[w::block], *roots[block - 1 - w::block]] for w in range(workers)]
+        tasks = [(box_thirds, bound, limit, share) for share in shares]
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_walk, tasks)
     else:

@@ -358,8 +358,9 @@ def integer_points_bruteforce(m, basis, f, S, x, copaths, edge_budget=14):
     the f-circulations (testing oracle for small maps).
 
     For a flow f every circulation takes value 0 or f[h] on each edge, so
-    a pruned subset walk over the canonical edges enumerates them all;
-    the pairing vectors collected are exactly the integer points.
+    a pruned subset walk over the canonical edges enumerates them all,
+    each at one leaf (an edge where f is 0 takes only 0); the pairing
+    vectors collected are exactly the integer points.
     """
     if m.num_edges > edge_budget:
         raise BudgetExceeded(
@@ -392,9 +393,7 @@ def integer_points_bruteforce(m, basis, f, S, x, copaths, edge_budget=14):
         v, u = m.tgt[h], m.tgt[m.opp[h]]
         remaining[v] -= 1
         remaining[u] -= 1
-        for val in (0, fchain[h]):
-            if val == 0 and fchain[h] == 0 and h in chosen:
-                continue
+        for val in (0, fchain[h]) if fchain[h] else (0,):
             if val:
                 chosen[h] = val
                 excess[v] += val

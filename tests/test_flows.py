@@ -10,7 +10,7 @@ from surfcolor.chains import Chain0, Chain1, boundary1
 from surfcolor.cli import gen_bouquet, gen_grid, gen_q13
 from surfcolor.surface_map import CombinatorialMap, face_candidates
 
-from conftest import CORPUS, random_map, random_nowhere_zero
+from conftest import CORPUS, DIFFERENTIAL_MAPS, random_map, random_nowhere_zero
 
 
 def parity_compliant(m, d):
@@ -83,20 +83,28 @@ def test_completion_keeps_f1_on_its_support():
     # random_map keeps its loops and parallel edges; the boundary of a
     # nowhere-zero flow is parity-compliant and realizable
     rng = random.Random(124)
-    with_zeros = loops = 0
-    for _ in range(300):
-        m = random_map(rng, max_edges=12)
+
+    def completes(m):
+        """Check the completion of one realized f1; True if f1 has zeros."""
         f1 = flows.flow_with_boundary(m, boundary1(random_nowhere_zero(rng, m)))
         f0 = flows.nowhere_zero_completion(m, f1)
         for h, c in f1.chain.coeffs.items():
             assert f0.chain[h] == c
         assert all(abs(f0.chain[h]) == 1 for h in m.canonical_half_edges())
         assert boundary1(f0.chain) == boundary1(f1.chain)
-        if not f1.nowhere_zero:
+        return not f1.nowhere_zero
+
+    with_zeros = loops = 0
+    for _ in range(300):
+        m = random_map(rng, max_edges=12)
+        if completes(m):
             with_zeros += 1
             loops += any(m.tgt[h] == m.tgt[m.opp[h]] for h in m.canonical_half_edges())
     # the completion had edges to fill in, also on maps with loops
     assert with_zeros >= 200 and loops >= 150, (with_zeros, loops)
+    # shuffled half-edge ids: opp is not the standard pairing h ^ 1
+    shuffled = sum(completes(m) for m in DIFFERENTIAL_MAPS["deleted"] for _ in range(4))
+    assert shuffled >= 180, shuffled
 
 
 def test_completion_rejects_odd_zero_subgraph():

@@ -275,6 +275,30 @@ def test_pool_is_capped_at_the_number_of_roots(monkeypatch):
     assert rep.format() == h2.enumerate_and_verify((1, 1), jobs=1).format()
 
 
+def test_roots_are_dealt_back_and_forth(monkeypatch):
+    shares = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            shares.extend(sorted(task[-1]) for task in tasks)
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(h2.multiprocessing, "Pool", RecordingPool)
+    # ten roots, three workers: one block 0 1 2 2 1 0, then 0 1 2 2
+    rep = h2.enumerate_and_verify((2, 3), jobs=3)
+    assert shares == [[0, 5, 6], [1, 4, 7], [2, 3, 8, 9]]
+    assert rep.format() == h2.enumerate_and_verify((2, 3), jobs=1).format()
+
+
 def _independent_dfs(box, bound):
     """(examined, maximal, sorted failures) by a plain DFS that tries
     every lex-greater grid point at every hull, with no inherited

@@ -80,6 +80,30 @@ def test_integer_points_budget():
         integer_points_bruteforce(m, basis, f, S, 0, cps, edge_budget=10)
 
 
+def test_integer_points_walk_reaches_each_circulation_once(monkeypatch):
+    # an edge where f is 0 takes only the value 0, so the walk reaches
+    # every f-circulation at exactly one leaf; each leaf pairs its chain
+    # with the cocycles first, which is where the leaves are recorded
+    m = gen_grid(3, 3)
+    basis, S, cps = _setup(m)
+    edges = m.canonical_half_edges()
+    zero = set(random.Random(13).sample(edges, 8))
+    f = Chain1(m, {h: 1 for h in edges if h not in zero})
+    leaves = []
+
+    def recording_pair(c, k):
+        if not leaves or leaves[-1] is not c:
+            leaves.append(c)
+        return pair(c, k)
+
+    monkeypatch.setattr(lattice, "pair", recording_pair)
+    integer_points_bruteforce(m, basis, flows.Flow(f), S, 0, cps, edge_budget=m.num_edges)
+    circulations = set(brute_circulations(m, f))
+    assert len(circulations) == 5
+    assert len(leaves) == len(circulations)
+    assert set(leaves) == circulations
+
+
 def test_membership_bouquet_examples():
     m = gen_bouquet(2)
     basis, S, cps = _setup(m)

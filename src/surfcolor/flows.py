@@ -81,7 +81,7 @@ def flow_with_boundary(m, d):
     f = [0] * m.half_edge_count
     # excess not yet routed: below 0 at a source, above 0 at a sink
     rest = [coeffs.get(v, 0) for v in range(m.num_vertices)]
-    out = _out_arcs(m)
+    out = m.out_arcs()
 
     for _ in range(d.norm() // 2):
         # BFS for an augmenting path; the loop breaks at its sink v
@@ -125,7 +125,7 @@ def nowhere_zero_completion(m, f1):
     f = [0] * m.half_edge_count
     for h, c in f1.chain.coeffs.items():
         f[h], f[opp[h]] = c, -c
-    zero_out = [[a for a in arcs if not f[a]] for arcs in _out_arcs(m)]
+    zero_out = [[a for a in arcs if not f[a]] for arcs in m.out_arcs()]
     if any(len(arcs) % 2 for arcs in zero_out):
         return None
 
@@ -145,12 +145,6 @@ def nowhere_zero_completion(m, f1):
     flow = _flow(m, f)
     assert flow.nowhere_zero
     return flow
-
-
-def _out_arcs(m):
-    """The half-edges leaving each vertex, in ascending id: opp(h) for
-    every h in rot[v]."""
-    return [sorted(m.opp[h] for h in cyc) for cyc in m.rot]
 
 
 def _flow(m, f):

@@ -16,7 +16,8 @@ point that is no vertex of conv(S + p) is no vertex of conv(S' + p) for
 S a subset of S', and an integer point in conv(S + p) is in conv(S' + p),
 so a rejected point stays rejected in the whole subtree.  Every hull
 that no grid point extends then gets the search of ``narrow_direction``,
-trying directions by increasing max-norm up to the given bound.
+trying directions by increasing max-norm up to the given bound, unless
+its x spread, last vertex less root, settles it along the first, (1, 0).
 """
 
 from __future__ import annotations
@@ -277,9 +278,12 @@ def _walk(args):
     s -> t and h0 -> h1 (cap (t, p, h0); p follows t), or s -> t with
     t -> h0 and r -> s (cap (s, p, t); the hull restarts at t).  A
     one-point hull reads only i = j entries: its cap is the segment.
+    The last child inherits no candidates, so it is a maximal leaf, and
+    only counted if its x spread, p's x less the root's, is below limit.
     """
     box_thirds, bound, limit, roots = args
     points, size, left, hollow = _tables(box_thirds)
+    xs = [x for x, _ in points]
     directions = []  # listed as the narrow check first draws them
     drawn = (directions.append(z) or z for z in coprime_directions(bound))
     examined, maximal, failures = 0, 0, []
@@ -296,15 +300,21 @@ def _walk(args):
         kept = one | two
         if not kept:
             maximal += 1
-            verts = [points[v] for v in hull]
-            if _narrow(verts, limit, directions) is None and _narrow(verts, limit, drawn) is None:
-                failures.append(tuple(sorted(verts)))
+            if xs[t] - x0 >= limit:  # else narrow along (1, 0)
+                verts = [points[v] for v in hull]
+                if _narrow(verts, limit, directions) is None and _narrow(verts, limit, drawn) is None:
+                    failures.append(tuple(sorted(verts)))
         while kept:
             p = (kept & -kept).bit_length() - 1
             kept &= kept - 1
-            visit(hull + [p] if one >> p & 1 else [t] + hull[:-1] + [p], kept)
+            if kept or xs[p] - x0 >= limit:
+                visit(hull + [p] if one >> p & 1 else [t] + hull[:-1] + [p], kept)
+            else:  # the last child inherits no candidates: a narrow leaf
+                examined += 1
+                maximal += 1
 
     for root in roots:
+        x0 = xs[root]  # the least x of every hull in the root's subtree
         visit([root], -2 << root)  # every bit above the root
     return examined, maximal, failures
 
@@ -318,6 +328,8 @@ def enumerate_and_verify(box_thirds=(8, 13), bound=42, jobs=1):
     as the root grows, so the deal goes back and forth: worker w takes the
     roots at positions w and 2W - 1 - w of each block of 2W.
     """
+    if bound < 1:  # the walk settles hulls along (1, 0) without drawing it
+        raise ValueError("the direction bound must be at least 1")
     t0 = time.monotonic()
     limit = ceil(3 * THRESHOLD)
     roots = range(len(_candidate_points(box_thirds)))

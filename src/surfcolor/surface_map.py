@@ -12,7 +12,9 @@ and ``left(h)`` is the face whose orbit contains h.  The Euler genus is
 derived from |V| - |E| + |F| = 2 - g and must come out even (orientable).
 
 A map stores exactly these arrays (``opp``, ``tgt``, ``rot``, ``left``,
-``faces``) and its Euler genus; what derives from them is not stored.
+``faces``) and its Euler genus; of what derives from them, only the out
+lists of the map (``out_arcs``) and of its dual (``dual_arcs``) are kept,
+each built on its first use.
 A half-edge's position in its rotation is looked up by ``rot_next``,
 whose only caller is the isomorphism test, and ``dual`` swaps the roles
 of the arrays, building only its face orbits anew.
@@ -37,6 +39,7 @@ class CombinatorialMap:
         "faces",
         "euler_genus",
         "_dual_arcs",
+        "_out_arcs",
     )
 
     def __init__(self, half_edge_count, opp, tgt, rot, left, faces, euler_genus):
@@ -48,6 +51,7 @@ class CombinatorialMap:
         self.faces = faces          # list of lists: face -> orbit of sigma, cyclic
         self.euler_genus = euler_genus
         self._dual_arcs = None      # built by dual_arcs() on first use
+        self._out_arcs = None       # built by out_arcs() on first use
 
     @property
     def num_vertices(self):
@@ -85,6 +89,16 @@ class CombinatorialMap:
                 out[self.left[o]].append((self.left[h], h))
             self._dual_arcs = out
         return self._dual_arcs
+
+    def out_arcs(self):
+        """The half-edges leaving each vertex, built on the first call and
+        kept: out[tgt(opp(h))] holds h in ascending h."""
+        if self._out_arcs is None:
+            out = [[] for _ in self.rot]
+            for h, o in enumerate(self.opp):
+                out[self.tgt[o]].append(h)
+            self._out_arcs = out
+        return self._out_arcs
 
     def face_lengths(self):
         return [len(orbit) for orbit in self.faces]

@@ -121,9 +121,10 @@ def corpus_map(request):
 
 
 def brute_circulations(m, f):
-    """Every f-circulation of a flow chain f, exhaustively."""
+    """Every f-circulation of a flow chain f, exhaustively, each once: an
+    edge where f is 0 takes only the value 0."""
     edges = m.canonical_half_edges()
-    for sel in itertools.product(*[(0, f[h]) for h in edges]):
+    for sel in itertools.product(*[(0, f[h]) if f[h] else (0,) for h in edges]):
         c = Chain1(m, dict(zip(edges, sel)))
         if chains.is_cycle(c):
             yield c

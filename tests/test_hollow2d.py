@@ -1,5 +1,6 @@
 """Exact polygon primitives and the hollow-width enumeration."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -494,3 +495,53 @@ def test_non_integer_coordinates_are_refused():
         with pytest.raises(ValueError):
             h2.width_along(Poly([(0, 0), (3, 1)]), (1, bad))
     assert h2.width_along(Poly([(0, 0), (3, 1)]), (1, -3)) == 0
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_a_bound_below_one_is_refused(bound):
+    # the walk settles a hull narrow along (1, 0) without asking the
+    # direction stream, which has no (1, 0) below bound 1
+    with pytest.raises(ValueError):
+        h2.enumerate_and_verify((3, 3), bound=bound)
+
+
+@pytest.mark.parametrize(
+    "box, threshold, bound, unresolved, searched",
+    [((6, 2), 2, 1, 0, True), ((4, 5), 1, 3, 2246, True), ((4, 5), Fraction(5, 3), 1, 0, False)],
+    ids=["6x2-threshold-2", "4x5-threshold-1", "4x5-threshold-5/3"],
+)
+def test_width_gate_matches_independent_dfs(monkeypatch, box, threshold, bound, unresolved, searched):
+    # a maximal hull whose x spans fewer than limit thirds is settled
+    # without the narrow search; only the others reach _narrow, each
+    # first with the list of directions drawn so far
+    monkeypatch.setattr(h2, "THRESHOLD", Fraction(threshold))
+    limit = 3 * Fraction(threshold)
+    examined, maximal, failures = _independent_dfs(box, bound)
+    spreads = []
+    real_narrow = h2._narrow
+
+    def recording_narrow(vertices, lim, directions):
+        if isinstance(directions, list):
+            spreads.append(max(x for x, _ in vertices) - min(x for x, _ in vertices))
+        return real_narrow(vertices, lim, directions)
+
+    monkeypatch.setattr(h2, "_narrow", recording_narrow)
+    rep = h2.enumerate_and_verify(box, bound=bound)
+    assert (rep.hulls_examined, rep.maximal_hulls, rep.failures) == (examined, maximal, failures)
+    assert len(failures) == unresolved
+    assert all(s >= limit for s in spreads)
+    if searched:
+        # both paths ran, and the search saw a spread of exactly limit
+        assert 0 < len(spreads) < maximal
+        assert limit in spreads
+    else:
+        assert spreads == []
+
+
+def test_box_6_13_bound_1_report_is_pinned():
+    # the paper's threshold with failures: the fallback of wide hulls
+    # finds 705 hulls that no direction of max-norm 1 narrows
+    rep = h2.enumerate_and_verify((6, 13), bound=1)
+    assert (rep.hulls_examined, rep.maximal_hulls, len(rep.failures)) == (661470, 431143, 705)
+    digest = hashlib.sha256(rep.format().encode()).hexdigest()
+    assert digest == "b174d2bf1846d5f4c7b146221de700ed76391f44544899af4d818915d2e0b579"

@@ -104,6 +104,29 @@ def test_integer_points_walk_reaches_each_circulation_once(monkeypatch):
     assert set(leaves) == circulations
 
 
+def test_brute_circulations_yields_each_circulation_once():
+    # an edge where f is 0 offers only the value 0; offering (0, 0) there
+    # yielded each circulation 2^z times, z the number of such edges
+    rng = random.Random(29)
+    repeated = 0
+    for _ in range(40):
+        m = random_map(rng, max_edges=9)
+        edges = m.canonical_half_edges()
+        f = Chain1(m, {h: rng.choice((-1, 1)) for h in edges if rng.random() < 0.7})
+        got = list(brute_circulations(m, f))
+        scan = [Chain1(m, dict(zip(edges, sel))) for sel in itertools.product(*[(0, f[h]) for h in edges])]
+        scan = [c for c in scan if chains.is_cycle(c)]
+        assert len(got) == len(set(got))
+        assert set(got) == set(scan)
+        repeated += len(scan) > len(got)
+    assert repeated >= 10
+    m = gen_grid(3, 3)
+    edges = m.canonical_half_edges()
+    zero = set(random.Random(13).sample(edges, 8))
+    f = Chain1(m, {h: 1 for h in edges if h not in zero})
+    assert len(list(brute_circulations(m, f))) == 5
+
+
 def test_membership_bouquet_examples():
     m = gen_bouquet(2)
     basis, S, cps = _setup(m)

@@ -118,6 +118,19 @@ def test_dual_arrays_equal_the_rebuilt_dual(kind):
         assert len(shuffled) >= len(maps) // 2
 
 
+@pytest.mark.parametrize("kind", sorted(DIFFERENTIAL_MAPS))
+def test_out_arcs_are_built_once_per_map(kind):
+    # out[v] holds opp(h) for every h in rot[v], ascending; the dual shares
+    # m's arrays, but its out lists are m's faces' and start unbuilt
+    for m in DIFFERENTIAL_MAPS[kind]:
+        out = m.out_arcs()
+        assert out == [sorted(m.opp[h] for h in cyc) for cyc in m.rot]
+        assert m.out_arcs() is out
+        d = dual(m)
+        assert d._out_arcs is None
+        assert d.out_arcs() == [sorted(d.opp[h] for h in cyc) for cyc in d.rot]
+
+
 def test_face_lengths_equal_dual_degrees(corpus_map):
     m = corpus_map
     d = dual(m)

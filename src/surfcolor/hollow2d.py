@@ -15,9 +15,9 @@ passes its children only the points that survived its own tests: a
 point that is no vertex of conv(S + p) is no vertex of conv(S' + p) for
 S a subset of S', and an integer point in conv(S + p) is in conv(S' + p),
 so a rejected point stays rejected in the whole subtree.  Every hull
-that no grid point extends then gets the search of ``narrow_direction``,
-trying directions by increasing max-norm up to the given bound, unless
-its x spread, last vertex less root, settles it along the first, (1, 0).
+that no grid point extends is settled along (1, 0) by its x spread, last
+vertex less root, or else gets the search of ``narrow_direction`` from
+the next direction on, by increasing max-norm up to the given bound.
 """
 
 from __future__ import annotations
@@ -163,9 +163,16 @@ def narrow_direction(poly, threshold=THRESHOLD, bound=42):
 def _narrow(vertices, limit, directions):
     """First of the directions along which the vertices span fewer than
     limit = ceil(3 * threshold) thirds, below the threshold; or None."""
+    (x0, y0), rest = vertices[0], vertices[1:]
     for z1, z2 in directions:
-        vals = [z1 * x + z2 * y for x, y in vertices]
-        if max(vals) - min(vals) < limit:
+        lo = hi = z1 * x0 + z2 * y0
+        for x, y in rest:
+            v = z1 * x + z2 * y
+            if v < lo:
+                lo = v
+            elif v > hi:
+                hi = v
+        if hi - lo < limit:
             return (z1, z2)
     return None
 
@@ -229,11 +236,14 @@ def _tables(box_thirds):
     points[i], the ends are the candidates and then the integer points,
     left[i * size + j] holds the candidates strictly left of ends[i] ->
     ends[j] (all of them for i = j), and for candidates a and b,
-    hollow[a * size + b] holds the p for which the counterclockwise
-    triangle (a, p, b), or the segment a-p for a = b, has no integer point."""
+    hollow[a * size + b] holds the p strictly left of b -> a for which
+    the counterclockwise triangle (a, p, b) has no integer point, or for
+    a = b the p for which the segment a-p has none.  The two are the
+    cap tests of ``_walk``, each with the closing-edge row it needs."""
     bx, by = box_thirds
     points = _candidate_points(box_thirds)
-    ends = points + [(x, y) for x in range(0, bx + 1, 3) for y in range(0, by + 1, 3)]
+    ints = [(x, y) for x in range(0, bx + 1, 3) for y in range(0, by + 1, 3)]
+    ends = points + ints
     n, size = len(points), len(ends)
     full = (1 << n) - 1
     left, hollow = [full] * (size * size), [0] * (n * size)
@@ -254,14 +264,26 @@ def _tables(box_thirds):
     # for p strictly right of a -> b, q is in (a, p, b) iff q is left of or
     # on b -> a and p right of or on a -> q and left of or on b -> q; and
     # q is on the segment a-p, for p > a, iff q > a and p is on a -> q past q
+    below = [(1 << bisect_left(points, q)) - 1 for q in ints]
+    to_int = [left[i * size + n:(i + 1) * size] for i in range(n)]  # a -> q
+    from_int = [left[n * size + j::size] for j in range(n)]  # q -> b
     for i, a in enumerate(points):
+        ax, ay = a
+        mask = full
+        for q, out, back, low in zip(ints, to_int[i], from_int[i], below):
+            if q > a:
+                mask &= out | back | low
+        hollow[i * size + i] = mask
         for j, b in enumerate(points):
-            mask = full
-            for k in range(n, size):
-                if i != j and _cross(b, a, ends[k]) >= 0:
-                    mask &= left[i * size + k] | left[k * size + j]
-                elif i == j and ends[k] > a:
-                    mask &= left[i * size + k] | left[k * size + i] | (1 << bisect_left(points, ends[k])) - 1
+            if j == i:
+                continue
+            # q is left of or on b -> a iff d x (q - b) >= 0 for d = a - b
+            dx, dy = ax - b[0], ay - b[1]
+            c = dx * b[1] - dy * b[0]
+            mask = left[j * size + i]
+            for (qx, qy), out, back in zip(ints, to_int[i], from_int[j]):
+                if dx * qy - dy * qx >= c:
+                    mask &= out | back
             hollow[i * size + j] = mask
     return points, size, left, hollow
 
@@ -276,27 +298,33 @@ def _walk(args):
     to it.  So p keeps every vertex iff it sees one edge at t and has
     both neighbours of that edge strictly on its left: t -> h0 with
     s -> t and h0 -> h1 (cap (t, p, h0); p follows t), or s -> t with
-    t -> h0 and r -> s (cap (s, p, t); the hull restarts at t).  A
-    one-point hull reads only i = j entries: its cap is the segment.
-    The last child inherits no candidates, so it is a maximal leaf, and
-    only counted if its x spread, p's x less the root's, is below limit.
+    t -> h0 and r -> s (cap (s, p, t); the hull restarts at t).  The
+    cap rows of ``_tables`` hold the seen edge's test, so each branch
+    is three ANDs.  A hull hands its children their five ends: h0, h1,
+    s, t, p when p follows t, and t, h0, r, s, p when the hull restarts.
+    A root is a one-point hull whose cap is a segment, so its children
+    are the lex-greater bits of its i = j row, with ends root, p, p,
+    root, p.  The last child inherits no candidates, so it is a maximal
+    leaf, and only counted if its x spread, p's x less the root's, is
+    below limit.  That spread settles every maximal hull along (1, 0),
+    or proves it wide there, so the direction search starts at the next
+    direction.
     """
     box_thirds, bound, limit, roots = args
     points, size, left, hollow = _tables(box_thirds)
     xs = [x for x, _ in points]
+    stream = coprime_directions(bound)
+    next(stream)  # (1, 0)
     directions = []  # listed as the narrow check first draws them
-    drawn = (directions.append(z) or z for z in coprime_directions(bound))
+    drawn = (directions.append(z) or z for z in stream)
     examined, maximal, failures = 0, 0, []
 
-    def visit(hull, cands):
+    def visit(hull, h0, h1, r, s, t, cands):
         # cands: the lex-greater points that no hull above this one rejected
         nonlocal examined, maximal
         examined += 1
-        k = len(hull)
-        h0, h1, r, s, t = hull[0], hull[1 % k], hull[-3 % k], hull[-2 % k], hull[-1]
-        st, th0 = s * size + t, t * size + h0
-        one = cands & left[st] & left[h0 * size + t] & left[h0 * size + h1] & hollow[th0]
-        two = cands & left[t * size + s] & left[th0] & left[r * size + s] & hollow[st]
+        one = cands & left[s * size + t] & left[h0 * size + h1] & hollow[t * size + h0]
+        two = cands & left[t * size + h0] & left[r * size + s] & hollow[s * size + t]
         kept = one | two
         if not kept:
             maximal += 1
@@ -307,15 +335,23 @@ def _walk(args):
         while kept:
             p = (kept & -kept).bit_length() - 1
             kept &= kept - 1
-            if kept or xs[p] - x0 >= limit:
-                visit(hull + [p] if one >> p & 1 else [t] + hull[:-1] + [p], kept)
-            else:  # the last child inherits no candidates: a narrow leaf
+            if not kept and xs[p] - x0 < limit:  # the last child: a narrow leaf
                 examined += 1
                 maximal += 1
+            elif one >> p & 1:
+                visit(hull + [p], h0, h1, s, t, p, kept)
+            else:
+                visit([t] + hull[:-1] + [p], t, h0, r, s, p, kept)
 
     for root in roots:
         x0 = xs[root]  # the least x of every hull in the root's subtree
-        visit([root], -2 << root)  # every bit above the root
+        examined += 1
+        kept = hollow[root * size + root] & -2 << root  # hollow segments up from the root
+        maximal += not kept  # a lone point is narrow
+        while kept:
+            p = (kept & -kept).bit_length() - 1
+            kept &= kept - 1
+            visit([root, p], root, p, p, root, p, kept)
     return examined, maximal, failures
 
 
@@ -328,8 +364,12 @@ def enumerate_and_verify(box_thirds=(8, 13), bound=42, jobs=1):
     as the root grows, so the deal goes back and forth: worker w takes the
     roots at positions w and 2W - 1 - w of each block of 2W.
     """
-    if bound < 1:  # the walk settles hulls along (1, 0) without drawing it
+    if bound < 1:  # the walk settles hulls along (1, 0) and skips it in the stream
         raise ValueError("the direction bound must be at least 1")
+    if min(box_thirds) < 0:  # else the grid is empty and "verified"
+        raise ValueError("the box corner must be non-negative")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     t0 = time.monotonic()
     limit = ceil(3 * THRESHOLD)
     roots = range(len(_candidate_points(box_thirds)))

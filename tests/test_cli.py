@@ -250,6 +250,23 @@ def test_hollow2d_rejects_bound_below_one(capsys, bound):
     assert err == "error: --bound must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--box", "-3", "9"), "error: box corner must be non-negative\n"),
+        (("--box", "6", "-1"), "error: box corner must be non-negative\n"),
+        (("--smoke", "--jobs", "0"), "error: --jobs must be at least 1\n"),
+        (("--smoke", "--jobs", "-1"), "error: --jobs must be at least 1\n"),
+    ],
+)
+def test_hollow2d_keeps_its_own_messages_for_bad_boxes_and_jobs(capsys, argv, message):
+    # the library raises ValueError for these too; the CLI checks first
+    code, out, err = run_cli(capsys, "hollow2d-verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
 def test_polytope_bouquet(capsys):
     code, out, _ = run_cli(capsys, "polytope", "--bouquet")
     assert code == 0

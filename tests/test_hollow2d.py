@@ -545,3 +545,142 @@ def test_box_6_13_bound_1_report_is_pinned():
     assert (rep.hulls_examined, rep.maximal_hulls, len(rep.failures)) == (661470, 431143, 705)
     digest = hashlib.sha256(rep.format().encode()).hexdigest()
     assert digest == "b174d2bf1846d5f4c7b146221de700ed76391f44544899af4d818915d2e0b579"
+
+
+@pytest.mark.parametrize("box", [(-3, 9), (6, -1), (-1, -1)])
+def test_a_negative_box_corner_is_refused(box):
+    # the grid of such a box is empty, which used to read as "verified"
+    with pytest.raises(ValueError):
+        h2.enumerate_and_verify(box)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_a_job_count_below_one_is_refused(jobs):
+    with pytest.raises(ValueError):
+        h2.enumerate_and_verify((3, 3), jobs=jobs)
+
+
+def test_narrow_matches_the_list_definition():
+    # the running min/max against max - min < limit over the whole list
+    rng = random.Random(191)
+
+    def by_list(vertices, limit, directions):
+        for z1, z2 in directions:
+            vals = [z1 * x + z2 * y for x, y in vertices]
+            if max(vals) - min(vals) < limit:
+                return (z1, z2)
+        return None
+
+    stream = list(h2.coprime_directions(6))
+    found = lone = 0
+    for i in range(3000):
+        k = 1 if i % 5 == 0 else rng.randint(2, 8)
+        vertices = [(rng.randint(-9, 30), rng.randint(-9, 30)) for _ in range(k)]
+        limit = rng.randint(0, 12)
+        directions = rng.sample(stream, rng.randint(0, len(stream)))
+        want = by_list(vertices, limit, directions)
+        assert h2._narrow(vertices, limit, directions) == want, (vertices, limit, directions)
+        assert h2._narrow(vertices, limit, iter(directions)) == want
+        found += want is not None
+        lone += k == 1 and want is not None
+    assert 500 < found < 2500 and lone > 100, (found, lone)
+
+
+@pytest.mark.parametrize(
+    "box, bound, counts, digest",
+    [
+        ((6, 9), 42, (161908, 102021, 0), None),
+        ((6, 13), 1, (661470, 431143, 705), "b174d2bf1846d5f4c7b146221de700ed76391f44544899af4d818915d2e0b579"),
+    ],
+)
+def test_wide_hull_search_never_tries_1_0(monkeypatch, box, bound, counts, digest):
+    # the x-spread gate has settled (1, 0) for every hull the search sees
+    tried = []
+    real_narrow = h2._narrow
+
+    def recording_narrow(vertices, limit, directions):
+        def drawn():
+            for z in directions:
+                tried.append(z)
+                yield z
+
+        return real_narrow(vertices, limit, drawn())
+
+    monkeypatch.setattr(h2, "_narrow", recording_narrow)
+    rep = h2.enumerate_and_verify(box, bound=bound)
+    assert (rep.hulls_examined, rep.maximal_hulls, len(rep.failures)) == counts
+    if digest:
+        assert hashlib.sha256(rep.format().encode()).hexdigest() == digest
+    assert (1, 0) not in tried
+    assert tried and set(tried) <= set(h2.coprime_directions(bound))
+
+
+def _unfolded_hollow(points, size):
+    """The cap rows before their closing edge is folded in: for a != b
+    the p right of a -> b whose triangle (a, p, b) holds no integer
+    point, plus every p left of or on a -> b; for
+    a = b the p > a whose segment a-p has no integer point, plus every
+    p <= a.  Read off the polygon primitives, one point at a time."""
+    n = len(points)
+    hollow = [0] * (n * size)
+    for i, a in enumerate(points):
+        for j, b in enumerate(points):
+            row = 0
+            for p, c in enumerate(points):
+                if i == j:
+                    keep = c <= a or h2.is_hollow(Poly([a, c]))
+                else:
+                    keep = _cross(a, c, b) <= 0 or h2.is_hollow(Poly([a, c, b]))
+                row |= keep << p
+            hollow[i * size + j] = row
+    return hollow
+
+
+def _ends_by_index(tables, bound):
+    """(examined, maximal, failures) of a walk that reads each hull's
+    five ends by modular index, ANDs both closing-edge rows itself and
+    searches every maximal hull from (1, 0) on."""
+    points, size, left, hollow = tables
+    examined = maximal = 0
+    failures = []
+
+    def visit(hull, cands):
+        nonlocal examined, maximal
+        examined += 1
+        k = len(hull)
+        h0, h1, r, s, t = hull[0], hull[1 % k], hull[-3 % k], hull[-2 % k], hull[-1]
+        st, th0 = s * size + t, t * size + h0
+        one = cands & left[st] & left[h0 * size + t] & left[h0 * size + h1] & hollow[th0]
+        two = cands & left[t * size + s] & left[th0] & left[r * size + s] & hollow[st]
+        kept = one | two
+        if not kept:
+            maximal += 1
+            verts = [points[v] for v in hull]
+            if h2.narrow_direction(Poly(verts), h2.THRESHOLD, bound) is None:
+                failures.append(tuple(sorted(verts)))
+        while kept:
+            p = (kept & -kept).bit_length() - 1
+            kept &= kept - 1
+            visit(hull + [p] if one >> p & 1 else [t] + hull[:-1] + [p], kept)
+
+    for root in range(len(points)):
+        visit([root], -2 << root)
+    return examined, maximal, sorted(failures)
+
+
+@pytest.mark.parametrize("box", [(3, 3), (4, 5), (5, 7)])
+def test_folded_rows_and_handed_down_ends(box):
+    tables = h2._tables(box)
+    points, size, left, hollow = tables
+    n = len(points)
+    unfolded = _unfolded_hollow(points, size)
+    for i in range(n):
+        for j in range(n):
+            row = hollow[i * size + j]
+            if i != j:
+                # every bit of a cap row is strictly left of its closing edge
+                assert row & ~left[j * size + i] == 0, (points[i], points[j])
+            assert row == unfolded[i * size + j] & left[j * size + i], (points[i], points[j])
+    for bound in (1, 42):
+        rep = h2.enumerate_and_verify(box, bound=bound)
+        assert _ends_by_index(tables, bound) == (rep.hulls_examined, rep.maximal_hulls, rep.failures)

@@ -10,14 +10,16 @@ growing a set can only grow its hull, so branches whose hull contains an
 integer point are pruned for good.
 
 Point sets are bitmasks over the non-integer grid points, and a hull's
-children are the bits of two ANDs of table rows (see ``_walk``).  A hull
-passes its children only the points that survived its own tests: a
-point that is no vertex of conv(S + p) is no vertex of conv(S' + p) for
-S a subset of S', and an integer point in conv(S + p) is in conv(S' + p),
-so a rejected point stays rejected in the whole subtree.  Every hull
-that no grid point extends is settled along (1, 0) by its x spread, last
-vertex less root, or else gets the search of ``narrow_direction`` from
-the next direction on, by increasing max-norm up to the given bound.
+children are the bits of its two caps, five table rows ANDed into the
+points it inherits (see ``_walk``); the rows are kept in one list per
+end point.  A hull passes its children only the points that survived
+its own tests: a point that is no vertex of conv(S + p) is no vertex of
+conv(S' + p) for S a subset of S', and an integer point in conv(S + p)
+is in conv(S' + p), so a rejected point stays rejected in the whole
+subtree.  Every hull that no grid point extends is settled along (1, 0)
+by its x spread, last vertex less root, or else gets the search of
+``narrow_direction`` from the next direction on, by increasing max-norm
+up to the given bound.
 """
 
 from __future__ import annotations
@@ -232,60 +234,82 @@ def _candidate_points(box_thirds):
 
 
 def _tables(box_thirds):
-    """(points, size, left, hollow) of the box: bit i of a point set is
-    points[i], the ends are the candidates and then the integer points,
-    left[i * size + j] holds the candidates strictly left of ends[i] ->
-    ends[j] (all of them for i = j), and for candidates a and b,
-    hollow[a * size + b] holds the p strictly left of b -> a for which
-    the counterclockwise triangle (a, p, b) has no integer point, or for
-    a = b the p for which the segment a-p has none.  The two are the
-    cap tests of ``_walk``, each with the closing-edge row it needs."""
+    """(points, left, hollow) of the box, as lists of rows: bit i of a
+    point set is points[i], the ends are the candidates and then the
+    integer points, left[i][j] holds the candidates strictly left of
+    ends[i] -> ends[j] (all of them for i = j), and for candidates a and
+    b, hollow[a][b] holds the p strictly left of b -> a for which the
+    counterclockwise triangle (a, p, b) has no integer point, or for
+    a = b the p for which the segment a-p has none.  The two are the cap
+    tests of ``_walk``, each with the closing-edge row it needs.
+
+    The left rows are set a line at a time: the lines of one direction
+    share one sort of the candidates, and every pair of ends on a line
+    gets one of the line's two rows.  The cap rows (a, b) and (b, a)
+    share one pass over the integer points, each of which lies on the
+    side of one of them (of both when it is on the line a-b).
+    """
     bx, by = box_thirds
     points = _candidate_points(box_thirds)
     ints = [(x, y) for x in range(0, bx + 1, 3) for y in range(0, by + 1, 3)]
     ends = points + ints
     n, size = len(points), len(ends)
     full = (1 << n) - 1
-    left, hollow = [full] * (size * size), [0] * (n * size)
-    lines = {}  # by primitive direction: the pairs of one line share its rows
-    for i, a in enumerate(ends):
-        for j, b in enumerate(ends):
-            g = gcd(b[0] - a[0], b[1] - a[1])
-            if g:  # left[i * size + i] stays full
-                lines.setdefault(((b[0] - a[0]) // g, (b[1] - a[1]) // g), []).append(i * size + j)
-    for (dx, dy), pairs in lines.items():
-        # cross(a, a + d, p) = v(p) - v(a) for v(p) = dx * py - dy * px
-        vals = [dx * y - dy * x for x, y in ends]
-        order = sorted(range(n), key=vals.__getitem__)
-        keys = [vals[p] for p in order]
-        above = [full ^ m for m in accumulate((1 << p for p in order), or_, initial=0)]
-        for ij in pairs:
-            left[ij] = above[bisect_right(keys, vals[ij // size])]
+    left = [[full] * size for _ in ends]  # left[i][i] stays full
+    by_lex = sorted(range(size), key=ends.__getitem__)
+    # a line through two ends has a primitive lex-positive direction d,
+    # and for b = a + k * d, cross(a, b, p) = k * (v(p) - v(a)), where
+    # v(p) = dx * py - dy * px is constant along each line of direction d
+    for dx in range(bx + 1):
+        for dy in range(-by if dx else 1, by + 1):
+            if gcd(dx, dy) != 1:
+                continue
+            vals = [dx * y - dy * x for x, y in ends]
+            order = sorted(range(n), key=vals.__getitem__)
+            keys = [vals[p] for p in order]
+            prefix = list(accumulate((1 << p for p in order), or_, initial=0))
+            lines = {}
+            for e in by_lex:  # so each line lists its ends along d
+                lines.setdefault(vals[e], []).append(e)
+            for v, line in lines.items():
+                if len(line) > 1:
+                    ahead = full ^ prefix[bisect_right(keys, v)]  # for b after a
+                    behind = prefix[bisect_left(keys, v)]  # for b before a
+                    for k, a in enumerate(line):
+                        row = left[a]
+                        for b in line[:k]:
+                            row[b] = behind
+                        for b in line[k + 1:]:
+                            row[b] = ahead
     # for p strictly right of a -> b, q is in (a, p, b) iff q is left of or
     # on b -> a and p right of or on a -> q and left of or on b -> q; and
     # q is on the segment a-p, for p > a, iff q > a and p is on a -> q past q
     below = [(1 << bisect_left(points, q)) - 1 for q in ints]
-    to_int = [left[i * size + n:(i + 1) * size] for i in range(n)]  # a -> q
-    from_int = [left[n * size + j::size] for j in range(n)]  # q -> b
+    to_int = [row[n:] for row in left[:n]]  # a -> q
+    from_int = list(zip(*(row[:n] for row in left[n:])))  # q -> b
+    hollow = [[0] * n for _ in points]
     for i, a in enumerate(points):
         ax, ay = a
+        to_a, from_a = to_int[i], from_int[i]
         mask = full
-        for q, out, back, low in zip(ints, to_int[i], from_int[i], below):
+        for q, out, back, low in zip(ints, to_a, from_a, below):
             if q > a:
                 mask &= out | back | low
-        hollow[i * size + i] = mask
-        for j, b in enumerate(points):
-            if j == i:
-                continue
-            # q is left of or on b -> a iff d x (q - b) >= 0 for d = a - b
+        hollow[i][i] = mask
+        for j in range(i + 1, n):
+            b = points[j]
+            # cross(b, a, q) = w - c for w = dx * qy - dy * qx and d = a - b
             dx, dy = ax - b[0], ay - b[1]
             c = dx * b[1] - dy * b[0]
-            mask = left[j * size + i]
-            for (qx, qy), out, back in zip(ints, to_int[i], from_int[j]):
-                if dx * qy - dy * qx >= c:
-                    mask &= out | back
-            hollow[i * size + j] = mask
-    return points, size, left, hollow
+            ab, ba = left[j][i], left[i][j]
+            for (qx, qy), out_a, back_a, out_b, back_b in zip(ints, to_a, from_a, to_int[j], from_int[j]):
+                w = dx * qy - dy * qx
+                if w >= c:  # q is left of or on b -> a: cap (a, p, b)
+                    ab &= out_a | back_b
+                if w <= c:  # q is left of or on a -> b: cap (b, p, a)
+                    ba &= out_b | back_a
+            hollow[i][j], hollow[j][i] = ab, ba
+    return points, left, hollow
 
 
 def _walk(args):
@@ -297,61 +321,97 @@ def _walk(args):
     edges p sees form a chain, and an edge whose line meets p lies next
     to it.  So p keeps every vertex iff it sees one edge at t and has
     both neighbours of that edge strictly on its left: t -> h0 with
-    s -> t and h0 -> h1 (cap (t, p, h0); p follows t), or s -> t with
-    t -> h0 and r -> s (cap (s, p, t); the hull restarts at t).  The
-    cap rows of ``_tables`` hold the seen edge's test, so each branch
-    is three ANDs.  A hull hands its children their five ends: h0, h1,
-    s, t, p when p follows t, and t, h0, r, s, p when the hull restarts.
-    A root is a one-point hull whose cap is a segment, so its children
-    are the lex-greater bits of its i = j row, with ends root, p, p,
-    root, p.  The last child inherits no candidates, so it is a maximal
-    leaf, and only counted if its x spread, p's x less the root's, is
-    below limit.  That spread settles every maximal hull along (1, 0),
-    or proves it wide there, so the direction search starts at the next
-    direction.
+    s -> t and h0 -> h1 (cap one, (t, p, h0); p follows t), or s -> t
+    with t -> h0 and r -> s (cap two, (s, p, t); the hull restarts at
+    t).  The cap rows of ``_tables`` hold the seen edge's test, so cap
+    one is left[s][t] & left[h0][h1] & hollow[t][h0] and cap two
+    left[t][h0] & left[r][s] & hollow[s][t].
+
+    One of the two neighbour rows is implied by the candidates a hull
+    inherits, the points its parent kept.  A child that follows t has
+    the parent's h0 and h1, and one that restarts at t the parent's r
+    and s, so its row for h0 -> h1 (cap one) or r -> s (cap two) is the
+    row of a parent edge e.  A point the parent kept through the cap
+    that tests e passed e's row there.  One kept through the other cap
+    sees exactly one parent edge and lies strictly left of that edge's
+    two neighbours; as the edges it sees form a chain and an edge whose
+    line meets it lies next to the chain, it lies strictly left of every
+    other edge, e among them, once the parent has three vertices.  A
+    parent of two, a root and q, is a segment whose two edges neighbour
+    each other, and there the other cap's points see e itself; but such
+    a point in the child's cap would also see the child's other edge at
+    the root, which puts it in the angle opposite the child at the
+    root, lex-less than the root, where no candidate lies.  So a child
+    skips that row, and for its other cap the parent ANDs the neighbour
+    row, a row it read for its own caps, into the candidates it hands
+    down: a visit is five ANDs.  A root is a one-point hull whose cap is
+    a segment: its children are the lex-greater bits of its own hollow
+    row, with h0 = s = root and t = p, and they need neither neighbour
+    row, as each repeats one of their cap rows.
+
+    A hull hands its children their h0, s and t: h0, t, p when p
+    follows t, and t, s, p when the hull restarts.  Its vertices are the
+    DFS path, the points chosen from the root down to t: t is pushed
+    before a hull's children and popped after them.  The last child
+    inherits no candidates, so it is a maximal leaf, and only counted
+    if its x spread, p's x less the root's, is below limit.  That spread
+    settles every maximal hull along (1, 0), or proves it wide there, so
+    the direction search starts at the next direction.
     """
     box_thirds, bound, limit, roots = args
-    points, size, left, hollow = _tables(box_thirds)
+    points, left, hollow = _tables(box_thirds)
     xs = [x for x, _ in points]
     stream = coprime_directions(bound)
     next(stream)  # (1, 0)
     directions = []  # listed as the narrow check first draws them
     drawn = (directions.append(z) or z for z in stream)
     examined, maximal, failures = 0, 0, []
+    path = []  # the hull's vertices less t
+    push, pop = path.append, path.pop
 
-    def visit(hull, h0, h1, r, s, t, cands):
-        # cands: the lex-greater points that no hull above this one rejected
+    def visit(h0, s, t, one, two):
+        # one, two: each cap's share of the lex-greater points that no
+        # hull above this one rejected; the parent has ANDed the one
+        # neighbour row a child needs into that cap's share
         nonlocal examined, maximal
         examined += 1
-        one = cands & left[s * size + t] & left[h0 * size + h1] & hollow[t * size + h0]
-        two = cands & left[t * size + h0] & left[r * size + s] & hollow[s * size + t]
+        st, th0 = left[s][t], left[t][h0]
+        one &= st & hollow[t][h0]
+        two &= th0 & hollow[s][t]
         kept = one | two
         if not kept:
             maximal += 1
             if xs[t] - x0 >= limit:  # else narrow along (1, 0)
-                verts = [points[v] for v in hull]
+                verts = [points[v] for v in path]
+                verts.append(points[t])
                 if _narrow(verts, limit, directions) is None and _narrow(verts, limit, drawn) is None:
                     failures.append(tuple(sorted(verts)))
+            return
+        push(t)
         while kept:
-            p = (kept & -kept).bit_length() - 1
-            kept &= kept - 1
+            bit = kept & -kept
+            kept ^= bit
+            p = bit.bit_length() - 1
             if not kept and xs[p] - x0 < limit:  # the last child: a narrow leaf
                 examined += 1
                 maximal += 1
-            elif one >> p & 1:
-                visit(hull + [p], h0, h1, s, t, p, kept)
+            elif one & bit:
+                visit(h0, t, p, kept, kept & st)
             else:
-                visit([t] + hull[:-1] + [p], t, h0, r, s, p, kept)
+                visit(t, s, p, kept & th0, kept)
+        pop()
 
     for root in roots:
         x0 = xs[root]  # the least x of every hull in the root's subtree
         examined += 1
-        kept = hollow[root * size + root] & -2 << root  # hollow segments up from the root
+        kept = hollow[root][root] & -2 << root  # hollow segments up from the root
         maximal += not kept  # a lone point is narrow
+        push(root)
         while kept:
             p = (kept & -kept).bit_length() - 1
             kept &= kept - 1
-            visit([root, p], root, p, p, root, p, kept)
+            visit(root, root, p, kept, kept)
+        pop()
     return examined, maximal, failures
 
 
@@ -364,12 +424,15 @@ def enumerate_and_verify(box_thirds=(8, 13), bound=42, jobs=1):
     as the root grows, so the deal goes back and forth: worker w takes the
     roots at positions w and 2W - 1 - w of each block of 2W.
     """
-    if bound < 1:  # the walk settles hulls along (1, 0) and skips it in the stream
-        raise ValueError("the direction bound must be at least 1")
-    if min(box_thirds) < 0:  # else the grid is empty and "verified"
-        raise ValueError("the box corner must be non-negative")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    # a bool passes for 0 or 1 and a float fails deep inside range(), so
+    # each number must be an int; the walk settles hulls along (1, 0) and
+    # skips it in the stream, and a negative corner's grid is empty
+    if type(bound) is not int or bound < 1:
+        raise ValueError("the direction bound must be an integer of at least 1")
+    if not all(type(c) is int for c in box_thirds) or min(box_thirds) < 0:
+        raise ValueError("the box corner must have non-negative integer coordinates")
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError("jobs must be an integer of at least 1")
     t0 = time.monotonic()
     limit = ceil(3 * THRESHOLD)
     roots = range(len(_candidate_points(box_thirds)))

@@ -375,18 +375,18 @@ def _mask_extension(tables, hull, p):
     off the tables as ``_walk`` reads them: (branch, new hull, cap, cap
     hollow), branch being "one" or "two", or None when p would swallow a
     vertex."""
-    points, size, left, hollow = tables
+    points, left, hollow = tables
     k = len(hull)
     h0, h1, r, s, t = hull[0], hull[1 % k], hull[-3 % k], hull[-2 % k], hull[-1]
     bit = 1 << p
-    one = bit & left[s * size + t] & left[h0 * size + t] & left[h0 * size + h1]
-    two = bit & left[t * size + s] & left[t * size + h0] & left[r * size + s]
+    one = bit & left[s][t] & left[h0][t] & left[h0][h1]
+    two = bit & left[t][s] & left[t][h0] & left[r][s]
     # a one-point hull has every bit in both, and the walk takes "one"
     assert not (one and two) or k == 1, (hull, p)
     if one:
-        return "one", hull + [p], (t, p, h0), bool(bit & hollow[t * size + h0])
+        return "one", hull + [p], (t, p, h0), bool(bit & hollow[t][h0])
     if two:
-        return "two", [t] + hull[:-1] + [p], (s, p, t), bool(bit & hollow[s * size + t])
+        return "two", [t] + hull[:-1] + [p], (s, p, t), bool(bit & hollow[s][t])
     return None
 
 
@@ -430,29 +430,29 @@ def _cross(o, a, b):
 
 @pytest.mark.parametrize("box", [(3, 3), (4, 5), (5, 7)])
 def test_tables_match_the_polygon_primitives(box):
-    points, size, left, hollow = h2._tables(box)
+    points, left, hollow = h2._tables(box)
     bx, by = box
     ends = points + [(x, y) for x in range(0, bx + 1, 3) for y in range(0, by + 1, 3)]
-    assert len(ends) == size
+    assert len(ends) == len(left)
     n = len(points)
     for i, a in enumerate(ends[:n]):
-        assert left[i * size + i] == (1 << n) - 1
+        assert left[i][i] == (1 << n) - 1
     for i, a in enumerate(ends):
         for j, b in enumerate(ends):
             if i != j:
                 want = sum(1 << p for p, c in enumerate(points) if _cross(a, b, c) > 0)
-                assert left[i * size + j] == want, (a, b)
+                assert left[i][j] == want, (a, b)
     seen = {"hollow": 0, "not hollow": 0, "segment hollow": 0, "segment not hollow": 0}
     for i, a in enumerate(points):
         for p in range(i + 1, n):
             want = not h2.contains_integer_point(Poly([a, points[p]]))
-            assert bool(hollow[i * size + i] >> p & 1) == want, (a, points[p])
+            assert bool(hollow[i][i] >> p & 1) == want, (a, points[p])
             seen["segment hollow" if want else "segment not hollow"] += 1
         for j, b in enumerate(points):
             for p, c in enumerate(points):
                 if _cross(a, c, b) > 0:  # (a, c, b) counterclockwise
                     want = not h2.contains_integer_point(Poly([a, c, b]))
-                    assert bool(hollow[i * size + j] >> p & 1) == want, (a, c, b)
+                    assert bool(hollow[i][j] >> p & 1) == want, (a, c, b)
                     seen["hollow" if want else "not hollow"] += 1
     # the integer points of the (3, 3) box are its corners, which no
     # triangle or segment of candidates reaches
@@ -547,6 +547,14 @@ def test_box_6_13_bound_1_report_is_pinned():
     assert digest == "b174d2bf1846d5f4c7b146221de700ed76391f44544899af4d818915d2e0b579"
 
 
+def test_box_6_9_report_is_pinned():
+    # the box of the benchmark's hollow2d workload
+    rep = h2.enumerate_and_verify((6, 9))
+    assert (rep.hulls_examined, rep.maximal_hulls, len(rep.failures)) == (161908, 102021, 0)
+    digest = hashlib.sha256(rep.format().encode()).hexdigest()
+    assert digest == "cbce61c416a43a237da38857f0312b9ea503e90eb4bd1854ce6866525d0c58ce"
+
+
 @pytest.mark.parametrize("box", [(-3, 9), (6, -1), (-1, -1)])
 def test_a_negative_box_corner_is_refused(box):
     # the grid of such a box is empty, which used to read as "verified"
@@ -558,6 +566,17 @@ def test_a_negative_box_corner_is_refused(box):
 def test_a_job_count_below_one_is_refused(jobs):
     with pytest.raises(ValueError):
         h2.enumerate_and_verify((3, 3), jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [((True, 3), 42, 1), ((3, False), 42, 1), ((3.0, 3), 42, 1), ((3, 3), 2.5, 1), ((3, 3), True, 1),
+     ((3, 3), 42, 1.0), ((3, 3), 42, True)],
+)
+def test_non_int_arguments_are_refused(args):
+    # (True, 3) used to walk the (1, 3) box, and a float failed in range()
+    with pytest.raises(ValueError):
+        h2.enumerate_and_verify(*args)
 
 
 def test_narrow_matches_the_list_definition():
@@ -615,14 +634,14 @@ def test_wide_hull_search_never_tries_1_0(monkeypatch, box, bound, counts, diges
     assert tried and set(tried) <= set(h2.coprime_directions(bound))
 
 
-def _unfolded_hollow(points, size):
+def _unfolded_hollow(points):
     """The cap rows before their closing edge is folded in: for a != b
     the p right of a -> b whose triangle (a, p, b) holds no integer
     point, plus every p left of or on a -> b; for
     a = b the p > a whose segment a-p has no integer point, plus every
     p <= a.  Read off the polygon primitives, one point at a time."""
     n = len(points)
-    hollow = [0] * (n * size)
+    hollow = [[0] * n for _ in points]
     for i, a in enumerate(points):
         for j, b in enumerate(points):
             row = 0
@@ -632,7 +651,7 @@ def _unfolded_hollow(points, size):
                 else:
                     keep = _cross(a, c, b) <= 0 or h2.is_hollow(Poly([a, c, b]))
                 row |= keep << p
-            hollow[i * size + j] = row
+            hollow[i][j] = row
     return hollow
 
 
@@ -640,7 +659,7 @@ def _ends_by_index(tables, bound):
     """(examined, maximal, failures) of a walk that reads each hull's
     five ends by modular index, ANDs both closing-edge rows itself and
     searches every maximal hull from (1, 0) on."""
-    points, size, left, hollow = tables
+    points, left, hollow = tables
     examined = maximal = 0
     failures = []
 
@@ -649,9 +668,8 @@ def _ends_by_index(tables, bound):
         examined += 1
         k = len(hull)
         h0, h1, r, s, t = hull[0], hull[1 % k], hull[-3 % k], hull[-2 % k], hull[-1]
-        st, th0 = s * size + t, t * size + h0
-        one = cands & left[st] & left[h0 * size + t] & left[h0 * size + h1] & hollow[th0]
-        two = cands & left[t * size + s] & left[th0] & left[r * size + s] & hollow[st]
+        one = cands & left[s][t] & left[h0][t] & left[h0][h1] & hollow[t][h0]
+        two = cands & left[t][s] & left[t][h0] & left[r][s] & hollow[s][t]
         kept = one | two
         if not kept:
             maximal += 1
@@ -671,16 +689,79 @@ def _ends_by_index(tables, bound):
 @pytest.mark.parametrize("box", [(3, 3), (4, 5), (5, 7)])
 def test_folded_rows_and_handed_down_ends(box):
     tables = h2._tables(box)
-    points, size, left, hollow = tables
+    points, left, hollow = tables
     n = len(points)
-    unfolded = _unfolded_hollow(points, size)
+    unfolded = _unfolded_hollow(points)
     for i in range(n):
         for j in range(n):
-            row = hollow[i * size + j]
+            row = hollow[i][j]
             if i != j:
                 # every bit of a cap row is strictly left of its closing edge
-                assert row & ~left[j * size + i] == 0, (points[i], points[j])
-            assert row == unfolded[i * size + j] & left[j * size + i], (points[i], points[j])
+                assert row & ~left[j][i] == 0, (points[i], points[j])
+            assert row == unfolded[i][j] & left[j][i], (points[i], points[j])
     for bound in (1, 42):
         rep = h2.enumerate_and_verify(box, bound=bound)
         assert _ends_by_index(tables, bound) == (rep.hulls_examined, rep.maximal_hulls, rep.failures)
+
+
+def _skipped_rows_walk(tables):
+    """(hulls, maximal hulls, outside) of a walk that reads each hull's
+    ends by modular index and ANDs all six rows, checking at every hull
+    that the neighbour row ``_walk`` skips removes no point from its cap:
+    h0 -> h1 for a hull that follows its parent's t, r -> s for one that
+    restarts at it, both for a segment.  Below a parent of three or more
+    vertices every inherited candidate is strictly left of the skipped
+    row's edge; outside counts the children of segments for which some
+    are not."""
+    points, left, hollow = tables
+    hulls, maximal, outside = 0, [], 0
+
+    def visit(hull, cands, followed):
+        nonlocal hulls, outside
+        hulls += 1
+        k = len(hull)
+        h0, h1, r, s, t = hull[0], hull[1 % k], hull[-3 % k], hull[-2 % k], hull[-1]
+        one = cands & left[s][t] & hollow[t][h0]
+        two = cands & left[t][h0] & hollow[s][t]
+        if k == 2 or followed:
+            assert one & ~left[h0][h1] == 0, hull
+        if k == 2 or followed is False:
+            assert two & ~left[r][s] == 0, hull
+        if k > 2:
+            row = left[h0][h1] if followed else left[r][s]
+            if cands & ~row:
+                assert k == 3, hull
+                outside += 1
+        one &= left[h0][h1]
+        two &= left[r][s]
+        kept = one | two
+        if not kept:
+            maximal.append(hull)
+        while kept:
+            p = (kept & -kept).bit_length() - 1
+            kept &= kept - 1
+            if one >> p & 1:
+                visit(hull + [p], kept, True)
+            else:
+                visit([t] + hull[:-1] + [p], kept, False)
+
+    for root in range(len(points)):
+        visit([root], -2 << root, None)
+    return hulls, maximal, outside
+
+
+@pytest.mark.parametrize("box", [(3, 3), (4, 5), (5, 7)])
+def test_skipped_neighbour_rows_remove_nothing(box):
+    tables = h2._tables(box)
+    points = tables[0]
+    hulls, maximal, outside = _skipped_rows_walk(tables)
+    # the segment case is real: there the other cap's points see the edge
+    assert outside > 0
+    for bound in (1, 42):
+        failures = []
+        for hull in maximal:
+            verts = [points[v] for v in hull]
+            if h2.narrow_direction(Poly(verts), h2.THRESHOLD, bound) is None:
+                failures.append(tuple(sorted(verts)))
+        rep = h2.enumerate_and_verify(box, bound=bound)
+        assert (hulls, len(maximal), sorted(failures)) == (rep.hulls_examined, rep.maximal_hulls, rep.failures)

@@ -36,24 +36,13 @@ def gen_grid(a, b):
         return (i % a) * b + (j % b)
 
     # edge ids: east edge of v is v, north edge of v is nv + v;
-    # canonical half-edge 2e points east/north (away from v)
-    def east(i, j):
-        return vid(i, j)
-
-    def north(i, j):
-        return nv + vid(i, j)
-
-    rotations = []
-    for i in range(a):
-        for j in range(b):
-            rotations.append(
-                [
-                    2 * east(i, j) + 1,       # from the east neighbour
-                    2 * north(i, j) + 1,      # from the north neighbour
-                    2 * east(i - 1, j),       # from the west neighbour
-                    2 * north(i, j - 1),      # from the south neighbour
-                ]
-            )
+    # canonical half-edge 2e points east/north (away from v); v's rotation
+    # takes its edges in from the east, north, west and south neighbours
+    rotations = [
+        [2 * vid(i, j) + 1, 2 * (nv + vid(i, j)) + 1, 2 * vid(i - 1, j), 2 * (nv + vid(i, j - 1))]
+        for i in range(a)
+        for j in range(b)
+    ]
     return build_map(rotations)
 
 
@@ -61,25 +50,12 @@ def gen_q13():
     """The Cayley graph of Z_13 with connectors {1, 5}, embedded as a
     quadrangulation of the torus: 13 vertices, 26 edges, 13 4-gon faces
     (vertex i, i+1, i+6, i+5), Euler genus 2."""
-    nv = 13
-
-    # edge ids: the +1 edge leaving v is v, the +5 edge leaving v is 13 + v
-    def plus1(v):
-        return v % nv
-
-    def plus5(v):
-        return nv + (v % nv)
-
-    incoming = {
-        1: lambda v: 2 * plus1(v - 1),       # from v-1 along its +1 edge
-        -1: lambda v: 2 * plus1(v) + 1,      # from v+1, reverse of v's +1 edge
-        5: lambda v: 2 * plus5(v - 5),       # from v-5 along its +5 edge
-        -5: lambda v: 2 * plus5(v) + 1,      # from v+5, reverse of v's +5 edge
-    }
-    rotations = []
-    for v in range(nv):
-        rotations.append([incoming[step](v) for step in (1, 5, -1, -5)])
-    return build_map(rotations)
+    # edge ids: the +1 edge leaving v is v, the +5 edge leaving v is 13 + v;
+    # v's rotation takes the +1 edge in from v-1, the +5 edge in from v-5,
+    # then the reverses of its own +1 and +5 edges, in from v+1 and v+5
+    return build_map(
+        [[2 * ((v - 1) % 13), 2 * (13 + (v - 5) % 13), 2 * v + 1, 2 * (13 + v) + 1] for v in range(13)]
+    )
 
 
 def _add_instance_args(p):

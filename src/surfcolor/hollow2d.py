@@ -344,10 +344,9 @@ def _walk(args):
     root, lex-less than the root, where no candidate lies.  So a child
     skips that row, and for its other cap the parent ANDs the neighbour
     row, a row it read for its own caps, into the candidates it hands
-    down: a visit is five ANDs.  A root is a one-point hull whose cap is
-    a segment: its children are the lex-greater bits of its own hollow
-    row, with h0 = s = root and t = p, and they need neither neighbour
-    row, as each repeats one of their cap rows.
+    down: a visit is five ANDs.  A root is the one-point hull (root,
+    root, root), as left[root][root] is full and hollow[root][root] is
+    its segment row; a segment's neighbour rows repeat its cap rows.
 
     A hull hands its children their h0, s and t: h0, t, p when p
     follows t, and t, s, p when the hull restarts.  Its vertices are the
@@ -403,15 +402,8 @@ def _walk(args):
 
     for root in roots:
         x0 = xs[root]  # the least x of every hull in the root's subtree
-        examined += 1
-        kept = hollow[root][root] & -2 << root  # hollow segments up from the root
-        maximal += not kept  # a lone point is narrow
-        push(root)
-        while kept:
-            p = (kept & -kept).bit_length() - 1
-            kept &= kept - 1
-            visit(root, root, p, kept, kept)
-        pop()
+        above = -2 << root  # the lex-greater points
+        visit(root, root, root, above, above)
     return examined, maximal, failures
 
 

@@ -230,7 +230,6 @@ def layered_residue_solve(search, a):
     """
     m, mod, S, copaths = search.map, search.mod, search.S, search.copaths
     b, lengths = search.network(a)
-    pairings = {y: pair(b, copaths[y].chain) for y in S}
     H = len(lengths)
     lengths.extend(range(0, -mod, -1))
     dist, _, cyc = shortest_paths(len(search.layers), search.layers, lengths, (search.x * mod,))
@@ -243,7 +242,7 @@ def layered_residue_solve(search, a):
             raise AssertionError("layered cycle is not negative")
         search.cuts.append((z, rhs))
         return None
-    ell = {y: dist[y * mod + search.kept[y]] + pairings[y] for y in S}
+    ell = {y: dist[y * mod + search.kept[y]] + pair(b, copaths[y].chain) for y in S}
     if __debug__:
         assert ell[search.x] == 0
         for y in S:

@@ -123,14 +123,15 @@ class CombinatorialMap:
 def build_map(rotations, opp=None):
     """Build and validate a combinatorial map.
 
-    ``rotations`` is a sequence indexed by vertex id; entry v is the
+    ``rotations`` is read once, in vertex id order; entry v is the
     counterclockwise cyclic sequence of half-edges with tgt = v.  ``opp``
     is the opposition pairing as a sequence or mapping; if omitted,
     opp(2i) = 2i+1 is assumed.
 
     Raises NotInvolution, DanglingHalfEdge, Disconnected or OddEulerGenus.
     """
-    n = sum(len(cyc) for cyc in rotations)
+    rot = [list(cyc) for cyc in rotations]
+    n = sum(len(cyc) for cyc in rot)
     if n % 2 != 0:
         raise errors.DanglingHalfEdge("odd number of half-edges")
 
@@ -147,12 +148,11 @@ def build_map(rotations, opp=None):
             if opp_list[o] != h:
                 raise errors.NotInvolution("opp(opp(%d)) = %d != %d" % (h, opp_list[o], h))
 
+    # the n entries are n distinct half-edges of 0..n-1, so every
+    # half-edge lies in one rotation
     tgt = [-1] * n
     rot_index = [-1] * n
-    rot = []
-    for v, cyc in enumerate(rotations):
-        cyc = list(cyc)
-        rot.append(cyc)
+    for v, cyc in enumerate(rot):
         for i, h in enumerate(cyc):
             if not (0 <= h < n):
                 raise errors.DanglingHalfEdge("half-edge %r out of range 0..%d" % (h, n - 1))
@@ -160,9 +160,6 @@ def build_map(rotations, opp=None):
                 raise errors.DanglingHalfEdge("half-edge %d appears in two rotations" % h)
             tgt[h] = v
             rot_index[h] = i
-    if any(t == -1 for t in tgt):
-        missing = tgt.index(-1)
-        raise errors.DanglingHalfEdge("half-edge %d appears in no rotation" % missing)
 
     num_vertices = len(rot)
     if num_vertices == 0:

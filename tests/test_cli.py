@@ -155,6 +155,21 @@ def test_precolor_unknown_vertex(capsys, tmp_path):
     assert code == 2
 
 
+def test_precolor_conflicting_colors(capsys, tmp_path):
+    # the label v0,0 and the bare id 0 name the same vertex
+    pc = tmp_path / "pre.txt"
+    pc.write_text("v0,0 0\n0 1\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "solve", "--grid", "3", "3", "--precolor", str(pc))
+    assert (code, out) == (2, "")
+    assert err == "error: conflicting colors for vertex '0'\n"
+
+
+def test_gen_bouquet_without_loops_is_invalid_input(capsys):
+    code, out, err = run_cli(capsys, "gen", "--bouquet", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: need at least one loop\n"
+
+
 def test_bad_map_file(capsys, tmp_path):
     bad = tmp_path / "bad.surfmap"
     bad.write_text("nonsense\n", encoding="ascii")
@@ -271,6 +286,13 @@ def test_polytope_bouquet(capsys):
     code, out, _ = run_cli(capsys, "polytope", "--bouquet")
     assert code == 0
     assert out.splitlines() == ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
+
+
+def test_polytope_one_loop_bouquet_is_none(capsys):
+    # the dual of a one-loop bouquet is one edge, which carries no
+    # nowhere-zero flow with boundary divisible by 3
+    code, out, _ = run_cli(capsys, "polytope", "--bouquet", "1")
+    assert (code, out) == (1, "NONE\n")
 
 
 def test_hollow2d_smoke(capsys):

@@ -325,7 +325,18 @@ def _independent_dfs(box, bound):
     return examined, maximal, sorted(failures)
 
 
-@pytest.mark.parametrize("box, counts", [((4, 4), (3862, 2454, 90)), ((4, 5), (8947, 5634, 291))])
+@pytest.mark.parametrize(
+    "box, counts",
+    [
+        ((4, 4), (3862, 2454, 90)),
+        ((4, 5), (8947, 5634, 291)),
+        # a root that is a lone point, or whose hull is one segment
+        ((1, 0), (1, 1, 0)),
+        ((0, 1), (1, 1, 0)),
+        ((2, 0), (3, 2, 0)),
+        ((1, 1), (7, 4, 0)),
+    ],
+)
 def test_enumeration_matches_independent_dfs_with_failures(monkeypatch, box, counts):
     # below the paper's threshold some maximal hulls have no narrow
     # direction, so the failure lists themselves are compared

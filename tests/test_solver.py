@@ -33,6 +33,13 @@ def test_verify_homomorphism_examples():
     assert verify_homomorphism(g44, 5, two_color)  # 0,1 adjacent in C_5
 
 
+def test_verify_homomorphism_checks_the_precoloring():
+    g33 = gen_grid(3, 3)
+    phi = grid_coloring(3, 3)
+    assert verify_homomorphism(g33, 3, phi, {4: phi[4]})
+    assert not verify_homomorphism(g33, 3, phi, {4: (phi[4] + 1) % 3})
+
+
 def test_coloring_to_flow_properties():
     h = gen_grid(3, 3)
     g = dual(h)
@@ -100,6 +107,13 @@ def test_flow_to_coloring_rejects_bad_pairings():
     f = Chain1(m, {0: 1, 2: 1})
     with pytest.raises(errors.DivisibilityViolation):
         flow_to_coloring(m, f, 3, (0, 0))
+
+
+def test_flow_to_coloring_rejects_a_boundary_not_divisible_by_m():
+    g = gen_grid(3, 3)
+    f = Chain1(g, {0: 1})  # one edge between two vertices: boundary +-1
+    with pytest.raises(errors.DivisibilityViolation, match="flow boundary not divisible by 3"):
+        flow_to_coloring(g, f, 3, (0, 0))
 
 
 def test_extend_grid33_empty():

@@ -53,6 +53,23 @@ def test_disconnected_rejected():
         build_map([[0, 1], [2, 3]])
 
 
+def test_opp_out_of_range_rejected():
+    with pytest.raises(errors.NotInvolution, match="out of range"):
+        build_map([[0, 1]], opp=[2, 0])
+
+
+def test_no_rotations_rejected():
+    with pytest.raises(errors.Disconnected, match="empty map"):
+        build_map([])
+
+
+def test_rotations_are_read_once():
+    # a one-shot iterator of rotations builds the same map as their list
+    g = gen_grid(3, 4)
+    m = build_map(iter(g.rot))
+    assert (m.tgt, m.opp, m.rot, m.left, m.faces) == (g.tgt, g.opp, g.rot, g.left, g.faces)
+
+
 def test_dual_of_bouquet2():
     d = dual(gen_bouquet(2))
     assert (d.num_vertices, d.num_edges, d.num_faces) == (1, 2, 1)
@@ -231,3 +248,13 @@ def test_edgeless_vertex_is_a_sphere():
     assert m.euler_genus == 0
     d = dual(m)
     assert (d.num_vertices, d.num_edges, d.num_faces) == (1, 0, 1)
+
+
+def test_maps_of_different_sizes_are_not_isomorphic():
+    assert not is_isomorphic(gen_grid(3, 3), gen_grid(3, 4))
+    # four half-edges each: one vertex with two loops, two with a double edge
+    assert not is_isomorphic(gen_bouquet(2), build_map([[0, 2], [1, 3]]))
+
+
+def test_two_edgeless_maps_are_isomorphic():
+    assert is_isomorphic(build_map([[]]), build_map([[]]))

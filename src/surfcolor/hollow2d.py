@@ -20,6 +20,15 @@ subtree.  Every hull that no grid point extends is settled along (1, 0)
 by its x spread, last vertex less root, or else gets the search of
 ``narrow_direction`` from the next direction on, by increasing max-norm
 up to the given bound.
+
+Only the roots of x below 3 thirds are walked.  Every hull in the box is
+R + (3i, 0) for one such walked hull R and one i >= 0, and as the points
+are ordered x first, the lex-greater points that the translate keeps are
+those R keeps of x at most bx - 3i, shifted.  So the walk counts R's
+translates, and which of them are maximal, from two x values and never
+visits them.  A y-translate has no such form: its kept points, shifted
+back, include points below the box, which R's kept points do not cover,
+so it would need its own visit.
 """
 
 from __future__ import annotations
@@ -313,7 +322,8 @@ def _tables(box_thirds):
 
 
 def _walk(args):
-    """(examined, maximal, failures) of the DFS from the given roots.
+    """(examined, maximal, failures) of the DFS from the given roots,
+    each hull with its x-translates.
 
     A hull lists its vertices counterclockwise, h0, h1, ..., r, s, t
     (indices mod its length), t lex-greatest.  The wedge at t holds no
@@ -356,10 +366,23 @@ def _walk(args):
     if its x spread, p's x less the root's, is below limit.  That spread
     settles every maximal hull along (1, 0), or proves it wide there, so
     the direction search starts at the next direction.
+
+    A visit counts the hull and its translates by (3i, 0) that fit in the
+    box, fits[t] of them, as t has the greatest x.  Translate i keeps the
+    points the hull keeps that still fit after the shift; the first of
+    them has the least x, so the translates from fits[first] on keep
+    nothing and are maximal, and all of them are when the hull keeps
+    nothing.  A last child settled as a narrow leaf counts fits[p]
+    maximal hulls.  Width and x spread are the same for every translate,
+    so one direction search settles all the maximal ones, and each of
+    them is recorded, shifted, when it fails.
     """
     box_thirds, bound, limit, roots = args
     points, left, hollow = _tables(box_thirds)
     xs = [x for x, _ in points]
+    # fits[p]: the x-translates of p by multiples of 3 thirds in the box, p
+    # itself included
+    fits = [(box_thirds[0] - x) // 3 + 1 for x in xs]
     stream = coprime_directions(bound)
     next(stream)  # (1, 0)
     directions = []  # listed as the narrow check first draws them
@@ -368,36 +391,50 @@ def _walk(args):
     path = []  # the hull's vertices less t
     push, pop = path.append, path.pop
 
+    def settle(t, first, last):
+        # the direction search for the hull ending at t, whose translates
+        # from first to last - 1 are maximal
+        verts = [points[v] for v in path]
+        verts.append(points[t])
+        if _narrow(verts, limit, directions) is None and _narrow(verts, limit, drawn) is None:
+            verts.sort()
+            failures.extend(tuple((x + 3 * i, y) for x, y in verts) for i in range(first, last))
+
     def visit(h0, s, t, one, two):
         # one, two: each cap's share of the lex-greater points that no
         # hull above this one rejected; the parent has ANDed the one
         # neighbour row a child needs into that cap's share
         nonlocal examined, maximal
-        examined += 1
+        last = fits[t]
+        examined += last
         st, th0 = left[s][t], left[t][h0]
         one &= st & hollow[t][h0]
         two &= th0 & hollow[s][t]
         kept = one | two
         if not kept:
-            maximal += 1
+            maximal += last
             if xs[t] - x0 >= limit:  # else narrow along (1, 0)
-                verts = [points[v] for v in path]
-                verts.append(points[t])
-                if _narrow(verts, limit, directions) is None and _narrow(verts, limit, drawn) is None:
-                    failures.append(tuple(sorted(verts)))
+                settle(t, 0, last)
             return
+        bit = kept & -kept
+        p = bit.bit_length() - 1
+        first = fits[p]
+        if first < last:  # the translates from first on keep nothing
+            maximal += last - first
+            if xs[t] - x0 >= limit:
+                settle(t, first, last)
         push(t)
-        while kept:
-            bit = kept & -kept
+        while bit:
             kept ^= bit
-            p = bit.bit_length() - 1
-            if not kept and xs[p] - x0 < limit:  # the last child: a narrow leaf
-                examined += 1
-                maximal += 1
+            if not kept and xs[p] - x0 < limit:  # the last child: narrow leaves
+                examined += fits[p]
+                maximal += fits[p]
             elif one & bit:
                 visit(h0, t, p, kept, kept & st)
             else:
                 visit(t, s, p, kept & th0, kept)
+            bit = kept & -kept
+            p = bit.bit_length() - 1
         pop()
 
     for root in roots:
@@ -410,11 +447,14 @@ def _walk(args):
 def enumerate_and_verify(box_thirds=(8, 13), bound=42, jobs=1):
     """Enumerate every third-integral polytope in the box and verify that
     each hollow one is strictly narrower than THRESHOLD along some
-    direction of max-norm at most bound.  DFS roots are independent, so
-    jobs > 1 deals them out to at most one process per root; the merged
-    report is identical either way.  The roots' subtrees shrink, roughly,
-    as the root grows, so the deal goes back and forth: worker w takes the
-    roots at positions w and 2W - 1 - w of each block of 2W.
+    direction of max-norm at most bound.  Only the roots of x below 3
+    thirds, a prefix of the candidates, are walked; the walk counts every
+    other hull as an x-translate of one of theirs (see ``_walk``).  DFS
+    roots are independent, so jobs > 1 deals them out to at most one
+    process per root; the merged report is identical either way.  The
+    roots' subtrees shrink, roughly, as the root grows, so the deal goes
+    back and forth: worker w takes the roots at positions w and 2W - 1 - w
+    of each block of 2W.
     """
     # a bool passes for 0 or 1 and a float fails deep inside range(), so
     # each number must be an int; the walk settles hulls along (1, 0) and
@@ -427,7 +467,8 @@ def enumerate_and_verify(box_thirds=(8, 13), bound=42, jobs=1):
         raise ValueError("jobs must be an integer of at least 1")
     t0 = time.monotonic()
     limit = ceil(3 * THRESHOLD)
-    roots = range(len(_candidate_points(box_thirds)))
+    # the candidates of x below 3 come before the integer point (3, 0)
+    roots = range(bisect_left(_candidate_points(box_thirds), (3, 0)))
     workers = min(jobs, len(roots))
     if workers > 1:
         # one task per worker, so that each builds the tables once

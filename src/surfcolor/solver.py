@@ -16,7 +16,8 @@ from .errors import DivisibilityViolation, NotAHomomorphism
 
 
 class Precoloring:
-    """A partial mapping of the vertices of H into {0, ..., m-1}."""
+    """A partial mapping of the vertices of H into {0, ..., m-1}; every
+    vertex and color is an int, and a bool is not one."""
 
     __slots__ = ("m", "psi")
 
@@ -25,7 +26,11 @@ class Precoloring:
         self.m = m
         self.psi = dict(psi) if psi else {}
         for v, c in self.psi.items():
-            if not (isinstance(c, int) and 0 <= c < m):
+            if type(v) is not int:
+                raise ValueError("precolored vertex %r is not an integer" % (v,))
+            if type(c) is not int:
+                raise ValueError("color %r at vertex %r is not an integer" % (c, v))
+            if not 0 <= c < m:
                 raise ValueError("color %r out of range at vertex %r" % (c, v))
 
     def __repr__(self):
@@ -145,7 +150,7 @@ def extend_precoloring(h_map, pre):
     the odd cycle C_m, and produce a verified one when it does."""
     m = pre.m
     for v in pre.psi:
-        if not (isinstance(v, int) and 0 <= v < h_map.num_vertices):
+        if not (type(v) is int and 0 <= v < h_map.num_vertices):
             raise ValueError("precolored vertex %r not in the map" % (v,))
 
     # loops are never homomorphic to a cycle; adjacent precolored vertices

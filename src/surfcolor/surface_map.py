@@ -126,7 +126,8 @@ def build_map(rotations, opp=None):
     ``rotations`` is read once, in vertex id order; entry v is the
     counterclockwise cyclic sequence of half-edges with tgt = v.  ``opp``
     is the opposition pairing as a sequence or mapping; if omitted,
-    opp(2i) = 2i+1 is assumed.
+    opp(2i) = 2i+1 is assumed.  Every half-edge id in either must be an
+    int; a bool, which would index as 0 or 1, is not one.
 
     Raises NotInvolution, DanglingHalfEdge, Disconnected or OddEulerGenus.
     """
@@ -141,6 +142,8 @@ def build_map(rotations, opp=None):
         opp_list = [opp[h] for h in range(n)]
         for h in range(n):
             o = opp_list[h]
+            if type(o) is not int:
+                raise errors.NotInvolution("opp(%d) = %r is not an integer" % (h, o))
             if not (0 <= o < n):
                 raise errors.NotInvolution("opp(%d) = %r out of range" % (h, o))
             if o == h:
@@ -154,6 +157,8 @@ def build_map(rotations, opp=None):
     rot_index = [-1] * n
     for v, cyc in enumerate(rot):
         for i, h in enumerate(cyc):
+            if type(h) is not int:
+                raise errors.DanglingHalfEdge("half-edge %r is not an integer" % (h,))
             if not (0 <= h < n):
                 raise errors.DanglingHalfEdge("half-edge %r out of range 0..%d" % (h, n - 1))
             if tgt[h] != -1:

@@ -776,3 +776,85 @@ def test_skipped_neighbour_rows_remove_nothing(box):
                 failures.append(tuple(sorted(verts)))
         rep = h2.enumerate_and_verify(box, bound=bound)
         assert (hulls, len(maximal), sorted(failures)) == (rep.hulls_examined, rep.maximal_hulls, rep.failures)
+
+
+def test_only_the_roots_left_of_x_1_are_walked(monkeypatch):
+    # every other hull is an x-translate of one walked from these roots,
+    # and the walk counts it without visiting it
+    roots = []
+    real_walk = h2._walk
+
+    def recording_walk(args):
+        roots.extend(args[-1])
+        return real_walk(args)
+
+    monkeypatch.setattr(h2, "_walk", recording_walk)
+    rep = h2.enumerate_and_verify((6, 9))
+    assert (rep.hulls_examined, rep.maximal_hulls, len(rep.failures)) == (161908, 102021, 0)
+    points = h2._candidate_points((6, 9))
+    assert len(points) == 58
+    assert list(roots) == list(range(26))
+    assert [p for p in points if p[0] < 3] == [points[r] for r in roots]
+
+
+@pytest.mark.parametrize(
+    "box, threshold, counts",
+    [((7, 3), 1, (17263, 10779, 4624)), ((8, 2), Fraction(2, 3), (9839, 6233, 4659))],
+    ids=["7x3-threshold-1", "8x2-threshold-2/3"],
+)
+def test_translated_failures_match_independent_dfs(monkeypatch, box, threshold, counts):
+    # boxes 7 and 8 thirds wide, where a wide hull can have a translate;
+    # below the paper's threshold its failure tuples are shifted copies
+    # of the walked hull's, compared one by one
+    monkeypatch.setattr(h2, "THRESHOLD", Fraction(threshold))
+    examined, maximal, failures = _independent_dfs(box, 3)
+    assert (examined, maximal, len(failures)) == counts
+    assert sum(f[0][0] >= 3 for f in failures) > 100
+    for jobs in (1, 3):
+        rep = h2.enumerate_and_verify(box, bound=3, jobs=jobs)
+        assert (rep.hulls_examined, rep.maximal_hulls, rep.failures) == (examined, maximal, failures)
+
+
+def _first_extensions(box):
+    """{hull: its lex-least extension, or None}, for every hull of the
+    plain DFS of ``_independent_dfs``; a hull is its sorted vertices."""
+    grid = [(x, y) for x in range(box[0] + 1) for y in range(box[1] + 1)]
+    first = {}
+
+    def visit(sub):
+        children = [p for p in grid if p > sub[-1] and _strictly_convex_hollow(sub + (p,))]
+        first[sub] = children[0] if children else None
+        for p in children:
+            visit(sub + (p,))
+
+    for p in grid:
+        if _strictly_convex_hollow((p,)):
+            visit((p,))
+    return first
+
+
+@pytest.mark.parametrize("box", [(7, 2), (8, 1)])
+def test_hulls_are_the_x_translates_of_those_rooted_left_of_x_1(box):
+    # bucket i, the hulls whose root x is in [3i, 3i + 3), is bucket 0
+    # cut to a last x of at most bx - 3i and shifted by (3i, 0); a
+    # translate is maximal iff the bucket-0 hull's first extension, of
+    # the least x, no longer fits: i > (bx - its x) // 3
+    bx = box[0]
+    first = _first_extensions(box)
+    buckets = {}
+    for hull, p in first.items():
+        buckets.setdefault(hull[0][0] // 3, {})[hull] = p is None
+    assert sorted(buckets) == list(range(bx // 3 + 1))
+    for i, bucket in buckets.items():
+        want = {}
+        for hull, p in first.items():
+            if hull[0][0] < 3 and hull[-1][0] <= bx - 3 * i:
+                shifted = tuple((x + 3 * i, y) for x, y in hull)
+                want[shifted] = p is None or i > (bx - p[0]) // 3
+        assert bucket == want, i
+    # a maximal translate of a hull that is not maximal is no rare case
+    assert sum(
+        p is not None and (bx - p[0]) // 3 < (bx - hull[-1][0]) // 3 for hull, p in first.items() if hull[0][0] < 3
+    ) >= 10
+    rep = h2.enumerate_and_verify(box)
+    assert (rep.hulls_examined, rep.maximal_hulls) == (len(first), sum(p is None for p in first.values()))

@@ -172,6 +172,33 @@ def test_precoloring_validation():
         Precoloring(3, {0: 3})
 
 
+@pytest.mark.parametrize(
+    "psi, message",
+    [
+        ({0: True}, "color True at vertex 0 is not an integer"),
+        ({True: 1}, "precolored vertex True is not an integer"),
+        ({0: 1.0}, "color 1.0 at vertex 0 is not an integer"),
+        ({0.0: 1}, "precolored vertex 0.0 is not an integer"),
+    ],
+    ids=["bool-color", "bool-vertex", "float-color", "float-vertex"],
+)
+def test_non_int_precolorings_are_named_as_such(psi, message):
+    # {0: True} and {True: 1} used to solve as {0: 1} and {1: 1}, and a
+    # float color was reported as out of range
+    with pytest.raises(ValueError) as info:
+        Precoloring(3, psi)
+    assert str(info.value) == message
+
+
+def test_a_precolored_vertex_outside_the_map_is_refused():
+    pre = Precoloring(3, {9: 1})
+    with pytest.raises(ValueError, match="not in the map"):
+        extend_precoloring(gen_grid(3, 3), pre)
+    pre.psi = {True: 1}
+    with pytest.raises(ValueError, match="not in the map"):
+        extend_precoloring(gen_grid(3, 3), pre)
+
+
 def _solve_grid33(modulus, psi=None):
     return extend_precoloring(gen_grid(3, 3), Precoloring(modulus, psi))
 

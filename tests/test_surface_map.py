@@ -58,6 +58,24 @@ def test_opp_out_of_range_rejected():
         build_map([[0, 1]], opp=[2, 0])
 
 
+@pytest.mark.parametrize(
+    "rotations, opp, error",
+    [
+        ([[0.0], [1]], None, errors.DanglingHalfEdge),
+        ([["a"], [1]], None, errors.DanglingHalfEdge),
+        ([[False], [True]], None, errors.DanglingHalfEdge),
+        ([[0], [1]], [1.0, 0], errors.NotInvolution),
+        ([[0], [1]], {0: True, 1: False}, errors.NotInvolution),
+    ],
+    ids=["float-half-edge", "str-half-edge", "bool-half-edges", "float-opp", "bool-opp"],
+)
+def test_non_int_half_edge_ids_rejected(rotations, opp, error):
+    # a float or a str used to raise a bare TypeError, and a bool passed
+    # for 0 or 1 and built a map
+    with pytest.raises(error, match="not an integer"):
+        build_map(rotations, opp)
+
+
 def test_no_rotations_rejected():
     with pytest.raises(errors.Disconnected, match="empty map"):
         build_map([])

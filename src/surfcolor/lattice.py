@@ -11,6 +11,17 @@ outside the polytope or that the residue system has no solution there,
 so the pass is the search's only test of a box point, and its
 distances at the point that passes give the circulation.
 
+When S is x alone the pass runs over one copy of the repair network.
+The residue system is then ell(x) = 0, which always holds, so a pass
+fails exactly when the box point is outside the polytope, on a negative
+dual cycle, with one copy or m.  And a drop at x never shortens a path:
+a closed walk at x has a length L >= 0 with L = c (mod m), and the drop
+from (x, c) takes it to L - c >= 0.  So the least distance over the m
+copies of a face is its plain distance, and the pass gives the
+circulation that m copies would give.  A failed pass keeps the cut
+(z, P) of a negative dual cycle, which may be another cycle than m
+copies would return, and so may answer other points than theirs.
+
 One search keeps one ``SearchState`` for its fixed f and residue system,
 built once: the f-part of the repair lengths, patched at each box point,
 the k(y) and arcs of the layered network, built at the anchor, and one
@@ -212,7 +223,10 @@ def layered_residue_solve(search, a):
     largest solution, ell(y) = dist((x, 0), (y, k(y))) + pair(b, P(y)).
     A negative cycle thus exists if and only if the system is infeasible
     or a lies outside the polytope (a negative dual cycle, repeated m
-    times, returns to its layer).
+    times, returns to its layer).  When S = (x,) the system ell(x) = 0
+    always holds, and the state's network has one copy per face (see
+    the module docstring): read m as search.mod = 1 above, and a pass
+    fails exactly when a is outside the polytope.
 
     On success the pass leaves ell on the state, and as ``chain`` the
     circulation b + boundary2(Lambda), Lambda(v) being the least distance
@@ -276,14 +290,20 @@ class SearchStats:
 
 class SearchState:
     """What one lattice search keeps for its fixed f and residue system
-    (S, x, copaths, mod = spec.m, and r: spec.r0_prime, 0 at x).
+    (S, x, copaths, r: spec.r0_prime, 0 at x), and mod, the number of
+    residue copies of its layered network: spec.m, or 1 when S = (x,).
+    With S = (x,) the residue system is ell(x) = 0, which always holds,
+    and one copy gives each face the least distance over m copies, so
+    the passes keep their verdicts and circulations (see the module
+    docstring).  The box points still step by spec.m.
 
     - base: the f-part of every repair network's lengths
       (``circulation.base_network``); each target patches a copy of it.
     - kept, layers: the k(y) and the arcs of the layered network of
-      ``layered_residue_solve``, built at the anchor spec.r0.  Every box
-      point of the search is congruent to spec.r0 mod m, so both are the
-      same at each of them (see the module docstring).
+      ``layered_residue_solve`` (mod copies of each face), built at the
+      anchor spec.r0.  Every box point of the search is congruent to
+      spec.r0 mod m, so both are the same at each of them (see the
+      module docstring).
     - cuts: the pairs (z, rhs) that the failed passes kept.  Each answers
       the pass at every later box point u with <z, u> > rhs: that pass
       fails too (see the module docstring).
@@ -303,7 +323,8 @@ class SearchState:
         self.S = S
         self.x = x
         self.copaths = copaths
-        self.mod = spec.m
+        # S = (x,) asks only ell(x) = 0: one copy gives the same distances
+        self.mod = 1 if len(S) == 1 else spec.m
         self.r = {y: 0 for y in S}
         self.r.update(spec.r0_prime)
         self.r[x] = 0

@@ -305,8 +305,8 @@ def b_of(n, m):
 
 def check_modulus(modulus):
     """Raise unless the modulus, the length of the target cycle, is an odd
-    integer and at least 3."""
-    if not isinstance(modulus, int):
+    integer and at least 3; a bool is not an integer here."""
+    if type(modulus) is not int:
         raise errors.SurfcolorError("modulus must be an integer, got %r" % (modulus,))
     if modulus % 2 == 0:
         raise errors.EvenModulus("modulus must be odd, got %d" % modulus)

@@ -424,18 +424,19 @@ def test_nowhere_zero_flow_matches_orientation_bruteforce():
 
 
 @pytest.mark.parametrize(
-    "modulus, error",
+    "modulus, error, message",
     [
-        (0, errors.EvenModulus),
-        (1, errors.ModulusTooSmall),
-        (2, errors.EvenModulus),
-        (True, errors.ModulusTooSmall),
-        (-3, errors.ModulusTooSmall),
-        (3.0, errors.SurfcolorError),
+        (0, errors.EvenModulus, "must be odd"),
+        (1, errors.ModulusTooSmall, "must be >= 3"),
+        (2, errors.EvenModulus, "must be odd"),
+        (True, errors.SurfcolorError, "must be an integer, got True$"),
+        (-3, errors.ModulusTooSmall, "must be >= 3"),
+        (3.0, errors.SurfcolorError, "must be an integer, got 3.0$"),
     ],
     ids=["zero", "one", "two", "true", "minus-three", "float"],
 )
-def test_relevant_boundaries_check_the_modulus(modulus, error):
+def test_relevant_boundaries_check_the_modulus(modulus, error, message):
+    # a bool is refused as no integer, not read as the modulus 1
     g = dual(gen_grid(3, 3))
-    with pytest.raises(error):
+    with pytest.raises(error, match=message):
         next(flows.relevant_boundaries(g, modulus))

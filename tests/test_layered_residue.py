@@ -9,10 +9,10 @@ import sys
 
 import pytest
 
-from surfcolor import circulation, homology, lattice
-from surfcolor.chains import Chain1
+from surfcolor import chains, circulation, homology, lattice
+from surfcolor.chains import Chain1, Chain2, pair
 from surfcolor.circulation import HomologyTarget
-from surfcolor.cli import gen_bouquet, gen_grid
+from surfcolor.cli import gen_bouquet, gen_grid, gen_q13
 from surfcolor.lattice import (
     HomologyPoint,
     ResidueSpec,
@@ -20,6 +20,7 @@ from surfcolor.lattice import (
     integer_points_bruteforce,
     layered_residue_solve,
 )
+from surfcolor.paths import shortest_paths
 from surfcolor.solver import Precoloring, extend_precoloring
 
 from conftest import CORPUS, random_map, random_nowhere_zero
@@ -159,6 +160,75 @@ def hexagon_instances():
         for mod in (3, 5):
             for size in (7, 15):
                 yield g, Precoloring(mod, nonadjacent_precoloring(g, mod, size, rng))
+
+
+def layered_pass(search, mod, a):
+    """The pass at the box point a over mod residue copies of the search's
+    repair network, however many the search keeps: its ell, and its
+    circulation b + boundary2(Lambda), or (None, None) on a negative
+    cycle."""
+    S, x, copaths = search.S, search.x, search.copaths
+    b, lengths = search.network(a)
+    kept = {y: (search.r[y] - pair(b, copaths[y].chain)) % mod for y in S}
+    arcs = lattice._layered_arcs(search.map, lengths, mod, kept)
+    lengths.extend(range(0, -mod, -1))
+    dist, _, cyc = shortest_paths(len(arcs), arcs, lengths, (x * mod,))
+    if cyc is not None:
+        return None, None
+    ell = {y: dist[y * mod + kept[y]] + pair(b, copaths[y].chain) for y in S}
+    least = [min(d for d in dist[i:i + mod] if d is not None) for i in range(0, len(dist), mod)]
+    return ell, b + chains.boundary2(Chain2(search.map, dict(enumerate(least))))
+
+
+def one_layer_instances():
+    """Searches with S = (x,): torus grids at m = 3, 5 and 7 with no
+    precoloring, Q13 at m = 3 and 5 (NONE), grids with two and with four
+    hexagons, and one precolored vertex; then two grids with |S| = 2 and
+    7, whose searches keep m copies."""
+    rng = random.Random(359)
+    for n, mod in ((12, 3), (8, 5), (8, 7)):
+        yield gen_grid(n, n), Precoloring(mod)
+    for mod in (3, 5):
+        yield gen_q13(), Precoloring(mod)
+    yield hexagon_grid(8, 2, rng), Precoloring(5)
+    yield hexagon_grid(8, 4, rng), Precoloring(3)
+    yield gen_grid(8, 8), Precoloring(5, {27: 3})
+    yield gen_grid(8, 8), Precoloring(3, {0: 0, 27: 2})
+    g = hexagon_grid(8, 2, rng)
+    yield g, Precoloring(5, nonadjacent_precoloring(g, 5, 7, rng))
+
+
+def test_one_residue_layer_when_S_is_x_alone(monkeypatch):
+    # with S = (x,) the search keeps one copy of each face, and its pass
+    # answers as m copies would at every box point, with the same labels
+    # and circulation; with |S| >= 2 it keeps m copies
+    searches = []
+    real = lattice.find_constrained_circulation
+
+    def recorded(m, basis, f0, spec, S, x, copaths, stats=None):
+        res = real(m, basis, f0, spec, S, x, copaths, stats)
+        searches.append(((m, basis, f0.chain, spec, S, x, copaths), res))
+        return res
+
+    monkeypatch.setattr(lattice, "find_constrained_circulation", recorded)
+    verdicts = [extend_precoloring(g, pre).extendable for g, pre in one_layer_instances()]
+    assert verdicts == [True, True, True, False, False, True, True, True, True, False]
+    counts = {1: [0, 0], 3: [0, 0], 5: [0, 0]}
+    for (m, basis, f, spec, S, x, copaths), res in searches:
+        state = SearchState(m, basis, f, spec, S, x, copaths)
+        assert state.mod == (1 if S == (x,) else spec.m)
+        box, _ = lattice.pairing_bounds(f, basis, copaths)
+        accepted = None
+        for u in lattice.lex_box_points(box, spec.r0, spec.m):
+            ell, chain = layered_pass(state, spec.m, u)
+            assert layered_residue_solve(state, u) == ell
+            if ell is not None:
+                assert state.chain == chain
+                if accepted is None:
+                    accepted = chain
+            counts[state.mod][ell is None] += 1
+        assert (res and res.chain) == accepted
+    assert min(counts[1]) >= 20 and counts[3][0] and counts[5][1], counts
 
 
 def outcome(res):

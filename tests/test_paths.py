@@ -1,12 +1,17 @@
-"""The shortest-path kernel against a plain Bellman-Ford, and one arc
-list read under several length lists."""
+"""The shortest-path kernel against a plain Bellman-Ford and against
+its earlier form, ``paths_reference``, and one arc list read under
+several length lists."""
 
 import random
 
 import pytest
 
-from surfcolor import paths
+import paths_reference
+from surfcolor import lattice, paths
+from surfcolor.cli import gen_grid
 from surfcolor.paths import shortest_paths
+from surfcolor.solver import Precoloring, extend_precoloring
+from test_layered_residue import nonadjacent_precoloring
 
 
 def random_digraph(rng):
@@ -51,7 +56,9 @@ def test_distances_and_cycles_match_plain_bellman_ford():
     for _ in range(600):
         n, arcs, out, sources = random_digraph(rng)
         want, negative = plain_bellman_ford(n, arcs, sources)
-        dist, pred, cycle = shortest_paths(n, out, [length for _, _, length in arcs], sources)
+        length = [length for _, _, length in arcs]
+        dist, pred, cycle = shortest_paths(n, out, length, sources)
+        assert (dist, pred, cycle) == paths_reference.shortest_paths(n, out, length, sources)
         seen[negative] += 1
         if negative:
             assert dist is None and pred is None
@@ -109,6 +116,44 @@ def test_unreached_negative_cycle_is_ignored():
 
 def test_a_cycle_that_is_not_negative_is_refused():
     # the tree path 0 -> 1 (arc 0, length 1) closed by arc 1 (length 0)
-    # has length 1; the check raises explicitly, so under python -O too
+    # has length 1; the check raises explicitly, so under python -O too.
+    # Node 1 was last lowered from tail 0 along arc 0; node 0 never was
     with pytest.raises(AssertionError, match="not negative"):
-        paths._cycle([None, (0, 0)], [1, 0], 0, 1, 1)
+        paths._cycle([-1, 0], [-1, 0], [1, 0], 0, 1, 1)
+
+
+def planted_precoloring(n, mod, size, rng):
+    """size vertices of the n x n torus grid colored by s_i + t_j, where
+    s and t are closed walks of n steps of +-1 in C_mod: it extends."""
+    walks = []
+    for _ in range(2):
+        steps = [1, -1] * (n // 2)
+        rng.shuffle(steps)
+        walks.append([sum(steps[:i]) for i in range(n)])
+    s, t = walks
+    return {v: (s[v // n] + t[v % n]) % mod for v in rng.sample(range(n * n), size)}
+
+
+@pytest.mark.parametrize("n, mod", [(8, 3), (8, 5), (16, 3), (16, 5)])
+def test_the_kernel_matches_its_reference_on_layered_networks(monkeypatch, n, mod):
+    # every pass of real searches, the failing ones among them, on torus
+    # grids with no precoloring (one residue layer), with planted
+    # precolorings, which extend, and with random ones
+    calls = []
+    real = lattice.shortest_paths
+
+    def recorded(nodes, out, length, sources):
+        got = real(nodes, out, length, sources)
+        assert got == paths_reference.shortest_paths(nodes, out, length, sources)
+        calls.append(got[2] is None)
+        return got
+
+    monkeypatch.setattr(lattice, "shortest_paths", recorded)
+    rng = random.Random(n * 10 + mod)
+    g = gen_grid(n, n)
+    precolorings = [{}]
+    precolorings += [planted_precoloring(n, mod, size, rng) for size in (7, 15)]
+    precolorings += [nonadjacent_precoloring(g, mod, size, rng) for size in (7, 11, 15)]
+    verdicts = [extend_precoloring(g, Precoloring(mod, psi)).extendable for psi in precolorings]
+    assert verdicts[1:3] == [True, True]
+    assert calls.count(True) >= 3 and calls.count(False) >= 3, calls

@@ -224,6 +224,17 @@ def test_non_integer_inputs_raise_value_error(call):
         call()
 
 
+@pytest.mark.parametrize("modulus", [True, False])
+def test_a_bool_modulus_is_no_integer(modulus):
+    # bool is a subclass of int: True used to be reported as the
+    # modulus 1, too small, and False as 0, even (the boundary stream's
+    # check is test_flows.test_relevant_boundaries_check_the_modulus)
+    with pytest.raises(errors.SurfcolorError, match="must be an integer, got %s$" % modulus):
+        Precoloring(modulus)
+    with pytest.raises(errors.SurfcolorError, match="must be an integer, got %s$" % modulus):
+        face_profile(gen_grid(3, 3), modulus)
+
+
 def test_grid33_m5_matches_bruteforce():
     g = gen_grid(3, 3)
     res = extend_precoloring(g, Precoloring(5))

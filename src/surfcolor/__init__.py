@@ -7,7 +7,6 @@ from .surface_map import (
     build_map,
     dual,
     face_profile,
-    is_isomorphic,
     load_surfmap,
     save_surfmap,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "build_map",
     "dual",
     "face_profile",
-    "is_isomorphic",
     "load_surfmap",
     "save_surfmap",
     "Chain0",

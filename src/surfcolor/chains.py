@@ -174,11 +174,6 @@ def face_boundary(m, x):
     return walk_chain(m, m.faces[x])
 
 
-def vertex_coboundary(m, v):
-    """The 2-coboundary of a single vertex v as a 1-chain."""
-    return walk_chain(m, m.rot[v])
-
-
 def boundary2(a):
     """Linear extension of face boundaries to 2-chains."""
     m = a.map

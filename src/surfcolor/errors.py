@@ -37,19 +37,11 @@ class MapMismatch(SurfcolorError):
     pass
 
 
-class NotACycle(SurfcolorError):
-    pass
-
-
 class NotACocycle(SurfcolorError):
     pass
 
 
 class NotAZeroBoundary(SurfcolorError):
-    pass
-
-
-class AnchorOutsidePolytope(SurfcolorError):
     pass
 
 
@@ -62,14 +54,6 @@ class NotAHomomorphism(SurfcolorError):
 
 
 class DivisibilityViolation(SurfcolorError):
-    pass
-
-
-class ZeroDirection(SurfcolorError):
-    pass
-
-
-class NotUnimodular(SurfcolorError):
     pass
 
 

@@ -2,12 +2,12 @@
 have lattice width below two.
 
 Coordinates are stored as integer multiples of 1/3 ("thirds"), so every
-computation is exact integer arithmetic; widths are returned as exact
-fractions.  The enumeration walks all subsets of the grid in strictly
-convex position in ascending lexicographic order: each such subset is
-the vertex set of exactly one third-integral polytope in the box, and
-growing a set can only grow its hull, so branches whose hull contains an
-integer point are pruned for good.
+computation is exact integer arithmetic.  The enumeration walks all
+subsets of the grid in strictly convex position in ascending
+lexicographic order: each such subset is the vertex set of exactly one
+third-integral polytope in the box, and growing a set can only grow its
+hull, so branches whose hull contains an integer point are pruned for
+good.
 
 Point sets are bitmasks over the non-integer grid points, and a hull's
 children are the bits of its two caps, five table rows ANDed into the
@@ -18,7 +18,7 @@ conv(S' + p) for S a subset of S', and an integer point in conv(S + p)
 is in conv(S' + p), so a rejected point stays rejected in the whole
 subtree.  Every hull that no grid point extends is settled along (1, 0)
 by its x spread, last vertex less root, or else gets the search of
-``narrow_direction`` from the next direction on, by increasing max-norm
+``_narrow`` from the next direction on, by increasing max-norm
 up to the given bound.
 
 Only the roots of x below 3 thirds are walked.  Every hull in the box is
@@ -41,109 +41,8 @@ from itertools import accumulate
 from math import ceil, gcd
 from operator import or_
 
-from .errors import NotUnimodular, ZeroDirection
-
 # the paper's bound: every hollow polygon has lattice width below two
 THRESHOLD = Fraction(2)
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull(points):
-    """Strictly convex hull, counterclockwise (collinear points dropped)."""
-    pts = sorted(set(points))
-    if len(pts) <= 1:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-class ThirdIntegralPolygon:
-    """A polytope with vertices on the (1/3)-grid, stored in thirds.
-
-    The stored vertex sequence is the strictly convex hull of the input,
-    counterclockwise, starting at the lexicographically smallest vertex.
-    Every coordinate must be an int; a bool is not one.
-    """
-
-    __slots__ = ("vertices_thirds",)
-
-    def __init__(self, vertices_thirds):
-        pts = [(x, y) for x, y in vertices_thirds]
-        if not all(type(x) is int and type(y) is int for x, y in pts):
-            raise ValueError("vertex coordinates must be integers (in thirds)")
-        hull = convex_hull(pts)
-        if not hull:
-            raise ValueError("a polygon needs at least one vertex")
-        start = hull.index(min(hull))
-        self.vertices_thirds = tuple(hull[start:] + hull[:start])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ThirdIntegralPolygon)
-            and self.vertices_thirds == other.vertices_thirds
-        )
-
-    def __hash__(self):
-        return hash(self.vertices_thirds)
-
-    def __repr__(self):
-        return "ThirdIntegralPolygon(%r)" % (self.vertices_thirds,)
-
-
-def width_along(poly, z):
-    """Exact spread of the support function along an integer direction."""
-    z1, z2 = z
-    if not (type(z1) is int and type(z2) is int):
-        raise ValueError("direction must have integer coordinates")
-    if z1 == 0 and z2 == 0:
-        raise ZeroDirection("direction must be nonzero")
-    vals = [z1 * x + z2 * y for x, y in poly.vertices_thirds]
-    return Fraction(max(vals) - min(vals), 3)
-
-
-def contains_integer_point(poly):
-    """Closed containment of any integer lattice point: a point of the
-    bounding box with every edge's cross product >= 0.  A point or a
-    segment has each edge both ways round, which leaves only the points
-    on it."""
-    hull = poly.vertices_thirds
-    edges = list(zip(hull, hull[1:] + hull[:1]))
-    xs = [x for x, _ in hull]
-    ys = [y for _, y in hull]
-    for ix in range(-(-min(xs) // 3), max(xs) // 3 + 1):
-        for iy in range(-(-min(ys) // 3), max(ys) // 3 + 1):
-            q = (3 * ix, 3 * iy)
-            if all(_cross(a, b, q) >= 0 for a, b in edges):
-                return True
-    return False
-
-
-def is_hollow(poly):
-    return not contains_integer_point(poly)
-
-
-def unimodular_image(poly, a):
-    """Apply the transpose of a unimodular integer matrix to the polygon;
-    hollowness and lattice width are invariant under this."""
-    (a00, a01), (a10, a11) = a
-    det = a00 * a11 - a01 * a10
-    if det not in (1, -1):
-        raise NotUnimodular("matrix determinant is %d, need +-1" % det)
-    return ThirdIntegralPolygon(
-        [(a00 * x + a10 * y, a01 * x + a11 * y) for x, y in poly.vertices_thirds]
-    )
 
 
 def coprime_directions(bound):
@@ -163,12 +62,6 @@ def coprime_directions(bound):
             for z2 in z2s:
                 if gcd(z1, abs(z2)) == 1:
                     yield (z1, z2)
-
-
-def narrow_direction(poly, threshold=THRESHOLD, bound=42):
-    """First searched direction along which the polygon is strictly
-    narrower than the threshold, or None if the bound is exhausted."""
-    return _narrow(poly.vertices_thirds, ceil(3 * threshold), coprime_directions(bound))
 
 
 def _narrow(vertices, limit, directions):

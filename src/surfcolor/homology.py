@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import chains
 from .chains import Chain1, pair
-from .errors import NotACocycle, NotACycle
+from .errors import NotACocycle
 
 
 class Copath:
@@ -130,13 +130,6 @@ def homology_class(k, basis):
     if not chains.is_cocycle(k):
         raise NotACocycle("homology_class requires a cocycle")
     return tuple(pair(f, k) for f in basis.cycles)
-
-
-def is_1boundary(f, basis):
-    """A 1-cycle is a boundary iff it pairs to zero with every basis cocycle."""
-    if not chains.is_cycle(f):
-        raise NotACycle("is_1boundary requires a 1-cycle")
-    return all(pair(f, k) == 0 for k in basis.cocycles)
 
 
 def copaths_from(m, x, targets=None):

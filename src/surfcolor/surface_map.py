@@ -14,10 +14,8 @@ derived from |V| - |E| + |F| = 2 - g and must come out even (orientable).
 A map stores exactly these arrays (``opp``, ``tgt``, ``rot``, ``left``,
 ``faces``) and its Euler genus; of what derives from them, only the out
 lists of the map (``out_arcs``) and of its dual (``dual_arcs``) are kept,
-each built on its first use.
-A half-edge's position in its rotation is looked up by ``rot_next``,
-whose only caller is the isomorphism test, and ``dual`` swaps the roles
-of the arrays, building only its face orbits anew.
+each built on its first use.  ``dual`` swaps the roles of the arrays,
+building only its face orbits anew.
 """
 
 from __future__ import annotations
@@ -103,14 +101,6 @@ class CombinatorialMap:
     def face_lengths(self):
         return [len(orbit) for orbit in self.faces]
 
-    def rot_next(self, h):
-        """Successor of h in the rotation at tgt(h)."""
-        cyc = self.rot[self.tgt[h]]
-        return cyc[(cyc.index(h) + 1) % len(cyc)]
-
-    def is_loop(self, h):
-        return self.tgt[h] == self.tgt[self.opp[h]]
-
     def __repr__(self):
         return "CombinatorialMap(V=%d, E=%d, F=%d, genus=%d)" % (
             self.num_vertices,
@@ -184,7 +174,7 @@ def build_map(rotations, opp=None):
     if not all(seen):
         raise errors.Disconnected("underlying graph is not connected")
 
-    # trace faces: orbits of h -> rot_next(opp(h))
+    # trace faces: orbits of sigma
     left = [-1] * n
     faces = []
     for h0 in range(n):
@@ -219,8 +209,8 @@ def dual(m):
     The dual is m with the roles of vertices and faces swapped: its tgt
     and rot are m.left and m.faces, and its left is m.tgt.  Its face
     orbits are m's vertex rotations, because the dual's face tracing
-    sends h to rot_next(h) in m; face v starts at its smallest
-    half-edge, where build_map's tracing would start it.  So
+    sends h to its successor in its rotation in m; face v starts at its
+    smallest half-edge, where build_map's tracing would start it.  So
     dual(dual(m)) reproduces m, each rotation starting at its smallest
     half-edge.  Maps are immutable, so the arrays are shared with m.
     """
@@ -231,41 +221,6 @@ def dual(m):
     return CombinatorialMap(
         m.half_edge_count, m.opp, m.left, m.faces, m.tgt, faces, m.euler_genus
     )
-
-
-def _canonical_form(m, root):
-    """Canonical labelling of an oriented rooted map, as a traversal code."""
-    label = {root: 0}
-    order = [root]
-    code = []
-    i = 0
-    while i < len(order):
-        h = order[i]
-        i += 1
-        for nxt in (m.opp[h], m.rot_next(h)):
-            if nxt not in label:
-                label[nxt] = len(order)
-                order.append(nxt)
-            code.append(label[nxt])
-    return tuple(code)
-
-
-def is_isomorphic(m1, m2):
-    """Orientation-preserving isomorphism of connected maps.
-
-    Compares canonical forms: m2 is canonicalized from one fixed root and
-    m1 from every possible root.
-    """
-    if (
-        m1.half_edge_count != m2.half_edge_count
-        or m1.num_vertices != m2.num_vertices
-        or m1.num_faces != m2.num_faces
-    ):
-        return False
-    if m1.half_edge_count == 0:
-        return True
-    ref = _canonical_form(m2, 0)
-    return any(_canonical_form(m1, r) == ref for r in m1.half_edges())
 
 
 class FaceProfile:

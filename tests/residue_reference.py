@@ -7,8 +7,12 @@ solves the difference system over S.  Tests compare
 from surfcolor import circulation
 from surfcolor.chains import pair
 from surfcolor.circulation import HomologyTarget
-from surfcolor.errors import AnchorOutsidePolytope
+from surfcolor.errors import SurfcolorError
 from surfcolor.paths import shortest_paths
+
+
+class AnchorOutsidePolytope(SurfcolorError):
+    pass
 
 
 def rhs_table(m, basis, f, a, S, x, copaths):

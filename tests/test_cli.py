@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
-from surfcolor import cli, is_isomorphic, load_surfmap
+from surfcolor import cli, load_surfmap
 from surfcolor.cli import gen_bouquet, gen_grid, gen_q13
 from surfcolor.surface_map import save_surfmap
+
+from map_reference import is_isomorphic
 
 
 def run_cli(capsys, *argv):

@@ -1,4 +1,5 @@
-"""Exact polygon primitives and the hollow-width enumeration."""
+"""The hollow-width enumeration, its tables and its walk, against the
+exact polygon primitives of ``polygon_reference``."""
 
 import hashlib
 import itertools
@@ -11,74 +12,18 @@ from fractions import Fraction
 import pytest
 
 from surfcolor import hollow2d as h2
-from surfcolor.errors import NotUnimodular, ZeroDirection
-from surfcolor.hollow2d import ThirdIntegralPolygon as Poly
 
-
-def test_width_examples():
-    unit = Poly([(0, 0), (3, 0), (3, 3), (0, 3)])
-    assert h2.width_along(unit, (1, 0)) == 1
-    small = Poly([(1, 1), (2, 1), (2, 2), (1, 2)])
-    assert h2.width_along(small, (1, 1)) == Fraction(2, 3)
-    tri = Poly([(0, 0), (6, 0), (0, 6)])
-    assert h2.width_along(tri, (1, 1)) == 2
-
-
-def test_width_rejects_zero_direction():
-    with pytest.raises(ZeroDirection):
-        h2.width_along(Poly([(0, 0)]), (0, 0))
-
-
-def test_width_is_a_multiple_of_a_third():
-    rng = random.Random(137)
-    for _ in range(50):
-        pts = [(rng.randint(-6, 8), rng.randint(-6, 8)) for _ in range(rng.randint(1, 7))]
-        p = Poly(pts)
-        z = (rng.randint(-4, 4), rng.randint(-4, 4))
-        if z == (0, 0):
-            continue
-        w = h2.width_along(p, z)
-        assert (3 * w).denominator == 1
+from polygon_reference import ThirdIntegralPolygon as Poly
+from polygon_reference import _cross, contains_integer_point, convex_hull, is_hollow, narrow_direction
 
 
 def test_containment_examples():
-    assert not h2.contains_integer_point(Poly([(1, 1), (2, 1), (2, 2), (1, 2)]))
-    assert h2.contains_integer_point(Poly([(0, 0), (6, 0), (0, 6)]))
-    assert not h2.contains_integer_point(Poly([(1, 0), (2, 0)]))
-    assert h2.contains_integer_point(Poly([(3, 3)]))
+    assert not contains_integer_point(Poly([(1, 1), (2, 1), (2, 2), (1, 2)]))
+    assert contains_integer_point(Poly([(0, 0), (6, 0), (0, 6)]))
+    assert not contains_integer_point(Poly([(1, 0), (2, 0)]))
+    assert contains_integer_point(Poly([(3, 3)]))
     # boundary points count (closed containment)
-    assert h2.contains_integer_point(Poly([(0, 0), (2, 0), (2, 2), (0, 2)]))
-
-
-def test_unimodular_image():
-    p = Poly([(1, 1), (2, 1), (2, 2), (1, 2)])
-    assert h2.unimodular_image(p, ((1, 0), (0, 1))) == p
-    sheared = h2.unimodular_image(p, ((1, 1), (0, 1)))
-    assert h2.is_hollow(sheared) == h2.is_hollow(p)
-    with pytest.raises(NotUnimodular):
-        h2.unimodular_image(p, ((2, 0), (0, 1)))
-
-
-def test_unimodular_width_transport():
-    # w(A^T Z, A^-1 c) = w(Z, c)
-    rng = random.Random(139)
-    mats = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 1), (1, 1)), ((1, -1), (0, 1))]
-    for _ in range(30):
-        pts = [(rng.randint(-5, 8), rng.randint(-5, 8)) for _ in range(rng.randint(1, 6))]
-        p = Poly(pts)
-        a = mats[rng.randrange(len(mats))]
-        (a00, a01), (a10, a11) = a
-        det = a00 * a11 - a01 * a10
-        assert abs(det) == 1
-        q = h2.unimodular_image(p, a)
-        assert h2.is_hollow(q) == h2.is_hollow(p)
-        c = (rng.randint(-3, 3), rng.randint(-3, 3))
-        if c == (0, 0):
-            continue
-        # A^-1 c for a 2x2 integer matrix with det +-1
-        inv = ((a11 * det, -a01 * det), (-a10 * det, a00 * det))
-        c_inv = (inv[0][0] * c[0] + inv[0][1] * c[1], inv[1][0] * c[0] + inv[1][1] * c[1])
-        assert h2.width_along(q, c_inv) == h2.width_along(p, c)
+    assert contains_integer_point(Poly([(0, 0), (2, 0), (2, 2), (0, 2)]))
 
 
 def test_hollowness_antimonotone_under_adding_points():
@@ -86,20 +31,20 @@ def test_hollowness_antimonotone_under_adding_points():
     for _ in range(60):
         pts = [(rng.randint(0, 8), rng.randint(0, 13)) for _ in range(rng.randint(1, 5))]
         p = Poly(pts)
-        if h2.is_hollow(p):
+        if is_hollow(p):
             continue
         extra = (rng.randint(0, 8), rng.randint(0, 13))
         q = Poly(pts + [extra])
-        assert not h2.is_hollow(q)
+        assert not is_hollow(q)
 
 
 def test_narrow_direction_order_and_examples():
     small = Poly([(1, 1), (2, 1), (2, 2), (1, 2)])
-    assert h2.narrow_direction(small, Fraction(2)) == (1, 0)
+    assert narrow_direction(small, Fraction(2)) == (1, 0)
     unit = Poly([(0, 0), (3, 0), (3, 3), (0, 3)])
-    assert h2.narrow_direction(unit, Fraction(1), bound=8) is None
+    assert narrow_direction(unit, Fraction(1), bound=8) is None
     wide = Poly([(0, 0), (5, 0), (5, 1), (0, 1)])  # width 5/3 along (1, 0)
-    assert h2.narrow_direction(wide, Fraction(2)) == (1, 0)
+    assert narrow_direction(wide, Fraction(2)) == (1, 0)
 
 
 def test_direction_stream_is_primitive_and_ordered():
@@ -139,11 +84,11 @@ def test_enumeration_counts_match_direct_subset_scan():
     count = 0
     for r in range(1, 10):
         for sub in itertools.combinations(grid, r):
-            hull = h2.convex_hull(list(sub))
+            hull = convex_hull(list(sub))
             if len(hull) != len(sub):
                 continue
             p = Poly(list(sub))
-            if h2.is_hollow(p):
+            if is_hollow(p):
                 count += 1
     rep = h2.enumerate_and_verify(box)
     assert rep.hulls_examined == count
@@ -155,11 +100,11 @@ def test_degenerate_polytopes_have_narrow_directions():
         a = (rng.randint(0, 8), rng.randint(0, 13))
         b = (rng.randint(0, 8), rng.randint(0, 13))
         p = Poly([a, b])
-        assert h2.narrow_direction(p, Fraction(2)) is not None
+        assert narrow_direction(p, Fraction(2)) is not None
 
 
 def _strictly_convex_hollow(sub):
-    return len(h2.convex_hull(list(sub))) == len(sub) and h2.is_hollow(Poly(list(sub)))
+    return len(convex_hull(list(sub))) == len(sub) and is_hollow(Poly(list(sub)))
 
 
 def test_enumeration_and_maximal_counts_match_subset_scan_box_3_3():
@@ -232,7 +177,7 @@ def test_contains_integer_point_matches_brute_force():
             for y in range(3 * (min(ys) // 3), max(ys) + 1, 3)
             if _in_closed_hull(hull, (x, y))
         ]
-        assert h2.contains_integer_point(poly) == bool(ints), hull
+        assert contains_integer_point(poly) == bool(ints), hull
         seen[("point", "segment", "polygon")[min(len(hull), 3) - 1]] += 1
         seen["hollow"] += not ints
         seen["vertex"] += any(q in hull for q in ints)
@@ -314,7 +259,7 @@ def _independent_dfs(box, bound):
         children = [sub + (p,) for p in grid if p > sub[-1] and _strictly_convex_hollow(sub + (p,))]
         if not children:
             maximal += 1
-            if h2.narrow_direction(Poly(list(sub)), h2.THRESHOLD, bound) is None:
+            if narrow_direction(Poly(list(sub)), h2.THRESHOLD, bound) is None:
                 failures.append(sub)
         for child in children:
             visit(child)
@@ -364,7 +309,7 @@ def _extend_convex_all_edges(hull, p):
         return [a, p], (a, p, a)
     visible = -1
     for i in range(k):
-        c = h2._cross(hull[i], hull[(i + 1) % k], p)
+        c = _cross(hull[i], hull[(i + 1) % k], p)
         if c == 0:
             return None
         if c < 0:
@@ -425,7 +370,7 @@ def test_extend_convex_matches_the_all_edges_reference(box):
             outcomes.add(branch)
             assert tuple(points[v] for v in cap) == want[1], (coords, points[p])
             assert _same_cycle([points[v] for v in new_hull], want[0]), (coords, points[p])
-            assert cap_hollow == (not h2.contains_integer_point(Poly(list(want[1])))), (coords, points[p])
+            assert cap_hollow == (not contains_integer_point(Poly(list(want[1])))), (coords, points[p])
             if cap_hollow:
                 visit(new_hull)
 
@@ -433,10 +378,6 @@ def test_extend_convex_matches_the_all_edges_reference(box):
         visit([root])
     assert hulls == h2.enumerate_and_verify(box).hulls_examined
     assert outcomes == {None, "one", "two"}
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 @pytest.mark.parametrize("box", [(3, 3), (4, 5), (5, 7)])
@@ -456,13 +397,13 @@ def test_tables_match_the_polygon_primitives(box):
     seen = {"hollow": 0, "not hollow": 0, "segment hollow": 0, "segment not hollow": 0}
     for i, a in enumerate(points):
         for p in range(i + 1, n):
-            want = not h2.contains_integer_point(Poly([a, points[p]]))
+            want = not contains_integer_point(Poly([a, points[p]]))
             assert bool(hollow[i][i] >> p & 1) == want, (a, points[p])
             seen["segment hollow" if want else "segment not hollow"] += 1
         for j, b in enumerate(points):
             for p, c in enumerate(points):
                 if _cross(a, c, b) > 0:  # (a, c, b) counterclockwise
-                    want = not h2.contains_integer_point(Poly([a, c, b]))
+                    want = not contains_integer_point(Poly([a, c, b]))
                     assert bool(hollow[i][j] >> p & 1) == want, (a, c, b)
                     seen["hollow" if want else "not hollow"] += 1
     # the integer points of the (3, 3) box are its corners, which no
@@ -499,13 +440,10 @@ def test_two_workers_match_one_process(monkeypatch):
 def test_non_integer_coordinates_are_refused():
     # int() used to truncate these to a triangle around no integer point
     with pytest.raises(ValueError):
-        h2.is_hollow(Poly([(2.9, 2.9), (3.9, 2.9), (2.9, 3.9)]))
+        is_hollow(Poly([(2.9, 2.9), (3.9, 2.9), (2.9, 3.9)]))
     for bad in (1.0, True, Fraction(3), "3", None):
         with pytest.raises(ValueError):
             Poly([(0, 0), (bad, 1)])
-        with pytest.raises(ValueError):
-            h2.width_along(Poly([(0, 0), (3, 1)]), (1, bad))
-    assert h2.width_along(Poly([(0, 0), (3, 1)]), (1, -3)) == 0
 
 
 @pytest.mark.parametrize("bound", [0, -1])
@@ -658,9 +596,9 @@ def _unfolded_hollow(points):
             row = 0
             for p, c in enumerate(points):
                 if i == j:
-                    keep = c <= a or h2.is_hollow(Poly([a, c]))
+                    keep = c <= a or is_hollow(Poly([a, c]))
                 else:
-                    keep = _cross(a, c, b) <= 0 or h2.is_hollow(Poly([a, c, b]))
+                    keep = _cross(a, c, b) <= 0 or is_hollow(Poly([a, c, b]))
                 row |= keep << p
             hollow[i][j] = row
     return hollow
@@ -685,7 +623,7 @@ def _ends_by_index(tables, bound):
         if not kept:
             maximal += 1
             verts = [points[v] for v in hull]
-            if h2.narrow_direction(Poly(verts), h2.THRESHOLD, bound) is None:
+            if narrow_direction(Poly(verts), h2.THRESHOLD, bound) is None:
                 failures.append(tuple(sorted(verts)))
         while kept:
             p = (kept & -kept).bit_length() - 1
@@ -772,7 +710,7 @@ def test_skipped_neighbour_rows_remove_nothing(box):
         failures = []
         for hull in maximal:
             verts = [points[v] for v in hull]
-            if h2.narrow_direction(Poly(verts), h2.THRESHOLD, bound) is None:
+            if narrow_direction(Poly(verts), h2.THRESHOLD, bound) is None:
                 failures.append(tuple(sorted(verts)))
         rep = h2.enumerate_and_verify(box, bound=bound)
         assert (hulls, len(maximal), sorted(failures)) == (rep.hulls_examined, rep.maximal_hulls, rep.failures)

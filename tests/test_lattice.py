@@ -19,7 +19,7 @@ from surfcolor.lattice import (
 )
 
 from conftest import brute_circulations, random_map, random_nowhere_zero
-from residue_reference import residue_difference_solve, rhs_table
+from residue_reference import AnchorOutsidePolytope, residue_difference_solve, rhs_table
 
 
 def _setup(m, x=0, extra=()):
@@ -259,7 +259,7 @@ def test_rhs_table_rejects_outside_anchor():
     m = gen_bouquet(2)
     basis, S, cps = _setup(m)
     f = Chain1(m, {0: 1, 2: 1})
-    with pytest.raises(errors.AnchorOutsidePolytope):
+    with pytest.raises(AnchorOutsidePolytope):
         rhs_table(m, basis, f, (5, 0), S, 0, cps)
 
 

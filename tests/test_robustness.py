@@ -13,6 +13,7 @@ from surfcolor.cli import gen_grid
 from surfcolor.surface_map import load_surfmap, save_surfmap
 
 from conftest import random_map, random_nowhere_zero
+from polygon_reference import ThirdIntegralPolygon, convex_hull, is_hollow
 from residue_reference import rhs_table
 
 
@@ -169,10 +170,10 @@ def test_second_enumeration_oracle_box_2_5():
     count = 0
     for r in range(1, len(grid) + 1):
         for sub in itertools.combinations(grid, r):
-            hull = h2.convex_hull(list(sub))
+            hull = convex_hull(list(sub))
             if len(hull) != len(sub):
                 continue
-            if h2.is_hollow(h2.ThirdIntegralPolygon(sub)):
+            if is_hollow(ThirdIntegralPolygon(sub)):
                 count += 1
     rep = h2.enumerate_and_verify((2, 5))
     assert rep.hulls_examined == count

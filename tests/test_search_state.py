@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from surfcolor import circulation, errors, flows, homology, lattice
+from surfcolor import circulation, flows, homology, lattice
 from surfcolor.chains import Chain1, pair
 from surfcolor.circulation import Circulation, HomologyTarget
 from surfcolor.cli import brute_force_extendable, gen_bouquet
@@ -23,6 +23,7 @@ from surfcolor.solver import Precoloring, extend_precoloring
 from surfcolor.surface_map import CombinatorialMap
 
 from conftest import CORPUS, random_map, random_nowhere_zero
+from residue_reference import AnchorOutsidePolytope
 from test_layered_residue import fresh_pass, hexagon_instances, reference_search, two_step
 
 
@@ -232,7 +233,7 @@ def test_every_point_a_residue_cut_skips_fails_the_stateless_passes(monkeypatch)
             assert fresh_pass(*args) is None
             try:
                 assert two_step(*args) is None
-            except errors.AnchorOutsidePolytope:
+            except AnchorOutsidePolytope:
                 pass
         if res.points_cut and g.num_edges <= 12:
             assert res.extendable == brute_force_extendable(g, pre.m, pre.psi)

@@ -152,7 +152,7 @@ def circulation_or_certificate(m, basis, f, target):
 
     # every edge gives dual arcs both ways, so the sources reach every
     # negative cycle
-    dist, pred, walk = shortest_paths(m.num_faces, m.dual_arcs(), lengths, target.S)
+    dist, via, walk = shortest_paths(m.num_faces, m.dual_arcs(), lengths, target.S)
     if walk is None:
         assert all(d is not None for d in dist)
         neg = [y for y in target.S if dist[y] < 0]
@@ -163,11 +163,13 @@ def circulation_or_certificate(m, basis, f, target):
             if __debug__:
                 validate_circulation(m, basis, f, target, c)
             return c
+        # walk the tree path back: dual arc h leaves the face left(opp(h))
         y = y_prime = min(neg)
         walk = []
-        while pred[y] is not None:
-            y, h = pred[y]
+        while via[y] >= 0:
+            h = via[y]
             walk.append(h)
+            y = m.left[m.opp[h]]
         walk.reverse()
     else:
         # a negative cycle is a negative path from x back to x

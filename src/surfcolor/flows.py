@@ -5,13 +5,14 @@ A flow is a 1-chain with coefficients in {-1, 0, 1}; its boundary is the
 a unit-capacity maximum flow; upgrading to a nowhere-zero flow orients
 the leftover all-even-degree subgraph along Eulerian circuits.  Both
 steps hold the flow under construction as one antisymmetric array over
-the half-edges, f[opp(a)] = -f[a], and walk the same out-arc lists.
+the half-edges, f[opp(a)] = -f[a], and walk the same out lists of
+(head, arc) pairs, ``CombinatorialMap.out_arcs``.
 Before the max-flow, a cut check on the saturated vertices
 (|d[v]| = deg(v)) rejects most unrealizable boundaries in time linear
 in their degrees.
 The completion's odd-degree test is the one parity test: it fails
 exactly when the boundary is not parity-compliant.  Both checks read
-only the map's arrays.
+only the map's out lists.
 
 The relevant boundaries are streamed by a DFS over the first vertices
 whose leaves are completed from a table of the last vertices' selections
@@ -68,20 +69,18 @@ def flow_with_boundary(m, d):
     if chains.boundary0(d) != 0:
         raise NotAZeroBoundary("boundary entries must sum to zero")
     coeffs = d.coeffs
-    rot, tgt, opp = m.rot, m.tgt, m.opp
+    out, tgt, opp = m.out_arcs(), m.tgt, m.opp
     for v, c in coeffs.items():
-        if abs(c) != len(rot[v]):
+        if abs(c) != len(out[v]):
             continue
-        for h in rot[v]:
-            u = tgt[opp[h]]
+        for u, _ in out[v]:
             cu = coeffs.get(u, 0)
-            if cu * c > 0 and abs(cu) == len(rot[u]):
+            if cu * c > 0 and abs(cu) == len(out[u]):
                 return None
 
     f = [0] * m.half_edge_count
     # excess not yet routed: below 0 at a source, above 0 at a sink
     rest = [coeffs.get(v, 0) for v in range(m.num_vertices)]
-    out = m.out_arcs()
 
     for _ in range(d.norm() // 2):
         # BFS for an augmenting path; the loop breaks at its sink v
@@ -90,8 +89,7 @@ def flow_with_boundary(m, d):
         for v in queue:
             if rest[v] > 0:
                 break
-            for a in out[v]:
-                w = tgt[a]
+            for w, a in out[v]:
                 if w not in parent and f[a] < 1:
                     parent[w] = a
                     queue.append(w)
@@ -121,11 +119,11 @@ def nowhere_zero_completion(m, f1):
     half-edges, loaded with f1; the walk takes an arc a only while
     f[a] = 0 and sets f[a], f[opp(a)] = 1, -1, which marks its edge used.
     """
-    opp, tgt = m.opp, m.tgt
+    opp = m.opp
     f = [0] * m.half_edge_count
     for h, c in f1.chain.coeffs.items():
         f[h], f[opp[h]] = c, -c
-    zero_out = [[a for a in arcs if not f[a]] for arcs in m.out_arcs()]
+    zero_out = [[(w, a) for w, a in arcs if not f[a]] for arcs in m.out_arcs()]
     if any(len(arcs) % 2 for arcs in zero_out):
         return None
 
@@ -134,10 +132,10 @@ def nowhere_zero_completion(m, f1):
         stack = [v0]
         while stack:
             v = stack[-1]
-            for a in unused[v]:
+            for w, a in unused[v]:
                 if not f[a]:
                     f[a], f[opp[a]] = 1, -1
-                    stack.append(tgt[a])
+                    stack.append(w)
                     break
             else:
                 stack.pop()

@@ -94,11 +94,6 @@ class Separator:
         self.z_prime = dict(z_prime)
         self.rhs = rhs
 
-    def dot(self, u, u_prime):
-        return sum(zi * ui for zi, ui in zip(self.z, u)) + sum(
-            zv * u_prime.get(y, 0) for y, zv in self.z_prime.items()
-        )
-
     def __repr__(self):
         return "Separator(z=%r, z_prime=%r, rhs=%r)" % (self.z, self.z_prime, self.rhs)
 
@@ -223,10 +218,9 @@ def layered_residue_solve(search, a):
     largest solution, ell(y) = dist((x, 0), (y, k(y))) + pair(b, P(y)).
     A negative cycle thus exists if and only if the system is infeasible
     or a lies outside the polytope (a negative dual cycle, repeated m
-    times, returns to its layer).  When S = (x,) the system ell(x) = 0
-    always holds, and the state's network has one copy per face (see
-    the module docstring): read m as search.mod = 1 above, and a pass
-    fails exactly when a is outside the polytope.
+    times, returns to its layer).  When S = (x,) the state's network has
+    one copy per face (see the module docstring): read m as
+    search.mod = 1 above.
 
     On success the pass leaves ell on the state, and as ``chain`` the
     circulation b + boundary2(Lambda), Lambda(v) being the least distance
@@ -291,11 +285,8 @@ class SearchStats:
 class SearchState:
     """What one lattice search keeps for its fixed f and residue system
     (S, x, copaths, r: spec.r0_prime, 0 at x), and mod, the number of
-    residue copies of its layered network: spec.m, or 1 when S = (x,).
-    With S = (x,) the residue system is ell(x) = 0, which always holds,
-    and one copy gives each face the least distance over m copies, so
-    the passes keep their verdicts and circulations (see the module
-    docstring).  The box points still step by spec.m.
+    residue copies of its layered network: spec.m, or 1 when S = (x,)
+    (see the module docstring).  The box points still step by spec.m.
 
     - base: the f-part of every repair network's lengths
       (``circulation.base_network``); each target patches a copy of it.
@@ -323,7 +314,6 @@ class SearchState:
         self.S = S
         self.x = x
         self.copaths = copaths
-        # S = (x,) asks only ell(x) = 0: one copy gives the same distances
         self.mod = 1 if len(S) == 1 else spec.m
         self.r = {y: 0 for y in S}
         self.r.update(spec.r0_prime)
@@ -358,7 +348,7 @@ def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
     it for the full target.  Returns None when the box is exhausted.
     """
     fchain = f0.chain
-    box, _ = pairing_bounds(fchain, basis, copaths)
+    box, _ = pairing_bounds(fchain, basis, {})
     search = SearchState(m, basis, fchain, spec, S, x, copaths, stats)
     for u in lex_box_points(box, spec.r0, spec.m):
         search.stats.points_tested += 1

@@ -14,13 +14,13 @@ derived from |V| - |E| + |F| = 2 - g and must come out even (orientable).
 A map stores exactly these arrays (``opp``, ``tgt``, ``rot``, ``left``,
 ``faces``) and its Euler genus; of what derives from them, only the out
 lists of the map (``out_arcs``) and of its dual (``dual_arcs``) are kept,
-each built on its first use.  ``dual`` swaps the roles of the arrays,
-building only its face orbits anew.
+each built on its first use.  Both are built by one builder, with the
+heads tgt and left: each lists (head, arc) pairs in ascending arc id.
+``dual`` swaps the roles of the arrays, building only its face orbits
+anew.
 """
 
 from __future__ import annotations
-
-from math import prod
 
 from . import errors
 
@@ -82,20 +82,14 @@ class CombinatorialMap:
         """The dual's out lists, built on the first call and kept:
         out[left(opp(h))] holds (left(h), h) in ascending h."""
         if self._dual_arcs is None:
-            out = [[] for _ in self.faces]
-            for h, o in enumerate(self.opp):
-                out[self.left[o]].append((self.left[h], h))
-            self._dual_arcs = out
+            self._dual_arcs = _out_lists(self.opp, self.left, len(self.faces))
         return self._dual_arcs
 
     def out_arcs(self):
-        """The half-edges leaving each vertex, built on the first call and
-        kept: out[tgt(opp(h))] holds h in ascending h."""
+        """The out lists, built on the first call and kept:
+        out[tgt(opp(h))] holds (tgt(h), h) in ascending h."""
         if self._out_arcs is None:
-            out = [[] for _ in self.rot]
-            for h, o in enumerate(self.opp):
-                out[self.tgt[o]].append(h)
-            self._out_arcs = out
+            self._out_arcs = _out_lists(self.opp, self.tgt, len(self.rot))
         return self._out_arcs
 
     def face_lengths(self):
@@ -108,6 +102,15 @@ class CombinatorialMap:
             self.num_faces,
             self.euler_genus,
         )
+
+
+def _out_lists(opp, head, n):
+    """Out lists over nodes 0..n-1 of the arcs h from head(opp(h)) to
+    head(h): out[head(opp(h))] holds (head(h), h) in ascending h."""
+    out = [[] for _ in range(n)]
+    for h, o in enumerate(opp):
+        out[head[o]].append((head[h], h))
+    return out
 
 
 def build_map(rotations, opp=None):
@@ -250,14 +253,6 @@ def face_candidates(n, m):
     return out
 
 
-def q_of(n, m):
-    return len(face_candidates(n, m))
-
-def b_of(n, m):
-    cand = face_candidates(n, m)
-    return cand[-1] if cand else 0
-
-
 def check_modulus(modulus):
     """Raise unless the modulus, the length of the target cycle, is an odd
     integer and at least 3; a bool is not an integer here."""
@@ -272,9 +267,12 @@ def check_modulus(modulus):
 def face_profile(m, modulus):
     """Face profile of a map for an odd modulus >= 3."""
     check_modulus(modulus)
-    lengths = m.face_lengths()
-    q_star = prod(q_of(n, modulus) for n in lengths)
-    return FaceProfile(q_star, 1 + sum(b_of(n, modulus) for n in lengths))
+    q_star, b_star = 1, 1
+    for n in m.face_lengths():
+        cand = face_candidates(n, modulus)
+        q_star *= len(cand)
+        b_star += cand[-1] if cand else 0
+    return FaceProfile(q_star, b_star)
 
 
 def save_surfmap(m):

@@ -197,10 +197,15 @@ def test_separator_strictly_cuts_query_but_no_integer_point():
         sep = membership(m, basis, f, S, x, cps, point)
         if sep is None:
             continue
-        cut = sep.dot(point.u, point.u_prime)
+        cut = sum(zi * ui for zi, ui in zip(sep.z, point.u)) + sum(
+            zv * point.u_prime.get(y, 0) for y, zv in sep.z_prime.items()
+        )
         pts = integer_points_bruteforce(m, basis, flows.Flow(f), S, x, cps)
         for a, ap in pts:
-            assert sep.dot(a, dict(zip(sorted(S), ap))) < cut
+            a_prime = dict(zip(sorted(S), ap))
+            assert sum(zi * ai for zi, ai in zip(sep.z, a)) + sum(
+                zv * a_prime.get(y, 0) for y, zv in sep.z_prime.items()
+            ) < cut
         done += 1
 
 

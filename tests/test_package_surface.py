@@ -1,9 +1,10 @@
 """The package ships only what a caller uses: every public top-level
 function or class of ``src/surfcolor`` is named somewhere outside its own
 definition, by the package itself, the benchmark harness or the
-acceptance suite, or else is listed in ``surfcolor.__all__``.  An
-oracle that only the unit tests call belongs in a reference module
-under ``tests/``."""
+acceptance suite, or else is listed in ``surfcolor.__all__``; and so is
+every public method or property of a top-level class, whether or not
+the class is listed.  An oracle that only the unit tests call belongs in
+a reference module under ``tests/``."""
 
 import ast
 from pathlib import Path
@@ -24,20 +25,31 @@ def _references(tree):
             yield node.attr, node.lineno
 
 
+def _definitions(tree):
+    """(node, name) of every public top-level function or class of the
+    tree that ``surfcolor.__all__`` does not list, and of every public
+    method or property of a top-level class, listed or not."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if node.name not in surfcolor.__all__:
+            yield node, node.name
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield method, "%s.%s" % (node.name, method.name)
+
+
 def test_every_public_definition_has_a_caller():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in CALLERS}
     refs = {path: list(_references(tree)) for path, tree in trees.items()}
     uncalled = []
     for path in PACKAGE:
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            if node.name in surfcolor.__all__:
-                continue
+        for node, name in _definitions(trees[path]):
             if not any(
-                name == node.name and (other != path or not node.lineno <= line <= node.end_lineno)
+                ref == node.name and (other != path or not node.lineno <= line <= node.end_lineno)
                 for other, found in refs.items()
-                for name, line in found
+                for ref, line in found
             ):
-                uncalled.append("%s.%s" % (path.stem, node.name))
+                uncalled.append("%s.%s" % (path.stem, name))
     assert uncalled == [], uncalled

@@ -35,6 +35,15 @@ def random_digraph(rng):
     return n, arcs, out, sources
 
 
+def reference(n, out, length, sources):
+    """``paths_reference``'s answer in the kernel's (dist, via, cycle)
+    form, each (tail, arc) of its pred list cut to the arc, -1 where it
+    has none; and that pred list, for the tails."""
+    dist, pred, cycle = paths_reference.shortest_paths(n, out, length, sources)
+    via = None if pred is None else [-1 if p is None else p[1] for p in pred]
+    return (dist, via, cycle), pred
+
+
 def plain_bellman_ford(n, arcs, sources):
     """|V| full passes; returns (dist, whether a negative cycle is reachable)."""
     dist = [None] * n
@@ -57,11 +66,12 @@ def test_distances_and_cycles_match_plain_bellman_ford():
         n, arcs, out, sources = random_digraph(rng)
         want, negative = plain_bellman_ford(n, arcs, sources)
         length = [length for _, _, length in arcs]
-        dist, pred, cycle = shortest_paths(n, out, length, sources)
-        assert (dist, pred, cycle) == paths_reference.shortest_paths(n, out, length, sources)
+        dist, via, cycle = shortest_paths(n, out, length, sources)
+        want_triple, pred = reference(n, out, length, sources)
+        assert (dist, via, cycle) == want_triple
         seen[negative] += 1
         if negative:
-            assert dist is None and pred is None
+            assert dist is None and via is None
             tails = [arcs[a][0] for a in cycle]
             heads = [arcs[a][1] for a in cycle]
             assert heads == tails[1:] + tails[:1], "not a closed walk"
@@ -71,12 +81,12 @@ def test_distances_and_cycles_match_plain_bellman_ford():
         assert cycle is None
         assert dist == want
         for v in range(n):
-            if pred[v] is None:
+            if via[v] < 0:
                 assert dist[v] is None or (v in sources and dist[v] == 0)
             else:
-                u, a = pred[v]
-                assert arcs[a][:2] == (u, v)
-                assert dist[v] == dist[u] + arcs[a][2]
+                u, w, arc_length = arcs[via[v]]
+                assert (u, w) == (pred[v][0], v)
+                assert dist[v] == dist[u] + arc_length
     assert min(seen.values()) > 50
 
 
@@ -102,16 +112,16 @@ def test_one_arc_list_under_several_length_lists():
 
 def test_negative_self_loop_on_one_node():
     assert shortest_paths(1, [[(0, 0)]], [-1], [0]) == (None, None, [0])
-    assert shortest_paths(1, [[(0, 0)]], [0], [0]) == ([0], [None], None)
+    assert shortest_paths(1, [[(0, 0)]], [0], [0]) == ([0], [-1], None)
 
 
 def test_unreached_negative_cycle_is_ignored():
     # 0 -> 1 only; the cycle 2 <-> 3 is negative but unreachable from 0
     out = [[(1, 0)], [], [(3, 1)], [(2, 2)]]
-    dist, pred, cycle = shortest_paths(4, out, [4, -3, 1], [0])
+    dist, via, cycle = shortest_paths(4, out, [4, -3, 1], [0])
     assert cycle is None
     assert dist == [0, 4, None, None]
-    assert pred[1] == (0, 0)
+    assert via == [-1, 0, -1, -1]
 
 
 def test_a_cycle_that_is_not_negative_is_refused():
@@ -144,7 +154,12 @@ def test_the_kernel_matches_its_reference_on_layered_networks(monkeypatch, n, mo
 
     def recorded(nodes, out, length, sources):
         got = real(nodes, out, length, sources)
-        assert got == paths_reference.shortest_paths(nodes, out, length, sources)
+        want, pred = reference(nodes, out, length, sources)
+        assert got == want
+        if got[2] is None:
+            # each tree arc leaves its reference tail and enters its node
+            for v, a in enumerate(got[1]):
+                assert a < 0 or (v, a) in out[pred[v][0]]
         calls.append(got[2] is None)
         return got
 

@@ -86,11 +86,18 @@ def test_every_kept_cut_holds_where_the_stateless_pass_succeeds(monkeypatch):
     first_point = {}
     kept_at = {"outside": 0, "inside": 0}
     real = lattice.layered_residue_solve
+    real_points = lattice.lex_box_points
+    steps = []
+
+    def stepped(box, r0, m):
+        # a search asks for its box points before its first pass
+        steps.append(m)
+        return real_points(box, r0, m)
 
     def recorded(search, a):
         # no cut is kept before the first pass, so each search's first
-        # box point is a pass
-        first_point.setdefault(search, a)
+        # box point is a pass; it is kept with the search's step m
+        first_point.setdefault(search, (a, steps[-1]))
         before = len(search.cuts)
         ell = real(search, a)
         if len(search.cuts) > before:
@@ -100,23 +107,26 @@ def test_every_kept_cut_holds_where_the_stateless_pass_succeeds(monkeypatch):
             kept_at["inside" if alone is None else "outside"] += 1
         return ell
 
+    monkeypatch.setattr(lattice, "lex_box_points", stepped)
     monkeypatch.setattr(lattice, "layered_residue_solve", recorded)
     cut_points = 0
     for g, pre in small_instances(300):
         cut_points += extend_precoloring(g, pre).points_cut
-    for state, first in first_point.items():
+    for state, (first, step) in first_point.items():
         m, basis, f = state.map, state.basis, state.f
         S, x, cps, mod, r = state.S, state.x, state.copaths, state.mod, state.r
         # the search's box points are those congruent to its first one
+        # mod its step m; its passes run over mod residue copies, 1 when
+        # S = (x,)
         box, _ = lattice.pairing_bounds(f, basis, cps)
-        for u in lattice.lex_box_points(box, [c % mod for c in first], mod):
+        for u in real_points(box, [c % step for c in first], step):
             if fresh_pass(m, basis, f, u, S, x, cps, mod, r) is not None:
                 for z, rhs in state.cuts:
                     assert sum(zi * ui for zi, ui in zip(z, u)) <= rhs
         s_order = sorted(S)
         for a, ap in integer_points_bruteforce(m, basis, f, S, x, cps):
-            if all((ai - ci) % mod == 0 for ai, ci in zip(a, first)) and all(
-                (v - r[y]) % mod == 0 for y, v in zip(s_order, ap)
+            if all((ai - ci) % step == 0 for ai, ci in zip(a, first)) and all(
+                (v - r[y]) % step == 0 for y, v in zip(s_order, ap)
             ):
                 for z, rhs in state.cuts:
                     assert sum(zi * ai for zi, ai in zip(z, a)) <= rhs

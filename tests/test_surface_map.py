@@ -156,15 +156,19 @@ def test_dual_arrays_equal_the_rebuilt_dual(kind):
 
 @pytest.mark.parametrize("kind", sorted(DIFFERENTIAL_MAPS))
 def test_out_arcs_are_built_once_per_map(kind):
-    # out[v] holds opp(h) for every h in rot[v], ascending; the dual shares
-    # m's arrays, but its out lists are m's faces' and start unbuilt
+    # out[v] holds (tgt(a), a) for every a = opp(h) with h in rot[v], in
+    # ascending a; the dual shares m's arrays, but its out lists are m's
+    # faces', the pairs of m's dual arcs, and start unbuilt
+    def expected(m):
+        return [[(m.tgt[a], a) for a in sorted(m.opp[h] for h in cyc)] for cyc in m.rot]
+
     for m in DIFFERENTIAL_MAPS[kind]:
         out = m.out_arcs()
-        assert out == [sorted(m.opp[h] for h in cyc) for cyc in m.rot]
+        assert out == expected(m)
         assert m.out_arcs() is out
         d = dual(m)
         assert d._out_arcs is None
-        assert d.out_arcs() == [sorted(d.opp[h] for h in cyc) for cyc in d.rot]
+        assert d.out_arcs() == expected(d) == m.dual_arcs()
 
 
 def test_face_lengths_equal_dual_degrees(corpus_map):
@@ -192,13 +196,11 @@ def test_face_profile_quadrangulation():
 
 
 def test_face_profile_with_hexagon():
-    # one face of length 6, m = 3: candidates {-6, 0, 6}
-    from surfcolor.surface_map import b_of, q_of
+    # one face of length 6, m = 3: candidates {-6, 0, 6}, so q = 3, b = 6
+    from surfcolor.surface_map import face_candidates
 
-    assert q_of(6, 3) == 3
-    assert b_of(6, 3) == 6
-    assert q_of(4, 3) == 1
-    assert b_of(4, 3) == 0
+    assert face_candidates(6, 3) == [-6, 0, 6]
+    assert face_candidates(4, 3) == [0]
     # aggregate on a map with one 6-face and the rest 4-faces: a 3x3 grid
     # with one subdivided corner is overkill; check the arithmetic directly
     qs = [3] + [1] * 8
@@ -211,10 +213,9 @@ def test_face_profile_with_hexagon():
 
 
 def test_face_profile_hexagon_m5():
-    from surfcolor.surface_map import b_of, q_of
+    from surfcolor.surface_map import face_candidates
 
-    assert q_of(6, 5) == 1
-    assert b_of(6, 5) == 0
+    assert face_candidates(6, 5) == [0]
 
 
 def test_face_profile_rejects_bad_modulus():
@@ -226,15 +227,15 @@ def test_face_profile_rejects_bad_modulus():
 
 
 def test_q_b_basic_bounds(corpus_map):
-    from surfcolor.surface_map import b_of, q_of
+    # q is the number of candidates and b the last one, 0 when there are none
+    from surfcolor.surface_map import face_candidates
 
     for n in corpus_map.face_lengths():
         for m_mod in (3, 5, 7):
-            q = q_of(n, m_mod)
-            b = b_of(n, m_mod)
-            assert b <= n
+            cand = face_candidates(n, m_mod)
+            assert (cand[-1] if cand else 0) <= n
             if n % 2 == 0 or (m_mod <= n and m_mod % 2 == n % 2):
-                assert q >= 1
+                assert len(cand) >= 1
 
 
 def test_surfmap_roundtrip(corpus_map):

@@ -11,7 +11,7 @@ from .surface_map import (
     save_surfmap,
 )
 from .chains import Chain0, Chain1, Chain2
-from .homology import CohomologyBasis, Copath, cohomology_basis, copaths_from
+from .homology import CohomologyBasis, cohomology_basis, copaths_from
 from .flows import Flow
 from .circulation import Certificate, Circulation, HomologyTarget
 from .lattice import HomologyPoint, ResidueSpec, Separator
@@ -29,7 +29,6 @@ __all__ = [
     "Chain1",
     "Chain2",
     "CohomologyBasis",
-    "Copath",
     "cohomology_basis",
     "copaths_from",
     "Flow",

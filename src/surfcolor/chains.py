@@ -197,12 +197,8 @@ def coboundary1(k):
 
 
 def boundary0(b):
-    """The sum of the coefficients of a 0-chain (or, as coboundary0, of a
-    2-chain)."""
+    """The sum of the coefficients of a 0-chain, or of a 2-chain."""
     return sum(b.coeffs.values())
-
-
-coboundary0 = boundary0
 
 
 def is_cycle(k):

@@ -51,7 +51,7 @@ class HomologyTarget:
         if self.a_prime.get(x, 0) != 0:
             raise ValueError("a_prime must vanish at x")
         self.a_prime[x] = 0
-        if not copaths[x].chain.is_zero():
+        if not copaths[x].is_zero():
             raise ValueError("the copath at x must be the zero chain")
 
 
@@ -106,7 +106,7 @@ def prescribed_cycle(m, basis, target):
         if y == target.x:
             continue
         gamma = target.a_prime[y] - sum(
-            ai * pair(f_e, target.copaths[y].chain)
+            ai * pair(f_e, target.copaths[y])
             for ai, f_e in zip(target.a, basis.cycles)
         )
         if gamma:
@@ -176,7 +176,7 @@ def circulation_or_certificate(m, basis, f, target):
         y = y_prime = target.x
     D = chains.walk_chain(m, walk)
     z = homology.homology_class(
-        D - (target.copaths[y_prime].chain - target.copaths[y].chain), basis
+        D - (target.copaths[y_prime] - target.copaths[y]), basis
     )
     lhs = (
         sum(zi * ai for zi, ai in zip(z, target.a))
@@ -208,7 +208,7 @@ def validate_circulation(m, basis, f, target, c):
         if pair(chain, k) != ai:
             raise AssertionError("cocycle pairing mismatch")
     for y in target.S:
-        if pair(chain, target.copaths[y].chain) != target.a_prime[y]:
+        if pair(chain, target.copaths[y]) != target.a_prime[y]:
             raise AssertionError("copath pairing mismatch at face %d" % y)
 
 
@@ -224,7 +224,7 @@ def validate_certificate(m, basis, f, target, cert):
         raise AssertionError("certificate inequality is not strict")
     recomputed = homology.homology_class(
         cert.D
-        - (target.copaths[cert.y_prime].chain - target.copaths[cert.y].chain),
+        - (target.copaths[cert.y_prime] - target.copaths[cert.y]),
         basis,
     )
     if tuple(cert.z) != recomputed:

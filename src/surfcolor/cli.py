@@ -16,7 +16,7 @@ from .homology import cohomology_basis, copaths_from
 from .surface_map import build_map
 
 
-def gen_bouquet(num_loops=2):
+def gen_bouquet(num_loops):
     """One vertex with loops interleaved as (h1 .. hn, ~h1 .. ~hn); two
     loops give the standard genus-2 one-face bouquet."""
     if num_loops < 1:
@@ -315,10 +315,7 @@ def run(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SurfcolorError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (SurfcolorError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except Exception as e:

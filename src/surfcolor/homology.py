@@ -18,20 +18,6 @@ from .chains import Chain1, pair
 from .errors import NotACocycle
 
 
-class Copath:
-    """A 1-chain whose dual boundary is to_face - from_face."""
-
-    __slots__ = ("from_face", "to_face", "chain")
-
-    def __init__(self, from_face, to_face, chain):
-        self.from_face = from_face
-        self.to_face = to_face
-        self.chain = chain
-
-    def __repr__(self):
-        return "Copath(%d -> %d, %r)" % (self.from_face, self.to_face, self.chain)
-
-
 class CohomologyBasis:
     """Paired bases of the first homology and cohomology groups.
 
@@ -132,21 +118,19 @@ def homology_class(k, basis):
     return tuple(pair(f, k) for f in basis.cycles)
 
 
-def copaths_from(m, x, targets=None):
-    """Copaths from face x to each target face, along a BFS dual tree.
+def copaths_from(m, x, targets):
+    """Copaths from face x to each target face y, along a BFS dual tree:
+    {y: P(y)}, P(y) a 1-chain whose coboundary is y - x.
 
     Each tree step from face f1 to face f2 contributes the half-edge
     with left = f2; the returned chains are simple and the copath to x
-    itself is the zero chain.  With targets=None, all faces are covered.
+    itself is the zero chain.
     """
     parent_f, _ = _bfs_tree(m, m.faces, m.left, x)
-    if targets is None:
-        targets = range(m.num_faces)
     out = {}
     for y in targets:
         hs = _walk_to_root(parent_f, m.left, y)
         # hs walks y -> x; each parent arc has left = the face nearer x,
         # so flip each half-edge to point along x -> y instead.
-        chain = chains.walk_chain(m, [m.opp[h] for h in hs])
-        out[y] = Copath(x, y, chain)
+        out[y] = chains.walk_chain(m, [m.opp[h] for h in hs])
     return out

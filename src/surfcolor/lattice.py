@@ -118,10 +118,7 @@ def pairing_bounds(f, basis, copaths):
     copath coordinates."""
     neg_f = -f
     box = [(-pair_plus(neg_f, k), pair_plus(f, k)) for k in basis.cocycles]
-    box_s = {
-        y: (-pair_plus(neg_f, p.chain), pair_plus(f, p.chain))
-        for y, p in copaths.items()
-    }
+    box_s = {y: (-pair_plus(neg_f, p), pair_plus(f, p)) for y, p in copaths.items()}
     return box, box_s
 
 
@@ -250,7 +247,7 @@ def layered_residue_solve(search, a):
             raise AssertionError("layered cycle is not negative")
         search.cuts.append((z, rhs))
         return None
-    ell = {y: dist[y * mod + search.kept[y]] + pair(b, copaths[y].chain) for y in S}
+    ell = {y: dist[y * mod + search.kept[y]] + pair(b, copaths[y]) for y in S}
     if __debug__:
         assert ell[search.x] == 0
         for y in S:
@@ -307,7 +304,7 @@ class SearchState:
         "base", "kept", "layers", "cuts", "stats", "ell", "chain",
     )
 
-    def __init__(self, m, basis, f, spec, S, x, copaths, stats=None):
+    def __init__(self, m, basis, f, spec, S, x, copaths, stats):
         self.map = m
         self.basis = basis
         self.f = f
@@ -320,10 +317,10 @@ class SearchState:
         self.r[x] = 0
         self.base = circulation.base_network(m, f)
         b, lengths = self.network(spec.r0)
-        self.kept = {y: (self.r[y] - pair(b, copaths[y].chain)) % self.mod for y in S}
+        self.kept = {y: (self.r[y] - pair(b, copaths[y])) % self.mod for y in S}
         self.layers = _layered_arcs(m, lengths, self.mod, self.kept)
         self.cuts = []
-        self.stats = stats if stats is not None else SearchStats()
+        self.stats = stats
         self.ell = None
         self.chain = None
 
@@ -336,7 +333,7 @@ class SearchState:
         return b, circulation.patched_network(self.map, self.base, b)
 
 
-def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats=None):
+def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats):
     """Search the bounded homology lattice for an f0-circulation whose
     pairings match the prescribed residues (componentwise mod m).
 
@@ -376,7 +373,7 @@ def integer_points_bruteforce(m, basis, f, S, x, copaths, edge_budget=14):
         raise BudgetExceeded(
             "map has %d edges, brute-force budget is %d" % (m.num_edges, edge_budget)
         )
-    fchain = f.chain if hasattr(f, "chain") else f
+    fchain = f.chain
     edges = m.canonical_half_edges()
     s_order = sorted(S)
 
@@ -396,7 +393,7 @@ def integer_points_bruteforce(m, basis, f, S, x, copaths, edge_budget=14):
         if i == len(edges):
             c = chains.Chain1(m, dict(chosen))
             a = tuple(pair(c, k) for k in basis.cocycles)
-            a_prime = tuple(pair(c, copaths[y].chain) for y in s_order)
+            a_prime = tuple(pair(c, copaths[y]) for y in s_order)
             points.add((a, a_prime))
             return
         h = edges[i]

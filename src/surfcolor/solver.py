@@ -91,15 +91,16 @@ def verify_homomorphism(h_map, m, phi, psi=None):
     return True
 
 
-def coloring_to_flow(h_map, phi, m, dual_map=None):
-    """The nowhere-zero dual flow of a homomorphism phi: V(H) -> C_m.
+def coloring_to_flow(h_map, phi, m, dual_map):
+    """The nowhere-zero flow on dual_map, the dual of h_map, of a
+    homomorphism phi: V(H) -> C_m.
 
     On each dual half-edge the flow is the unique value in {-1, 1}
     congruent to the color difference across the edge.  The returned
     flow has boundary divisible by m and pairs to 0 mod m with every
     cocycle.
     """
-    g = dual_map if dual_map is not None else surface_map.dual(h_map)
+    g = dual_map
     coeffs = {}
     for h in g.canonical_half_edges():
         diff = (phi[g.left[h]] - phi[g.left[g.opp[h]]]) % m
@@ -126,7 +127,7 @@ def flow_to_coloring(g, f, m, anchor, basis=None):
     copath step to w pairs with.
     """
     x, c0 = anchor
-    fchain = f.chain if hasattr(f, "chain") else f
+    fchain = f.chain
     d = chains.boundary1(fchain)
     for v, c in d.items():
         if c % m != 0:
@@ -186,7 +187,7 @@ def extend_precoloring(h_map, pre):
             continue
         r0 = [(half * pair(f0.chain, k)) % m for k in basis.cocycles]
         r0_prime = {
-            y: (half * (pair(f0.chain, copaths[y].chain) - r[y])) % m
+            y: (half * (pair(f0.chain, copaths[y]) - r[y])) % m
             for y in S
             if y != x
         }

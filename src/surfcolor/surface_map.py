@@ -132,7 +132,12 @@ def build_map(rotations, opp=None):
     if opp is None:
         opp_list = [h ^ 1 for h in range(n)]
     else:
-        opp_list = [opp[h] for h in range(n)]
+        opp_list = []
+        for h in range(n):
+            try:
+                opp_list.append(opp[h])
+            except (IndexError, KeyError):
+                raise errors.NotInvolution("opp(%d) is missing" % h) from None
         for h in range(n):
             o = opp_list[h]
             if type(o) is not int:

@@ -134,7 +134,7 @@ def brute_feasible(m, basis, f, target):
     """Exhaustive check of circulation_or_certificate's feasibility answer."""
     for c in brute_circulations(m, f):
         if all(pair(c, k) == a for k, a in zip(basis.cocycles, target.a)) and all(
-            pair(c, target.copaths[y].chain) == target.a_prime[y] for y in target.S
+            pair(c, target.copaths[y]) == target.a_prime[y] for y in target.S
         ):
             return True
     return False

@@ -28,7 +28,7 @@ def rhs_table(m, basis, f, a, S, x, copaths):
     """
     target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
     b, lengths = circulation.repair_network(m, basis, f, target)
-    pairings = {y: pair(b, copaths[y].chain) for y in S}
+    pairings = {y: pair(b, copaths[y]) for y in S}
     ys = sorted(S)
     beta = {}
     for y in ys:

@@ -12,7 +12,6 @@ from surfcolor.chains import (
     boundary0,
     boundary1,
     boundary2,
-    coboundary0,
     coboundary1,
     coboundary2,
     is_cocycle,
@@ -92,7 +91,7 @@ def test_linearity_of_operators(corpus_map):
     assert boundary0(boundary1(boundary2(a))) == 0
     assert boundary1(boundary2(a)).is_zero()
     assert coboundary1(coboundary2(b)).is_zero()
-    assert coboundary0(coboundary1(k1)) == 0
+    assert boundary0(coboundary1(k1)) == 0
 
 
 def test_pair_examples_on_bouquet():

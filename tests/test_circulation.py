@@ -41,8 +41,8 @@ def test_prescribed_cycle_worked_combination():
     basis = homology.cohomology_basis(m)
     x, y1, y2 = 3, 6, 0
     cps = homology.copaths_from(m, x, [x, y1, y2])
-    assert pair(basis.cycles[1], cps[y1].chain) == -1
-    assert pair(basis.cycles[1], cps[y2].chain) == 0
+    assert pair(basis.cycles[1], cps[y1]) == -1
+    assert pair(basis.cycles[1], cps[y2]) == 0
     t = HomologyTarget((0, 2), (x, y1, y2), x, cps, {x: 0, y1: 1, y2: 1})
     b = circulation.prescribed_cycle(m, basis, t)
     expected = (
@@ -69,7 +69,7 @@ def test_prescribed_cycle_contract(corpus_map):
         for k, ai in zip(basis.cocycles, a):
             assert pair(b, k) == ai
         for y in S:
-            assert pair(b, cps[y].chain) == ap[y]
+            assert pair(b, cps[y]) == ap[y]
 
 
 def test_engine_bouquet_feasible():

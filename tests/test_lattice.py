@@ -247,7 +247,7 @@ def test_rhs_table_matches_bruteforce_maximum():
         for c in brute_circulations(m, f):
             if tuple(pair(c, k) for k in basis.cocycles) != a:
                 continue
-            pv = {y: pair(c, cps[y].chain) for y in S}
+            pv = {y: pair(c, cps[y]) for y in S}
             for y in S:
                 for y2 in S:
                     key = (y, y2)
@@ -321,7 +321,8 @@ def test_find_constrained_circulation_bouquet_none():
     r0 = [(half * pair(f0.chain, k)) % 3 for k in basis.cocycles]
     assert r0 == [2, 2]
     spec = ResidueSpec(3, r0, {})
-    res = lattice.find_constrained_circulation(m, basis, f0, spec, S, 0, cps)
+    stats = lattice.SearchStats()
+    res = lattice.find_constrained_circulation(m, basis, f0, spec, S, 0, cps, stats=stats)
     assert res is None
 
 
@@ -330,7 +331,8 @@ def test_find_constrained_circulation_zero_residues():
     basis, S, cps = _setup(m)
     f0 = flows.nowhere_zero_flow_with_boundary(m, chains.Chain0(m))
     spec = ResidueSpec(3, (0,) * len(basis), {})
-    res = lattice.find_constrained_circulation(m, basis, f0, spec, S, 0, cps)
+    stats = lattice.SearchStats()
+    res = lattice.find_constrained_circulation(m, basis, f0, spec, S, 0, cps, stats=stats)
     assert res is not None
 
 
@@ -369,7 +371,7 @@ def test_find_constrained_circulation_matches_bruteforce():
                 assert (pair(got.chain, k) - ri) % mod == 0
             for y in S:
                 if y != x:
-                    assert (pair(got.chain, cps[y].chain) - r0p.get(y, 0)) % mod == 0
+                    assert (pair(got.chain, cps[y]) - r0p.get(y, 0)) % mod == 0
         done += 1
 
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from surfcolor import chains, circulation, homology, lattice
+from surfcolor import chains, circulation, flows, homology, lattice
 from surfcolor.chains import Chain1, Chain2, pair
 from surfcolor.circulation import HomologyTarget
 from surfcolor.cli import gen_bouquet, gen_grid, gen_q13
@@ -37,7 +37,7 @@ def two_step(m, basis, f, a, S, x, copaths, mod, r):
 def fresh_pass(m, basis, f, a, S, x, copaths, mod, r):
     """The layered pass at a on a fresh search state: the search's own
     computation, without reuse across points."""
-    state = SearchState(m, basis, f, ResidueSpec(mod, a, r), S, x, copaths)
+    state = SearchState(m, basis, f, ResidueSpec(mod, a, r), S, x, copaths, lattice.SearchStats())
     return layered_residue_solve(state, a)
 
 
@@ -53,7 +53,8 @@ def test_layered_solve_matches_two_step_solver():
         x = rng.randrange(m.num_faces)
         S = tuple(sorted({x} | {rng.randrange(m.num_faces) for _ in range(3)}))
         cps = homology.copaths_from(m, x, S)
-        anchors = sorted({a for a, _ in integer_points_bruteforce(m, basis, f, S, x, cps)})
+        points = integer_points_bruteforce(m, basis, flows.Flow(f), S, x, cps)
+        anchors = sorted({a for a, _ in points})
         for a in rng.sample(anchors, min(3, len(anchors))):
             for mod in (3, 5, 7):
                 r = {y: 0 if y == x else rng.randrange(mod) for y in S}
@@ -79,12 +80,13 @@ def test_layered_solve_returns_the_largest_brute_force_labels():
         x = rng.randrange(m.num_faces)
         S = tuple(sorted({x} | {rng.randrange(m.num_faces) for _ in range(3)}))
         cps = homology.copaths_from(m, x, S)
-        points = integer_points_bruteforce(m, basis, f, S, x, cps)
+        points = integer_points_bruteforce(m, basis, flows.Flow(f), S, x, cps)
         box, _ = lattice.pairing_bounds(f, basis, cps)
         for mod in (3, 5):
             r = {y: 0 if y == x else rng.randrange(mod) for y in S}
             r0 = [rng.randrange(mod) for _ in basis.Y]
-            state = SearchState(m, basis, f, ResidueSpec(mod, r0, r), S, x, cps)
+            spec = ResidueSpec(mod, r0, r)
+            state = SearchState(m, basis, f, spec, S, x, cps, lattice.SearchStats())
             for u in lattice.lex_box_points(box, r0, mod):
                 labels = [dict(zip(sorted(S), ap)) for a, ap in points if a == u]
                 labels = [ell for ell in labels if all((ell[y] - r[y]) % mod == 0 for y in S)]
@@ -111,7 +113,7 @@ def test_layered_solve_rejects_outside_anchor():
     f = Chain1(m, {0: 1, 2: 1})
     a = (5, 0)
     assert lattice.membership(m, basis, f, (0,), 0, cps, HomologyPoint(a, {0: 0})) is not None
-    state = SearchState(m, basis, f, ResidueSpec(3, a, {}), (0,), 0, cps)
+    state = SearchState(m, basis, f, ResidueSpec(3, a, {}), (0,), 0, cps, lattice.SearchStats())
     assert layered_residue_solve(state, a) is None
     [(z, rhs)] = state.cuts
     assert sum(zi * ai for zi, ai in zip(z, a)) > rhs
@@ -169,13 +171,13 @@ def layered_pass(search, mod, a):
     cycle."""
     S, x, copaths = search.S, search.x, search.copaths
     b, lengths = search.network(a)
-    kept = {y: (search.r[y] - pair(b, copaths[y].chain)) % mod for y in S}
+    kept = {y: (search.r[y] - pair(b, copaths[y])) % mod for y in S}
     arcs = lattice._layered_arcs(search.map, lengths, mod, kept)
     lengths.extend(range(0, -mod, -1))
     dist, _, cyc = shortest_paths(len(arcs), arcs, lengths, (x * mod,))
     if cyc is not None:
         return None, None
-    ell = {y: dist[y * mod + kept[y]] + pair(b, copaths[y].chain) for y in S}
+    ell = {y: dist[y * mod + kept[y]] + pair(b, copaths[y]) for y in S}
     least = [min(d for d in dist[i:i + mod] if d is not None) for i in range(0, len(dist), mod)]
     return ell, b + chains.boundary2(Chain2(search.map, dict(enumerate(least))))
 
@@ -215,7 +217,7 @@ def test_one_residue_layer_when_S_is_x_alone(monkeypatch):
     assert verdicts == [True, True, True, False, False, True, True, True, True, False]
     counts = {1: [0, 0], 3: [0, 0], 5: [0, 0]}
     for (m, basis, f, spec, S, x, copaths), res in searches:
-        state = SearchState(m, basis, f, spec, S, x, copaths)
+        state = SearchState(m, basis, f, spec, S, x, copaths, lattice.SearchStats())
         assert state.mod == (1 if S == (x,) else spec.m)
         box, _ = lattice.pairing_bounds(f, basis, copaths)
         accepted = None

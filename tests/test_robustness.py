@@ -31,7 +31,7 @@ def brute_feasible_general(m, basis, f, target):
         if not chains.is_cycle(c):
             continue
         if all(pair(c, k) == a for k, a in zip(basis.cocycles, target.a)) and all(
-            pair(c, target.copaths[y].chain) == target.a_prime[y] for y in target.S
+            pair(c, target.copaths[y]) == target.a_prime[y] for y in target.S
         ):
             return True
     return False
@@ -140,7 +140,7 @@ def test_johnson_distances_equal_plain_bellman_ford():
         target = HomologyTarget(a, (x,), x, {x: cps[x]}, {x: 0})
         b = circulation.prescribed_cycle(m, basis, target)
         ell = [f[h] - b[h] if f[h] > 0 else -b[h] for h in m.half_edges()]
-        pairings = {y: pair(b, cps[y].chain) for y in S}
+        pairings = {y: pair(b, cps[y]) for y in S}
         for y in S:
             dist = [None] * m.num_faces
             dist[y] = 0

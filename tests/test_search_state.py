@@ -60,7 +60,8 @@ def test_patched_network_equals_the_full_build():
             x = rng.randrange(m.num_faces)
             S = tuple(sorted({x} | {rng.randrange(m.num_faces) for _ in range(rng.randint(0, 2))}))
             cps = homology.copaths_from(m, x, S)
-            state = SearchState(m, basis, f, ResidueSpec(3, (0,) * len(basis.Y), {}), S, x, cps)
+            spec = ResidueSpec(3, (0,) * len(basis.Y), {})
+            state = SearchState(m, basis, f, spec, S, x, cps, lattice.SearchStats())
             target = random_target(rng, m, basis, f, S, x, cps)
             b = circulation.prescribed_cycle(m, basis, target)
             lengths = circulation.patched_network(m, state.base, b)
@@ -124,7 +125,7 @@ def test_every_kept_cut_holds_where_the_stateless_pass_succeeds(monkeypatch):
                 for z, rhs in state.cuts:
                     assert sum(zi * ui for zi, ui in zip(z, u)) <= rhs
         s_order = sorted(S)
-        for a, ap in integer_points_bruteforce(m, basis, f, S, x, cps):
+        for a, ap in integer_points_bruteforce(m, basis, flows.Flow(f), S, x, cps):
             if all((ai - ci) % step == 0 for ai, ci in zip(a, first)) and all(
                 (v - r[y]) % step == 0 for y, v in zip(s_order, ap)
             ):
@@ -161,7 +162,7 @@ def layered_network(m, basis, f, a, S, x, copaths, mod, r):
     node, the lengths of its base arcs, and its k(y)."""
     target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
     b, lengths = circulation.repair_network(m, basis, f, target)
-    kept = {y: (r[y] - pair(b, copaths[y].chain)) % mod for y in S}
+    kept = {y: (r[y] - pair(b, copaths[y])) % mod for y in S}
     return lattice._layered_arcs(m, lengths, mod, kept), lengths, kept
 
 

@@ -1,10 +1,11 @@
 """Flow-coloring duality and the precoloring-extension solver."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from surfcolor import build_map, chains, dual, errors
+from surfcolor import Flow, build_map, chains, dual, errors
 from surfcolor.chains import Chain1, Chain2, pair
 from surfcolor.cli import gen_bouquet, gen_grid, gen_q13
 from surfcolor.homology import cohomology_basis, copaths_from
@@ -56,14 +57,14 @@ def test_coloring_to_flow_properties():
 def test_coloring_to_flow_rejects_non_homomorphism():
     h = gen_grid(3, 3)
     with pytest.raises(errors.NotAHomomorphism):
-        coloring_to_flow(h, {v: 0 for v in range(9)}, 3)
+        coloring_to_flow(h, {v: 0 for v in range(9)}, 3, dual_map=dual(h))
 
 
 def test_coloring_to_flow_from_bipartition():
     # a 2-coloring of a bipartite quadrangulation is a valid C_3 target
     h = gen_grid(4, 4)
     two = {i * 4 + j: (i + j) % 2 for i in range(4) for j in range(4)}
-    f = coloring_to_flow(h, two, 3)
+    f = coloring_to_flow(h, two, 3, dual_map=dual(h))
     assert f.nowhere_zero
     d = chains.boundary1(f.chain)
     assert all(c % 3 == 0 for _, c in d.items())
@@ -96,23 +97,25 @@ def test_flow_to_coloring_walk_matches_the_copath_pairings():
         noise = Chain1(g, {h: rng.randint(-3, 3) for h in g.canonical_half_edges()})
         f = chains.boundary2(potential) + m * noise
         x, c0 = rng.randrange(g.num_faces), rng.randrange(m)
-        cps = copaths_from(g, x)
-        want = {y: (c0 + pair(f, cps[y].chain)) % m for y in range(g.num_faces)}
-        assert flow_to_coloring(g, f, m, (x, c0)) == want
+        cps = copaths_from(g, x, range(g.num_faces))
+        want = {y: (c0 + pair(f, cps[y])) % m for y in range(g.num_faces)}
+        # flow_to_coloring reads only f.chain, and a Flow would reject
+        # these coefficients outside {-1, 0, 1}
+        assert flow_to_coloring(g, SimpleNamespace(chain=f), m, (x, c0)) == want
         checked += len(set(want.values())) > 1
     assert checked >= 30
 
 
 def test_flow_to_coloring_rejects_bad_pairings():
     m = gen_bouquet(2)
-    f = Chain1(m, {0: 1, 2: 1})
+    f = Flow(Chain1(m, {0: 1, 2: 1}))
     with pytest.raises(errors.DivisibilityViolation):
         flow_to_coloring(m, f, 3, (0, 0))
 
 
 def test_flow_to_coloring_rejects_a_boundary_not_divisible_by_m():
     g = gen_grid(3, 3)
-    f = Chain1(g, {0: 1})  # one edge between two vertices: boundary +-1
+    f = Flow(Chain1(g, {0: 1}))  # one edge between two vertices: boundary +-1
     with pytest.raises(errors.DivisibilityViolation, match="flow boundary not divisible by 3"):
         flow_to_coloring(g, f, 3, (0, 0))
 

@@ -60,20 +60,26 @@ def test_opp_out_of_range_rejected():
 
 
 @pytest.mark.parametrize(
-    "rotations, opp, error",
+    "rotations, opp, error, match",
     [
-        ([[0.0], [1]], None, errors.DanglingHalfEdge),
-        ([["a"], [1]], None, errors.DanglingHalfEdge),
-        ([[False], [True]], None, errors.DanglingHalfEdge),
-        ([[0], [1]], [1.0, 0], errors.NotInvolution),
-        ([[0], [1]], {0: True, 1: False}, errors.NotInvolution),
+        ([[0.0], [1]], None, errors.DanglingHalfEdge, "not an integer"),
+        ([["a"], [1]], None, errors.DanglingHalfEdge, "not an integer"),
+        ([[False], [True]], None, errors.DanglingHalfEdge, "not an integer"),
+        ([[0], [1]], [1.0, 0], errors.NotInvolution, "not an integer"),
+        ([[0], [1]], {0: True, 1: False}, errors.NotInvolution, "not an integer"),
+        ([[0, 1]], [1], errors.NotInvolution, r"opp\(1\) is missing"),
+        ([[0, 1]], {0: 1}, errors.NotInvolution, r"opp\(1\) is missing"),
     ],
-    ids=["float-half-edge", "str-half-edge", "bool-half-edges", "float-opp", "bool-opp"],
+    ids=[
+        "float-half-edge", "str-half-edge", "bool-half-edges", "float-opp", "bool-opp",
+        "short-opp-list", "short-opp-dict",
+    ],
 )
-def test_non_int_half_edge_ids_rejected(rotations, opp, error):
-    # a float or a str used to raise a bare TypeError, and a bool passed
-    # for 0 or 1 and built a map
-    with pytest.raises(error, match="not an integer"):
+def test_non_int_half_edge_ids_rejected(rotations, opp, error, match):
+    # a float or a str used to raise a bare TypeError, a bool passed for
+    # 0 or 1 and built a map, and an opp without an entry for some
+    # half-edge raised a bare IndexError or KeyError
+    with pytest.raises(error, match=match):
         build_map(rotations, opp)
 
 

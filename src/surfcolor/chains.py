@@ -145,10 +145,14 @@ def _signed_orbit_sum(m, weighted_walks):
     half-edge h of the walk: a face orbit gives a face boundary, a vertex
     rotation a vertex coboundary, a path its walk chain."""
     out = {}
+    opp = m.opp
     for walk, c in weighted_walks:
         for h in walk:
-            hc = m.canonical(h)
-            out[hc] = out.get(hc, 0) + (c if hc == h else -c)
+            o = opp[h]
+            if h < o:
+                out[h] = out.get(h, 0) + c
+            else:
+                out[o] = out.get(o, 0) - c
     return Chain1._canonical(m, out)
 
 

@@ -119,15 +119,18 @@ def nowhere_zero_completion(m, f1):
     half-edges, loaded with f1; the walk takes an arc a only while
     f[a] = 0 and sets f[a], f[opp(a)] = 1, -1, which marks its edge used.
     """
-    opp = m.opp
+    opp, tgt, out = m.opp, m.tgt, m.out_arcs()
     f = [0] * m.half_edge_count
+    # odd[v]: the parity of v's zero arcs, deg(v) less one per nonzero edge end
+    odd = [len(arcs) & 1 for arcs in out]
     for h, c in f1.chain.coeffs.items():
         f[h], f[opp[h]] = c, -c
-    zero_out = [[(w, a) for w, a in arcs if not f[a]] for arcs in m.out_arcs()]
-    if any(len(arcs) % 2 for arcs in zero_out):
+        odd[tgt[h]] ^= 1
+        odd[tgt[opp[h]]] ^= 1
+    if any(odd):
         return None
 
-    unused = [iter(arcs) for arcs in zero_out]  # each resumes where it stopped
+    unused = [iter(arcs) for arcs in out]  # each resumes where it stopped
     for v0 in range(m.num_vertices):
         stack = [v0]
         while stack:
@@ -147,7 +150,7 @@ def nowhere_zero_completion(m, f1):
 
 def _flow(m, f):
     """The Flow of an antisymmetric array f over the half-edges."""
-    return Flow(Chain1._canonical(m, {h: f[h] for h in m.canonical_half_edges()}))
+    return Flow(Chain1._nonzero(m, {h: f[h] for h in m.canonical_half_edges() if f[h]}))
 
 
 def nowhere_zero_flow_with_boundary(m, d):

@@ -119,16 +119,23 @@ def homology_class(k, basis):
 
 
 def copaths_from(m, x, targets):
-    """Copaths from face x to each target face y, along a BFS dual tree:
-    {y: P(y)}, P(y) a 1-chain whose coboundary is y - x.
+    """Copaths from face x to each target face y, along a BFS dual tree
+    rooted at x: {y: P(y)}, P(y) a 1-chain whose coboundary is y - x.
 
     Each tree step from face f1 to face f2 contributes the half-edge
     with left = f2; the returned chains are simple and the copath to x
-    itself is the zero chain.
+    itself is the zero chain.  targets is read once, and the tree is
+    built at the first target other than x, so a call whose targets are
+    all x builds none.
     """
-    parent_f, _ = _bfs_tree(m, m.faces, m.left, x)
+    parent_f = None
     out = {}
     for y in targets:
+        if y == x:
+            out[y] = Chain1(m)
+            continue
+        if parent_f is None:
+            parent_f, _ = _bfs_tree(m, m.faces, m.left, x)
         hs = _walk_to_root(parent_f, m.left, y)
         # hs walks y -> x; each parent arc has left = the face nearer x,
         # so flip each half-edge to point along x -> y instead.

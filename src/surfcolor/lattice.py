@@ -11,16 +11,19 @@ outside the polytope or that the residue system has no solution there,
 so the pass is the search's only test of a box point, and its
 distances at the point that passes give the circulation.
 
-When S is x alone the pass runs over one copy of the repair network.
-The residue system is then ell(x) = 0, which always holds, so a pass
-fails exactly when the box point is outside the polytope, on a negative
-dual cycle, with one copy or m.  And a drop at x never shortens a path:
-a closed walk at x has a length L >= 0 with L = c (mod m), and the drop
-from (x, c) takes it to L - c >= 0.  So the least distance over the m
-copies of a face is its plain distance, and the pass gives the
-circulation that m copies would give.  A failed pass keeps the cut
-(z, P) of a negative dual cycle, which may be another cycle than m
-copies would return, and so may answer other points than theirs.
+When S is x alone the pass runs over one copy of the repair network,
+whose arcs are the dual's own out lists (``dual_arcs``): with one copy
+every head is its face and k(x) = 0, so no network is built at the
+anchor.  The residue system is then ell(x) = 0, which always holds, so a
+pass fails exactly when the box point is outside the polytope, on a
+negative dual cycle, with one copy or m.  And a drop at x never shortens
+a path: a closed walk at x has a length L >= 0 with L = c (mod m), and
+the drop from (x, c) takes it to L - c >= 0.  So the least distance over
+the m copies of a face is its plain distance, which the dual, being
+connected, gives for every face, and the pass gives the circulation that
+m copies would give.  A failed pass keeps the cut (z, P) of a negative
+dual cycle, which may be another cycle than m copies would return, and
+so may answer other points than theirs.
 
 One search keeps one ``SearchState`` for its fixed f and residue system,
 built once: the f-part of the repair lengths, patched at each box point,
@@ -252,7 +255,11 @@ def layered_residue_solve(search, a):
         assert ell[search.x] == 0
         for y in S:
             assert (ell[y] - search.r[y]) % mod == 0
-    least = [min(d for d in dist[i:i + mod] if d is not None) for i in range(0, len(dist), mod)]
+    if mod == 1:
+        # the dual is connected, so every face is reached
+        least = dist
+    else:
+        least = [min(d for d in dist[i:i + mod] if d is not None) for i in range(0, len(dist), mod)]
     search.ell = ell
     search.chain = b + chains.boundary2(Chain2(m, dict(enumerate(least))))
     return ell
@@ -291,7 +298,8 @@ class SearchState:
       ``layered_residue_solve`` (mod copies of each face), built at the
       anchor spec.r0.  Every box point of the search is congruent to
       spec.r0 mod m, so both are the same at each of them (see the
-      module docstring).
+      module docstring).  With one copy they are {x: 0} and the map's
+      ``dual_arcs``, and nothing is built.
     - cuts: the pairs (z, rhs) that the failed passes kept.  Each answers
       the pass at every later box point u with <z, u> > rhs: that pass
       fails too (see the module docstring).
@@ -316,9 +324,14 @@ class SearchState:
         self.r.update(spec.r0_prime)
         self.r[x] = 0
         self.base = circulation.base_network(m, f)
-        b, lengths = self.network(spec.r0)
-        self.kept = {y: (self.r[y] - pair(b, copaths[y])) % self.mod for y in S}
-        self.layers = _layered_arcs(m, lengths, self.mod, self.kept)
+        if self.mod == 1:
+            # one copy of each face: the network is the dual as it stands
+            self.kept = {x: 0}
+            self.layers = m.dual_arcs()
+        else:
+            b, lengths = self.network(spec.r0)
+            self.kept = {y: (self.r[y] - pair(b, copaths[y])) % self.mod for y in S}
+            self.layers = _layered_arcs(m, lengths, self.mod, self.kept)
         self.cuts = []
         self.stats = stats
         self.ell = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import chains, flows, homology, lattice, surface_map
 from .chains import Chain1, pair
-from .errors import DivisibilityViolation, NotAHomomorphism
+from .errors import Disconnected, DivisibilityViolation, NotAHomomorphism
 
 
 class Precoloring:
@@ -140,15 +140,24 @@ def flow_to_coloring(g, f, m, anchor, basis=None):
     parent_arc, order = homology._bfs_tree(g, g.faces, g.left, x)
     color = [None] * g.num_faces
     color[x] = c0 % m
+    coeffs, opp, left = fchain.coeffs, g.opp, g.left
     for w in order[1:]:
         h = parent_arc[w]
-        color[w] = (color[g.left[h]] + fchain[g.opp[h]]) % m
+        o = opp[h]
+        # f[o], read off the canonical key of the edge
+        step = coeffs.get(o, 0) if o < h else -coeffs.get(h, 0)
+        color[w] = (color[left[h]] + step) % m
     return dict(enumerate(color))
 
 
 def extend_precoloring(h_map, pre):
     """Decide whether the precoloring extends to a homomorphism of H into
-    the odd cycle C_m, and produce a verified one when it does."""
+    the odd cycle C_m, and produce a verified one when it does.
+
+    Raises Disconnected for a map with no vertices, as ``build_map`` does:
+    with no precolored vertex, the search anchors vertex 0 at color 0."""
+    if h_map.num_vertices == 0:
+        raise Disconnected("empty map")
     m = pre.m
     for v in pre.psi:
         if not (type(v) is int and 0 <= v < h_map.num_vertices):

@@ -13,9 +13,10 @@ derived from |V| - |E| + |F| = 2 - g and must come out even (orientable).
 
 A map stores exactly these arrays (``opp``, ``tgt``, ``rot``, ``left``,
 ``faces``) and its Euler genus; of what derives from them, only the out
-lists of the map (``out_arcs``) and of its dual (``dual_arcs``) are kept,
-each built on its first use.  Both are built by one builder, with the
-heads tgt and left: each lists (head, arc) pairs in ascending arc id.
+lists of the map (``out_arcs``) and of its dual (``dual_arcs``) and the
+canonical half-edges (``canonical_half_edges``) are kept, each built on
+its first use.  Both out lists are built by one builder, with the heads
+tgt and left: each lists (head, arc) pairs in ascending arc id.
 ``dual`` swaps the roles of the arrays, building only its face orbits
 anew.
 """
@@ -38,6 +39,7 @@ class CombinatorialMap:
         "euler_genus",
         "_dual_arcs",
         "_out_arcs",
+        "_canonical_half_edges",
     )
 
     def __init__(self, half_edge_count, opp, tgt, rot, left, faces, euler_genus):
@@ -50,6 +52,7 @@ class CombinatorialMap:
         self.euler_genus = euler_genus
         self._dual_arcs = None      # built by dual_arcs() on first use
         self._out_arcs = None       # built by out_arcs() on first use
+        self._canonical_half_edges = None  # built by canonical_half_edges()
 
     @property
     def num_vertices(self):
@@ -73,7 +76,12 @@ class CombinatorialMap:
         return h if h < o else o
 
     def canonical_half_edges(self):
-        return [h for h in range(self.half_edge_count) if h < self.opp[h]]
+        """The canonical half-edges in ascending id, built on the first
+        call and kept; like the out lists, the list is shared, so callers
+        leave it as it is."""
+        if self._canonical_half_edges is None:
+            self._canonical_half_edges = [h for h, o in enumerate(self.opp) if h < o]
+        return self._canonical_half_edges
 
     def degree(self, v):
         return len(self.rot[v])

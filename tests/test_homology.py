@@ -133,6 +133,36 @@ def test_copaths(corpus_map):
         assert coboundary1(cp) == expected
 
 
+@pytest.mark.parametrize("kind", sorted(DIFFERENTIAL_MAPS))
+def test_copaths_to_x_alone_build_no_tree(kind, monkeypatch):
+    # with every target x the copath is the zero chain the tree walk
+    # gives, and no tree is built; targets are read once, so a one-shot
+    # iterator gives what a range gives
+    rng = random.Random(443)
+    trees = []
+    real = homology._bfs_tree
+
+    def counted(*args):
+        trees.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homology, "_bfs_tree", counted)
+    for m in DIFFERENTIAL_MAPS[kind]:
+        x = rng.randrange(m.num_faces)
+        parent_f, _ = real(m, m.faces, m.left, x)
+        walk = chains.walk_chain(m, [m.opp[h] for h in homology._walk_to_root(parent_f, m.left, x)])
+        del trees[:]
+        assert homology.copaths_from(m, x, (x,)) == {x: walk}
+        assert homology.copaths_from(m, x, [x, x]) == {x: walk}
+        assert walk.is_zero() and not trees
+        every = homology.copaths_from(m, x, range(m.num_faces))
+        assert len(trees) == (m.num_faces > 1)
+        assert every[x] == walk
+        assert homology.copaths_from(m, x, iter(range(m.num_faces))) == every
+        for y in range(m.num_faces):
+            assert homology.copaths_from(m, x, (x, y)) == {x: walk, y: every[y]}
+
+
 def test_copath_between_adjacent_faces():
     m = gen_grid(3, 3)
     h = 0

@@ -12,7 +12,7 @@ import pytest
 from surfcolor import circulation, flows, homology, lattice
 from surfcolor.chains import Chain1, pair
 from surfcolor.circulation import Circulation, HomologyTarget
-from surfcolor.cli import brute_force_extendable, gen_bouquet
+from surfcolor.cli import brute_force_extendable, gen_bouquet, gen_grid
 from surfcolor.lattice import (
     HomologyPoint,
     ResidueSpec,
@@ -22,9 +22,15 @@ from surfcolor.lattice import (
 from surfcolor.solver import Precoloring, extend_precoloring
 from surfcolor.surface_map import CombinatorialMap
 
-from conftest import CORPUS, random_map, random_nowhere_zero
+from conftest import CORPUS, DIFFERENTIAL_MAPS, random_map, random_nowhere_zero
 from residue_reference import AnchorOutsidePolytope
-from test_layered_residue import fresh_pass, hexagon_instances, reference_search, two_step
+from test_layered_residue import (
+    fresh_pass,
+    hexagon_instances,
+    layered_pass,
+    reference_search,
+    two_step,
+)
 
 
 def full_build(m, f, b):
@@ -197,6 +203,75 @@ def test_the_layered_network_is_the_same_at_every_box_point_of_a_search(monkeypa
             assert lengths2 != lengths
             pairs[mod] += 1
     assert min(pairs.values()) >= 5, pairs
+
+
+def one_copy_searches(monkeypatch):
+    """(m, basis, f, spec, x) of searches with S = (x,): each random map
+    of the differential tests with a random f of values +-1 and +-2, face
+    x and anchor at m = 3, 5 or 7, then the searches of the unprecolored
+    16x16 torus grid at m = 3 and 5."""
+    rng = random.Random(449)
+    for m in DIFFERENTIAL_MAPS["random"]:
+        basis = homology.cohomology_basis(m)
+        mod = rng.choice((3, 5, 7))
+        spec = ResidueSpec(mod, [rng.randrange(mod) for _ in basis.Y], {})
+        f = Chain1(m, {h: rng.choice((-2, -1, 1, 2)) for h in m.canonical_half_edges()})
+        yield m, basis, f, spec, rng.randrange(m.num_faces)
+    real = lattice.find_constrained_circulation
+    found = []
+
+    def recorded(m, basis, f0, spec, S, x, copaths, stats):
+        found.append((m, basis, f0.chain, spec, x))
+        return real(m, basis, f0, spec, S, x, copaths, stats)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lattice, "find_constrained_circulation", recorded)
+        for mod in (3, 5):
+            assert extend_precoloring(gen_grid(16, 16), Precoloring(mod)).extendable
+    assert len(found) == 2
+    yield from found
+
+
+def general_build(state, anchor):
+    """The state's kept and layers rebuilt as a search with m copies
+    builds them: from the repair network at the anchor, for the state's
+    own number of copies."""
+    b, lengths = state.network(anchor)
+    state.kept = {y: (state.r[y] - pair(b, state.copaths[y])) % state.mod for y in state.S}
+    state.layers = lattice._layered_arcs(state.map, lengths, state.mod, state.kept)
+
+
+def test_a_one_copy_search_runs_on_the_dual_as_it_stands(monkeypatch):
+    # with S = (x,) the state's network is the dual's own arc lists, with
+    # k(x) = 0 and no network built at the anchor; list for list that is
+    # the general build's one copy, and at every box point its pass gives
+    # the general build's labels, circulation and kept cuts, and the
+    # circulation of the least distances over one copy of every face
+    builds = []
+    count_calls(monkeypatch, lattice, "_layered_arcs", builds)
+    count_calls(monkeypatch, SearchState, "network", builds)
+    points = cuts = 0
+    for m, basis, f, spec, x in one_copy_searches(monkeypatch):
+        cps = homology.copaths_from(m, x, (x,))
+        del builds[:]
+        one = SearchState(m, basis, f, spec, (x,), x, cps, lattice.SearchStats())
+        assert not builds
+        assert (one.mod, one.kept) == (1, {x: 0}) and one.layers is m.dual_arcs()
+        general = SearchState(m, basis, f, spec, (x,), x, cps, lattice.SearchStats())
+        general_build(general, spec.r0)
+        assert general.layers == one.layers and general.kept == one.kept
+        box, _ = lattice.pairing_bounds(f, basis, {})
+        for u in lattice.lex_box_points(box, spec.r0, spec.m):
+            ell = lattice.layered_residue_solve(one, u)
+            assert lattice.layered_residue_solve(general, u) == ell
+            assert one.cuts == general.cuts
+            if ell is None:
+                assert layered_pass(one, 1, u) == (None, None)
+            else:
+                assert layered_pass(one, 1, u) == (ell, one.chain) == (ell, general.chain)
+            points += 1
+            cuts += ell is None
+    assert points >= 150 and 20 <= cuts < points, (points, cuts)
 
 
 def small_instances(count):

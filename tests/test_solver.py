@@ -16,7 +16,7 @@ from surfcolor.solver import (
     flow_to_coloring,
     verify_homomorphism,
 )
-from surfcolor.surface_map import face_profile
+from surfcolor.surface_map import CombinatorialMap, face_profile
 
 from conftest import backtrack_extendable, random_map
 from map_reference import is_loop
@@ -158,6 +158,18 @@ def test_extend_k1():
     res = extend_precoloring(build_map([[]]), Precoloring(3))
     assert res.extendable
     assert res.coloring == {0: 0}
+
+
+def test_a_map_with_no_vertices_is_refused_as_build_map_refuses_it():
+    # build_map raises Disconnected("empty map") for no rotations; the
+    # solver raises the same for such a map built directly, instead of
+    # anchoring a vertex 0 that does not exist
+    with pytest.raises(errors.Disconnected, match="empty map"):
+        build_map([])
+    empty = CombinatorialMap(0, [], [], [], [], [], 0)
+    for pre in (Precoloring(3), Precoloring(5)):
+        with pytest.raises(errors.Disconnected, match="empty map"):
+            extend_precoloring(empty, pre)
 
 
 def test_extend_single_edge():

@@ -177,6 +177,18 @@ def test_out_arcs_are_built_once_per_map(kind):
         assert d.out_arcs() == expected(d) == m.dual_arcs()
 
 
+@pytest.mark.parametrize("kind", sorted(DIFFERENTIAL_MAPS))
+def test_canonical_half_edges_are_built_once_per_map(kind):
+    # the half-edges h with h < opp(h), in ascending id, one per edge; the
+    # dual shares m's opp, so its list is equal
+    for m in DIFFERENTIAL_MAPS[kind]:
+        canon = m.canonical_half_edges()
+        assert canon == [h for h in m.half_edges() if m.canonical(h) == h]
+        assert len(canon) == m.num_edges
+        assert m.canonical_half_edges() is canon
+        assert dual(m).canonical_half_edges() == canon
+
+
 def test_face_lengths_equal_dual_degrees(corpus_map):
     m = corpus_map
     d = dual(m)

@@ -10,6 +10,8 @@ only canonicalises its keys.  Each operator and its dual read the same
 kernel through a different map array: boundary2 and coboundary2 (and
 the walk chains) sum signed face orbits or vertex rotations, while
 boundary1 and coboundary1 take head minus tail through m.tgt or m.left.
+boundary2 of a chain on at least half the faces is read edge by edge
+instead, through m.left, which is cheaper there.
 """
 
 from __future__ import annotations
@@ -161,10 +163,11 @@ def _head_minus_tail(k, head, chain_type):
     with m.tgt the vertex boundary, with m.left the face coboundary."""
     out = {}
     m = k.map
+    opp, get = m.opp, out.get
     for h, c in k.coeffs.items():
-        v, u = head[h], head[m.opp[h]]
-        out[v] = out.get(v, 0) + c
-        out[u] = out.get(u, 0) - c
+        v, u = head[h], head[opp[h]]
+        out[v] = get(v, 0) + c
+        out[u] = get(u, 0) - c
     return chain_type(m, out)
 
 
@@ -179,9 +182,20 @@ def face_boundary(m, x):
 
 
 def boundary2(a):
-    """Linear extension of face boundaries to 2-chains."""
+    """Linear extension of face boundaries to 2-chains.  A chain on at
+    least half the faces is summed edge by edge instead of face by face:
+    lam[left(h)] - lam[left(opp(h))] on each canonical half-edge h, lam
+    listing a's coefficient on every face."""
     m = a.map
-    return _signed_orbit_sum(m, ((m.faces[x], c) for x, c in a.coeffs.items()))
+    if 2 * len(a.coeffs) < m.num_faces:
+        return _signed_orbit_sum(m, ((m.faces[x], c) for x, c in a.coeffs.items()))
+    lam = [0] * m.num_faces
+    for x, c in a.coeffs.items():
+        lam[x] += c
+    left, opp = m.left, m.opp
+    return Chain1._canonical(
+        m, {h: lam[left[h]] - lam[left[opp[h]]] for h in m.canonical_half_edges()}
+    )
 
 
 def coboundary2(b):

@@ -149,8 +149,13 @@ def nowhere_zero_completion(m, f1):
 
 
 def _flow(m, f):
-    """The Flow of an antisymmetric array f over the half-edges."""
-    return Flow(Chain1._nonzero(m, {h: f[h] for h in m.canonical_half_edges() if f[h]}))
+    """The Flow of an antisymmetric array f over the half-edges.  Both
+    builders fill f with -1, 0 and 1 only, so the Flow constructor's
+    scan of the coefficients is skipped."""
+    flow = object.__new__(Flow)
+    flow.chain = Chain1._nonzero(m, {h: f[h] for h in m.canonical_half_edges() if f[h]})
+    flow.nowhere_zero = len(flow.chain.coeffs) == m.num_edges
+    return flow
 
 
 def nowhere_zero_flow_with_boundary(m, d):
@@ -184,7 +189,9 @@ def relevant_boundaries(m, modulus):
     """
     check_modulus(modulus)
     nv = m.num_vertices
-    cands = [face_candidates(m.degree(v), modulus) for v in range(nv)]
+    degrees = list(map(m.degree, range(nv)))
+    by_degree = {n: face_candidates(n, modulus) for n in set(degrees)}
+    cands = [by_degree[n] for n in degrees]
     if any(not c for c in cands):
         return
     k, size = nv, 1

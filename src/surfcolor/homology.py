@@ -4,11 +4,12 @@ The basis construction: take a spanning tree T of the graph, then a
 spanning tree T' of the dual avoiding the duals of T's edges.  The g
 leftover edges Y index paired simple chains: f_e is the fundamental
 cycle of e in T and K_e the fundamental cocycle of e in the cotree, with
-f_e and K_e' pairing to the g x g identity matrix.  Both trees, the
-dual trees that carry copaths, and the dual tree along which
-``solver.flow_to_coloring`` decodes a flow come from one BFS over the
-arrays of one side: (rot, tgt) for the graph and (faces, left) for the
-dual.
+f_e and K_e' pairing to the g x g identity matrix.  Both trees and the
+dual trees that carry copaths come from one BFS over the arrays of one
+side: (rot, tgt) for the graph and (faces, left) for the dual.  The
+basis keeps its cotree, a spanning tree of the dual rooted at face 0,
+and ``solver.flow_to_coloring`` decodes a flow along it; no other tree
+is built to decode.
 """
 
 from __future__ import annotations
@@ -23,16 +24,18 @@ class CohomologyBasis:
 
     Y lists g edge ids (by canonical half-edge), and cycles[i],
     cocycles[i] are the chains paired with Y[i]; both take value 1 on
-    the canonical half-edge Y[i].
+    the canonical half-edge Y[i].  cotree is the ``_bfs_tree`` result
+    (parent_arc, order) of the cotree, which spans the dual from face 0.
     """
 
-    __slots__ = ("map", "Y", "cycles", "cocycles")
+    __slots__ = ("map", "Y", "cycles", "cocycles", "cotree")
 
-    def __init__(self, m, Y, cycles, cocycles):
+    def __init__(self, m, Y, cycles, cocycles, cotree):
         self.map = m
         self.Y = Y
         self.cycles = cycles
         self.cocycles = cocycles
+        self.cotree = cotree
 
     def __len__(self):
         return len(self.Y)
@@ -56,14 +59,16 @@ def _bfs_tree(m, cycles, head, root, excluded=frozenset()):
     parent arcs ascends to the root, and order lists the reached nodes in
     BFS order, the root first and each node after its parent.
     """
+    opp = m.opp
     parent_arc = [None] * len(cycles)
     seen = [False] * len(cycles)
     seen[root] = True
     queue = [root]
     for v in queue:
         for h in sorted(cycles[v]):
-            w = head[m.opp[h]]
-            if not seen[w] and m.canonical(h) not in excluded:
+            o = opp[h]
+            w = head[o]
+            if not seen[w] and (h if h < o else o) not in excluded:
                 seen[w] = True
                 parent_arc[w] = h
                 queue.append(w)
@@ -90,7 +95,8 @@ def cohomology_basis(m):
     """
     parent_v, _ = _bfs_tree(m, m.rot, m.tgt, 0)
     tree_edges = {m.canonical(h) for h in parent_v if h is not None}
-    parent_f, _ = _bfs_tree(m, m.faces, m.left, 0, tree_edges)
+    cotree = _bfs_tree(m, m.faces, m.left, 0, tree_edges)
+    parent_f = cotree[0]
     cotree_edges = {m.canonical(h) for h in parent_f if h is not None}
     assert not (tree_edges & cotree_edges)
 
@@ -108,7 +114,14 @@ def cohomology_basis(m):
 
     cycles = [fundamental(parent_v, m.tgt, h) for h in Y]
     cocycles = [fundamental(parent_f, m.left, h) for h in Y]
-    return CohomologyBasis(m, Y, cycles, cocycles)
+    return CohomologyBasis(m, Y, cycles, cocycles, cotree)
+
+
+def check_face(m, x):
+    """Raise ValueError unless x is a face id of m, an int in 0..F-1; a
+    negative id would otherwise index from the end of a face list."""
+    if not (type(x) is int and 0 <= x < len(m.faces)):
+        raise ValueError("face %r not in the map" % (x,))
 
 
 def homology_class(k, basis):
@@ -126,11 +139,13 @@ def copaths_from(m, x, targets):
     with left = f2; the returned chains are simple and the copath to x
     itself is the zero chain.  targets is read once, and the tree is
     built at the first target other than x, so a call whose targets are
-    all x builds none.
+    all x builds none.  Raises ValueError for a face outside the map.
     """
+    check_face(m, x)
     parent_f = None
     out = {}
     for y in targets:
+        check_face(m, y)
         if y == x:
             out[y] = Chain1(m)
             continue

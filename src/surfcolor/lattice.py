@@ -67,7 +67,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import chains, circulation, homology
-from .chains import Chain2, pair, pair_plus
+from .chains import Chain2, pair
 from .circulation import Circulation, HomologyTarget
 from .errors import BudgetExceeded
 from .paths import shortest_paths
@@ -119,10 +119,24 @@ def pairing_bounds(f, basis, copaths):
     """Per-coordinate intervals confining every polytope point:
     -pair_plus(-f, K) <= a(K) <= pair_plus(f, K), and likewise for the
     copath coordinates."""
-    neg_f = -f
-    box = [(-pair_plus(neg_f, k), pair_plus(f, k)) for k in basis.cocycles]
-    box_s = {y: (-pair_plus(neg_f, p), pair_plus(f, p)) for y, p in copaths.items()}
+    box = [_bounds(f, k) for k in basis.cocycles]
+    box_s = {y: _bounds(f, p) for y, p in copaths.items()}
     return box, box_s
+
+
+def _bounds(f, k):
+    """(-pair_plus(-f, K), pair_plus(f, K)): the sums of the negative and
+    of the positive products f[h] * K[h] over K's support."""
+    chains._check_same_map(f, k)
+    lo = hi = 0
+    fc = f.coeffs
+    for h, c in k.coeffs.items():
+        p = c * fc.get(h, 0)
+        if p > 0:
+            hi += p
+        else:
+            lo += p
+    return lo, hi
 
 
 def membership(m, basis, f, S, x, copaths, point, search=None):

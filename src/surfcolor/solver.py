@@ -80,9 +80,9 @@ class ColoringResult:
 def verify_homomorphism(h_map, m, phi, psi=None):
     """True iff phi maps every edge of H to an edge of C_m (endpoint
     colors differ by exactly +-1 mod m) and extends psi when given."""
+    tgt, opp, adjacent = h_map.tgt, h_map.opp, (1, m - 1)
     for h in h_map.canonical_half_edges():
-        u, v = h_map.tgt[h], h_map.tgt[h_map.opp[h]]
-        if (phi[u] - phi[v]) % m not in (1, m - 1):
+        if (phi[tgt[h]] - phi[tgt[opp[h]]]) % m not in adjacent:
             return False
     if psi:
         for v, c in psi.items():
@@ -118,15 +118,18 @@ def coloring_to_flow(h_map, phi, m, dual_map):
 def flow_to_coloring(g, f, m, anchor, basis=None):
     """Decode a nowhere-zero flow on g into a coloring of its faces.
 
-    anchor is a pair (face, color).  Requires the flow boundary and all
-    basis pairings to vanish mod m; the color of face y is then
-    anchor color + pair(f, P(y)) mod m, independent of the copaths.  The
-    colors are read off a potential walk over the dual BFS tree of
-    ``homology._bfs_tree`` rooted at the anchor: a step from face v to
-    face w across half-edge h (left = v) adds the flow f[opp(h)] that the
-    copath step to w pairs with.
+    anchor is a pair (face, color); a face outside g raises ValueError.
+    Requires the flow boundary and all basis pairings to vanish mod m;
+    the color of face y is then anchor color + pair(f, P(y)) mod m,
+    independent of the copaths, so any spanning tree of the dual decodes
+    it.  The decode walks the basis cotree (``CohomologyBasis.cotree``)
+    from its root, face 0: a step from face v to face w across half-edge
+    h (left = v) adds the flow f[opp(h)] that the copath step to w pairs
+    with.  The potentials are then shifted so the anchor face takes the
+    anchor color.
     """
     x, c0 = anchor
+    homology.check_face(g, x)
     fchain = f.chain
     d = chains.boundary1(fchain)
     for v, c in d.items():
@@ -137,17 +140,17 @@ def flow_to_coloring(g, f, m, anchor, basis=None):
     for k in basis.cocycles:
         if pair(fchain, k) % m != 0:
             raise DivisibilityViolation("basis pairing not divisible by %d" % m)
-    parent_arc, order = homology._bfs_tree(g, g.faces, g.left, x)
-    color = [None] * g.num_faces
-    color[x] = c0 % m
+    parent_arc, order = basis.cotree
+    pot = [0] * g.num_faces
     coeffs, opp, left = fchain.coeffs, g.opp, g.left
     for w in order[1:]:
         h = parent_arc[w]
         o = opp[h]
         # f[o], read off the canonical key of the edge
         step = coeffs.get(o, 0) if o < h else -coeffs.get(h, 0)
-        color[w] = (color[left[h]] + step) % m
-    return dict(enumerate(color))
+        pot[w] = pot[left[h]] + step
+    shift = c0 - pot[x]
+    return {y: (p + shift) % m for y, p in enumerate(pot)}
 
 
 def extend_precoloring(h_map, pre):

@@ -228,12 +228,13 @@ def dual(m):
     sends h to its successor in its rotation in m; face v starts at its
     smallest half-edge, where build_map's tracing would start it.  So
     dual(dual(m)) reproduces m, each rotation starting at its smallest
-    half-edge.  Maps are immutable, so the arrays are shared with m.
+    half-edge.  Maps are immutable, so the arrays are shared with m, and
+    so is each rotation that already starts at its smallest half-edge.
     """
     faces = []
     for cyc in m.rot:
         i = cyc.index(min(cyc)) if cyc else 0
-        faces.append(cyc[i:] + cyc[:i])
+        faces.append(cyc[i:] + cyc[:i] if i else cyc)
     return CombinatorialMap(
         m.half_edge_count, m.opp, m.left, m.faces, m.tgt, faces, m.euler_genus
     )

@@ -6,10 +6,11 @@ antisymmetric: K[opp(h)] = -K[h].  All coefficients are plain Python
 integers, so arithmetic is exact at any magnitude.
 
 One base class carries the algebra of all three chain types; Chain1
-only canonicalises its keys.  Each operator and its dual read the same
-kernel through a different map array: boundary2 and coboundary2 (and
-the walk chains) sum signed face orbits or vertex rotations, while
-boundary1 and coboundary1 take head minus tail through m.tgt or m.left.
+only canonicalises its keys, and Chain0 only checks that its keys are
+vertices.  Each operator and its dual read the same kernel through a
+different map array: boundary2 and coboundary2 (and the walk chains)
+sum signed face orbits or vertex rotations, while boundary1 and
+coboundary1 take head minus tail through m.tgt or m.left.
 boundary2 of a chain on at least half the faces is read edge by edge
 instead, through m.left, which is cheaper there.
 """
@@ -103,9 +104,15 @@ class _SparseChain:
 
 
 class Chain0(_SparseChain):
-    """Formal integer sum of vertices."""
+    """Formal integer sum of vertices, each an int (not a bool) in 0..V-1."""
 
     __slots__ = ()
+
+    def __init__(self, m, coeffs=None):
+        for v in coeffs or ():
+            if type(v) is not int or not 0 <= v < m.num_vertices:
+                raise ValueError("vertex %r not in the map" % (v,))
+        super().__init__(m, coeffs)
 
 
 class Chain2(_SparseChain):

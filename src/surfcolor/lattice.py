@@ -25,12 +25,16 @@ m copies would give.  A failed pass keeps the cut (z, P) of a negative
 dual cycle, which may be another cycle than m copies would return, and
 so may answer other points than theirs.
 
-One search keeps one ``SearchState`` for its fixed f and residue system,
-built once: the f-part of the repair lengths, patched at each box point,
-the k(y) and arcs of the layered network, built at the anchor, and one
-list of integer cuts (z, rhs), each answering the pass at every box
-point u' with <z, u'> > rhs.  When the pass at a box point u finds a
-negative cycle W, W gives the cut (z, P + D):
+One solve builds one ``Solve`` record, which all its searches read: the
+dual g, its basis, S, x, the copaths from x, the color differences r on
+S, the modulus m, the number mod of residue copies of each layered
+network, and the solve's three counters.  One search keeps one
+``SearchState`` for its fixed f and residue system, built once: the
+f-part of the repair lengths, patched at each box point, the k(y) and
+arcs of the layered network, built at the anchor, and one list of
+integer cuts (z, rhs), each answering the pass at every box point u'
+with <z, u'> > rhs.  When the pass at a box point u finds a negative
+cycle W, W gives the cut (z, P + D):
 - every box point of one search is congruent to u mod m, because
   ``lex_box_points`` steps by m, and the layered pass uses the same
   modulus;
@@ -149,10 +153,11 @@ def membership(m, basis, f, S, x, copaths, point, search=None):
     With the SearchState of a lattice search, the call is instead the
     search's decision at the integral box point point.u, for the state's
     f and residue system: a kept cut (z, rhs) with <z, u> > rhs answers
-    first, else one ``layered_residue_solve`` pass.  It returns None, and
-    leaves the pass's labels and circulation on the state, when the pass
-    succeeds; otherwise it returns the cut that answered, or the one the
-    failed pass kept, as a Separator without copath terms.  A point
+    first (counted in the solve's points_cut), else one
+    ``layered_residue_solve`` pass.  It returns None, and leaves the
+    pass's labels and circulation on the state, when the pass succeeds;
+    otherwise it returns the cut that answered, or the one the failed
+    pass kept, as a Separator without copath terms.  A point
     outside the polytope is never accepted, but an inside point whose
     residue system fails is refused too.  The name stays until the
     benchmark counts box points from the search instead of from calls
@@ -162,7 +167,7 @@ def membership(m, basis, f, S, x, copaths, point, search=None):
         u = tuple(int(c) for c in point.u)
         for z, rhs in search.cuts:
             if sum(zi * ui for zi, ui in zip(z, u)) > rhs:
-                search.stats.points_cut += 1
+                search.solve.points_cut += 1
                 return Separator(z, {}, rhs)
         if layered_residue_solve(search, u) is not None:
             return None
@@ -234,7 +239,7 @@ def layered_residue_solve(search, a):
     or a lies outside the polytope (a negative dual cycle, repeated m
     times, returns to its layer).  When S = (x,) the state's network has
     one copy per face (see the module docstring): read m as
-    search.mod = 1 above.
+    solve.mod = 1 above.
 
     On success the pass leaves ell on the state, and as ``chain`` the
     circulation b + boundary2(Lambda), Lambda(v) being the least distance
@@ -250,14 +255,15 @@ def layered_residue_solve(search, a):
     negative at every box point u of the search with <z, u> > P + D (see
     the module docstring).
     """
-    m, mod, S, copaths = search.map, search.mod, search.S, search.copaths
+    solve = search.solve
+    g, S, x, copaths, mod = solve.g, solve.S, solve.x, solve.copaths, solve.mod
     b, lengths = search.network(a)
     H = len(lengths)
     lengths.extend(range(0, -mod, -1))
-    dist, _, cyc = shortest_paths(len(search.layers), search.layers, lengths, (search.x * mod,))
+    dist, _, cyc = shortest_paths(len(search.layers), search.layers, lengths, (x * mod,))
     if cyc is not None:
         walk = [h for h in cyc if h < H]
-        z = homology.homology_class(chains.walk_chain(m, walk), search.basis)
+        z = homology.homology_class(chains.walk_chain(g, walk), solve.basis)
         rhs = sum(search.base[h] for h in walk) + sum(lengths[h] for h in cyc if h >= H)
         # checked under python -O too: a bogus cut would skip box points
         if sum(zi * ai for zi, ai in zip(z, a)) <= rhs:
@@ -266,7 +272,7 @@ def layered_residue_solve(search, a):
         return None
     ell = {y: dist[y * mod + search.kept[y]] + pair(b, copaths[y]) for y in S}
     if __debug__:
-        assert ell[search.x] == 0
+        assert ell[x] == 0
         for y in S:
             assert (ell[y] - search.r[y]) % mod == 0
     if mod == 1:
@@ -275,7 +281,7 @@ def layered_residue_solve(search, a):
     else:
         least = [min(d for d in dist[i:i + mod] if d is not None) for i in range(0, len(dist), mod)]
     search.ell = ell
-    search.chain = b + chains.boundary2(Chain2(m, dict(enumerate(least))))
+    search.chain = b + chains.boundary2(Chain2(g, dict(enumerate(least))))
     return ell
 
 
@@ -289,31 +295,40 @@ def lex_box_points(box, r0, m):
     return itertools.product(*axes)
 
 
-class SearchStats:
-    """Counters filled in by the lattice search: points_cut counts the
-    tested points that a kept cut answered without a layered pass."""
+class Solve:
+    """The record of one solve that each of its lattice searches reads
+    (see the module docstring): mod is m, or 1 when S = (x,), and
+    points_cut counts the tested points a kept cut answered without a pass."""
 
-    __slots__ = ("points_tested", "points_cut")
+    __slots__ = (
+        "g", "basis", "S", "x", "copaths", "r", "m", "mod",
+        "boundaries_tried", "points_tested", "points_cut",
+    )
 
-    def __init__(self):
-        self.points_tested = 0
-        self.points_cut = 0
+    def __init__(self, g, basis, S, x, copaths, r, m):
+        self.g = g
+        self.basis = basis
+        self.S = S
+        self.x = x
+        self.copaths = copaths
+        self.r = r
+        self.m = m
+        self.mod = 1 if len(S) == 1 else m
+        self.boundaries_tried = self.points_tested = self.points_cut = 0
 
 
 class SearchState:
-    """What one lattice search keeps for its fixed f and residue system
-    (S, x, copaths, r: spec.r0_prime, 0 at x), and mod, the number of
-    residue copies of its layered network: spec.m, or 1 when S = (x,)
-    (see the module docstring).  The box points still step by spec.m.
+    """What one lattice search of a solve keeps for its fixed f and
+    residue system r: spec.r0_prime, 0 at x.  The box points step by
+    spec.m; the layered network has solve.mod copies of each face.
 
     - base: the f-part of every repair network's lengths
       (``circulation.base_network``); each target patches a copy of it.
     - kept, layers: the k(y) and the arcs of the layered network of
-      ``layered_residue_solve`` (mod copies of each face), built at the
-      anchor spec.r0.  Every box point of the search is congruent to
-      spec.r0 mod m, so both are the same at each of them (see the
-      module docstring).  With one copy they are {x: 0} and the map's
-      ``dual_arcs``, and nothing is built.
+      ``layered_residue_solve``, built at the anchor spec.r0.  Every box
+      point of the search is congruent to spec.r0 mod m, so both are the
+      same at each of them (see the module docstring).  With one copy
+      they are {x: 0} and the map's ``dual_arcs``, and nothing is built.
     - cuts: the pairs (z, rhs) that the failed passes kept.  Each answers
       the pass at every later box point u with <z, u> > rhs: that pass
       fails too (see the module docstring).
@@ -321,68 +336,61 @@ class SearchState:
       succeeded.
     """
 
-    __slots__ = (
-        "map", "basis", "f", "S", "x", "copaths", "mod", "r",
-        "base", "kept", "layers", "cuts", "stats", "ell", "chain",
-    )
+    __slots__ = ("solve", "f", "r", "base", "kept", "layers", "cuts", "ell", "chain")
 
-    def __init__(self, m, basis, f, spec, S, x, copaths, stats):
-        self.map = m
-        self.basis = basis
+    def __init__(self, solve, f, spec):
+        g, S, x, mod = solve.g, solve.S, solve.x, solve.mod
+        self.solve = solve
         self.f = f
-        self.S = S
-        self.x = x
-        self.copaths = copaths
-        self.mod = 1 if len(S) == 1 else spec.m
-        self.r = {y: 0 for y in S}
-        self.r.update(spec.r0_prime)
-        self.r[x] = 0
-        self.base = circulation.base_network(m, f)
-        if self.mod == 1:
+        self.r = {y: 0 if y == x else spec.r0_prime.get(y, 0) for y in S}
+        self.base = circulation.base_network(g, f)
+        if mod == 1:
             # one copy of each face: the network is the dual as it stands
             self.kept = {x: 0}
-            self.layers = m.dual_arcs()
+            self.layers = g.dual_arcs()
         else:
             b, lengths = self.network(spec.r0)
-            self.kept = {y: (self.r[y] - pair(b, copaths[y])) % self.mod for y in S}
-            self.layers = _layered_arcs(m, lengths, self.mod, self.kept)
+            self.kept = {y: (self.r[y] - pair(b, solve.copaths[y])) % mod for y in S}
+            self.layers = _layered_arcs(g, lengths, mod, self.kept)
         self.cuts = []
-        self.stats = stats
         self.ell = None
         self.chain = None
 
     def network(self, a):
         """The (b, lengths) of ``circulation.repair_network`` for this f and
         the one-face target (S = (x,)) at anchor a, length for length."""
-        x = self.x
-        target = HomologyTarget(a, (x,), x, {x: self.copaths[x]}, {x: 0})
-        b = circulation.prescribed_cycle(self.map, self.basis, target)
-        return b, circulation.patched_network(self.map, self.base, b)
+        solve = self.solve
+        x = solve.x
+        target = HomologyTarget(a, (x,), x, {x: solve.copaths[x]}, {x: 0})
+        b = circulation.prescribed_cycle(solve.g, solve.basis, target)
+        return b, circulation.patched_network(solve.g, self.base, b)
 
 
-def find_constrained_circulation(m, basis, f0, spec, S, x, copaths, stats):
+def find_constrained_circulation(solve, f0, spec):
     """Search the bounded homology lattice for an f0-circulation whose
     pairings match the prescribed residues (componentwise mod m).
 
     Iterates the residue-aligned integer vectors of the coordinate box in
     lexicographic order and asks ``membership`` with the search's state
     at each: a kept cut or one ``layered_residue_solve`` pass decides the
-    point.  The first pass that succeeds also gives the circulation,
-    which is returned once ``circulation.validate_circulation`` accepts
-    it for the full target.  Returns None when the box is exhausted.
+    point.  Each tested point is counted on the solve record.  The first
+    pass that succeeds also gives the circulation, which is returned once
+    ``circulation.validate_circulation`` accepts it for the full target.
+    Returns None when the box is exhausted.
     """
+    g, basis, S, x, copaths = solve.g, solve.basis, solve.S, solve.x, solve.copaths
     fchain = f0.chain
     box, _ = pairing_bounds(fchain, basis, {})
-    search = SearchState(m, basis, fchain, spec, S, x, copaths, stats)
+    search = SearchState(solve, fchain, spec)
     for u in lex_box_points(box, spec.r0, spec.m):
-        search.stats.points_tested += 1
+        solve.points_tested += 1
         point = HomologyPoint(u, {x: 0})
-        if membership(m, basis, fchain, S, x, copaths, point, search) is not None:
+        if membership(g, basis, fchain, S, x, copaths, point, search) is not None:
             continue
         res = Circulation(search.chain)
         # checked under python -O too: wrong labels must not pass silently
         target = HomologyTarget(u, S, x, copaths, search.ell)
-        circulation.validate_circulation(m, basis, fchain, target, res)
+        circulation.validate_circulation(g, basis, fchain, target, res)
         return res
     return None
 

@@ -184,29 +184,23 @@ def extend_precoloring(h_map, pre):
         psi[0] = 0
     x = min(psi)
     S = tuple(sorted(psi))
-    r = {y: (psi[y] - psi[x]) % m for y in S}
-
     basis = homology.cohomology_basis(g)
     copaths = homology.copaths_from(g, x, S)
+    solve = lattice.Solve(g, basis, S, x, copaths, {y: (psi[y] - psi[x]) % m for y in S}, m)
     half = (m + 1) // 2
 
-    boundaries_tried = 0
-    stats = lattice.SearchStats()
-    for d in flows.relevant_boundaries(g, m):
-        boundaries_tried += 1
+    tried = 0
+    for tried, d in enumerate(flows.relevant_boundaries(g, m), 1):
         f0 = flows.nowhere_zero_flow_with_boundary(g, d)
         if f0 is None:
             continue
-        r0 = [(half * pair(f0.chain, k)) % m for k in basis.cocycles]
+        r0 = [half * pair(f0.chain, k) for k in basis.cocycles]
         r0_prime = {
-            y: (half * (pair(f0.chain, copaths[y]) - r[y])) % m
+            y: half * (pair(f0.chain, copaths[y]) - solve.r[y])
             for y in S
             if y != x
         }
-        spec = lattice.ResidueSpec(m, r0, r0_prime)
-        c = lattice.find_constrained_circulation(
-            g, basis, f0, spec, S, x, copaths, stats=stats
-        )
+        c = lattice.find_constrained_circulation(solve, f0, lattice.ResidueSpec(m, r0, r0_prime))
         if c is None:
             continue
         f = flows.Flow(f0.chain - 2 * c.chain)
@@ -215,17 +209,7 @@ def extend_precoloring(h_map, pre):
         # soundness is checked unconditionally, not only in test builds
         if not verify_homomorphism(h_map, m, phi, pre.psi):
             raise AssertionError("produced coloring failed verification")
-        return ColoringResult(
-            True,
-            coloring=phi,
-            witness_boundary=d,
-            boundaries_tried=boundaries_tried,
-            points_tested=stats.points_tested,
-            points_cut=stats.points_cut,
-        )
-    return ColoringResult(
-        False,
-        boundaries_tried=boundaries_tried,
-        points_tested=stats.points_tested,
-        points_cut=stats.points_cut,
-    )
+        solve.boundaries_tried = tried
+        return ColoringResult(True, phi, d, tried, solve.points_tested, solve.points_cut)
+    solve.boundaries_tried = tried
+    return ColoringResult(False, None, None, tried, solve.points_tested, solve.points_cut)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from surfcolor import build_map, chains, errors
+from surfcolor import build_map, chains, errors, lattice
 from surfcolor.chains import Chain1, pair
 from surfcolor.cli import brute_force_extendable as backtrack_extendable  # noqa: F401
 from surfcolor.cli import gen_bouquet, gen_grid, gen_q13
@@ -138,3 +138,9 @@ def brute_feasible(m, basis, f, target):
         ):
             return True
     return False
+
+
+def solve_record(m, basis, S, x, copaths, mod):
+    """A per-solve record for lattice searches at modulus mod outside a
+    solve.  The searches read no color differences, so r is 0 on S."""
+    return lattice.Solve(m, basis, S, x, copaths, dict.fromkeys(S, 0), mod)

@@ -209,6 +209,16 @@ def test_chain_instances_have_no_dict():
         assert not hasattr(chain, "__dict__")
 
 
+def test_chain0_refuses_keys_outside_the_vertices():
+    # flow_with_boundary once read such a key as a list index: on the 3x3
+    # grid {0: 1, -1: -1} gave None and {0: 1, 9: -1} a bare IndexError
+    m = gen_grid(3, 3)
+    for coeffs in ({0: 1, -1: -1}, {0: 1, 9: -1}, {True: 1, 0: -1}, {0: 1, 8: 0, 9: 0}):
+        with pytest.raises(ValueError, match="not in the map"):
+            Chain0(m, coeffs)
+    assert Chain0(m, {0: 1, 8: -1}).coeffs == {0: 1, 8: -1}
+
+
 def test_chain0_and_chain2_with_equal_coefficients_differ():
     m = gen_grid(3, 3)
     assert Chain0(m, {0: 1, 4: -2}) != Chain2(m, {0: 1, 4: -2})

@@ -18,7 +18,7 @@ from surfcolor.lattice import (
     pairing_bounds,
 )
 
-from conftest import brute_circulations, random_map, random_nowhere_zero
+from conftest import brute_circulations, random_map, random_nowhere_zero, solve_record
 from residue_reference import AnchorOutsidePolytope, residue_difference_solve, rhs_table
 
 
@@ -321,8 +321,7 @@ def test_find_constrained_circulation_bouquet_none():
     r0 = [(half * pair(f0.chain, k)) % 3 for k in basis.cocycles]
     assert r0 == [2, 2]
     spec = ResidueSpec(3, r0, {})
-    stats = lattice.SearchStats()
-    res = lattice.find_constrained_circulation(m, basis, f0, spec, S, 0, cps, stats=stats)
+    res = lattice.find_constrained_circulation(solve_record(m, basis, S, 0, cps, 3), f0, spec)
     assert res is None
 
 
@@ -331,8 +330,7 @@ def test_find_constrained_circulation_zero_residues():
     basis, S, cps = _setup(m)
     f0 = flows.nowhere_zero_flow_with_boundary(m, chains.Chain0(m))
     spec = ResidueSpec(3, (0,) * len(basis), {})
-    stats = lattice.SearchStats()
-    res = lattice.find_constrained_circulation(m, basis, f0, spec, S, 0, cps, stats=stats)
+    res = lattice.find_constrained_circulation(solve_record(m, basis, S, 0, cps, 3), f0, spec)
     assert res is not None
 
 
@@ -352,8 +350,8 @@ def test_find_constrained_circulation_matches_bruteforce():
         r0 = tuple(rng.randrange(mod) for _ in basis.Y)
         r0p = {y: rng.randrange(mod) for y in S if y != x}
         spec = ResidueSpec(mod, r0, r0p)
-        stats = lattice.SearchStats()
-        got = lattice.find_constrained_circulation(m, basis, f0, spec, S, x, cps, stats=stats)
+        solve = solve_record(m, basis, S, x, cps, mod)
+        got = lattice.find_constrained_circulation(solve, f0, spec)
         pts = integer_points_bruteforce(m, basis, f0, S, x, cps)
         s_order = sorted(S)
         want = any(

@@ -23,7 +23,7 @@ from surfcolor.lattice import (
 from surfcolor.paths import shortest_paths
 from surfcolor.solver import Precoloring, extend_precoloring
 
-from conftest import CORPUS, random_map, random_nowhere_zero
+from conftest import CORPUS, random_map, random_nowhere_zero, solve_record
 from residue_reference import residue_difference_solve, rhs_table
 from test_near_quadrangulations import delete_edges
 
@@ -37,7 +37,7 @@ def two_step(m, basis, f, a, S, x, copaths, mod, r):
 def fresh_pass(m, basis, f, a, S, x, copaths, mod, r):
     """The layered pass at a on a fresh search state: the search's own
     computation, without reuse across points."""
-    state = SearchState(m, basis, f, ResidueSpec(mod, a, r), S, x, copaths, lattice.SearchStats())
+    state = SearchState(solve_record(m, basis, S, x, copaths, mod), f, ResidueSpec(mod, a, r))
     return layered_residue_solve(state, a)
 
 
@@ -86,7 +86,7 @@ def test_layered_solve_returns_the_largest_brute_force_labels():
             r = {y: 0 if y == x else rng.randrange(mod) for y in S}
             r0 = [rng.randrange(mod) for _ in basis.Y]
             spec = ResidueSpec(mod, r0, r)
-            state = SearchState(m, basis, f, spec, S, x, cps, lattice.SearchStats())
+            state = SearchState(solve_record(m, basis, S, x, cps, mod), f, spec)
             for u in lattice.lex_box_points(box, r0, mod):
                 labels = [dict(zip(sorted(S), ap)) for a, ap in points if a == u]
                 labels = [ell for ell in labels if all((ell[y] - r[y]) % mod == 0 for y in S)]
@@ -113,7 +113,7 @@ def test_layered_solve_rejects_outside_anchor():
     f = Chain1(m, {0: 1, 2: 1})
     a = (5, 0)
     assert lattice.membership(m, basis, f, (0,), 0, cps, HomologyPoint(a, {0: 0})) is not None
-    state = SearchState(m, basis, f, ResidueSpec(3, a, {}), (0,), 0, cps, lattice.SearchStats())
+    state = SearchState(solve_record(m, basis, (0,), 0, cps, 3), f, ResidueSpec(3, a, {}))
     assert layered_residue_solve(state, a) is None
     [(z, rhs)] = state.cuts
     assert sum(zi * ai for zi, ai in zip(z, a)) > rhs
@@ -169,17 +169,18 @@ def layered_pass(search, mod, a):
     repair network, however many the search keeps: its ell, and its
     circulation b + boundary2(Lambda), or (None, None) on a negative
     cycle."""
-    S, x, copaths = search.S, search.x, search.copaths
+    solve = search.solve
+    S, x, copaths = solve.S, solve.x, solve.copaths
     b, lengths = search.network(a)
     kept = {y: (search.r[y] - pair(b, copaths[y])) % mod for y in S}
-    arcs = lattice._layered_arcs(search.map, lengths, mod, kept)
+    arcs = lattice._layered_arcs(solve.g, lengths, mod, kept)
     lengths.extend(range(0, -mod, -1))
     dist, _, cyc = shortest_paths(len(arcs), arcs, lengths, (x * mod,))
     if cyc is not None:
         return None, None
     ell = {y: dist[y * mod + kept[y]] + pair(b, copaths[y]) for y in S}
     least = [min(d for d in dist[i:i + mod] if d is not None) for i in range(0, len(dist), mod)]
-    return ell, b + chains.boundary2(Chain2(search.map, dict(enumerate(least))))
+    return ell, b + chains.boundary2(Chain2(solve.g, dict(enumerate(least))))
 
 
 def one_layer_instances():
@@ -207,19 +208,19 @@ def test_one_residue_layer_when_S_is_x_alone(monkeypatch):
     searches = []
     real = lattice.find_constrained_circulation
 
-    def recorded(m, basis, f0, spec, S, x, copaths, stats=None):
-        res = real(m, basis, f0, spec, S, x, copaths, stats)
-        searches.append(((m, basis, f0.chain, spec, S, x, copaths), res))
+    def recorded(solve, f0, spec):
+        res = real(solve, f0, spec)
+        searches.append(((solve, f0.chain, spec), res))
         return res
 
     monkeypatch.setattr(lattice, "find_constrained_circulation", recorded)
     verdicts = [extend_precoloring(g, pre).extendable for g, pre in one_layer_instances()]
     assert verdicts == [True, True, True, False, False, True, True, True, True, False]
     counts = {1: [0, 0], 3: [0, 0], 5: [0, 0]}
-    for (m, basis, f, spec, S, x, copaths), res in searches:
-        state = SearchState(m, basis, f, spec, S, x, copaths, lattice.SearchStats())
-        assert state.mod == (1 if S == (x,) else spec.m)
-        box, _ = lattice.pairing_bounds(f, basis, copaths)
+    for (solve, f, spec), res in searches:
+        state = SearchState(solve, f, spec)
+        assert state.solve.mod == (1 if solve.S == (solve.x,) else spec.m)
+        box, _ = lattice.pairing_bounds(f, solve.basis, solve.copaths)
         accepted = None
         for u in lattice.lex_box_points(box, spec.r0, spec.m):
             ell, chain = layered_pass(state, spec.m, u)
@@ -228,7 +229,7 @@ def test_one_residue_layer_when_S_is_x_alone(monkeypatch):
                 assert state.chain == chain
                 if accepted is None:
                     accepted = chain
-            counts[state.mod][ell is None] += 1
+            counts[state.solve.mod][ell is None] += 1
         assert (res and res.chain) == accepted
     assert min(counts[1]) >= 20 and counts[3][0] and counts[5][1], counts
 
@@ -244,10 +245,12 @@ def outcome(res):
     )
 
 
-def reference_search(m, basis, f0, spec, S, x, copaths, solve=fresh_pass):
+def reference_search(solve, f0, spec, residue_solve=fresh_pass):
     """The lattice search without its state, point by point: the stateless
-    membership oracle, then a solve on a fresh state at the points inside.
-    Returns the circulation, or None, and the number of points tested."""
+    membership oracle, then a residue solve on a fresh state at the points
+    inside.  Returns the circulation, or None, and the number of points
+    tested."""
+    m, basis, S, x, copaths = solve.g, solve.basis, solve.S, solve.x, solve.copaths
     f = f0.chain
     box, _ = lattice.pairing_bounds(f, basis, copaths)
     r = {y: 0 for y in S}
@@ -259,7 +262,7 @@ def reference_search(m, basis, f0, spec, S, x, copaths, solve=fresh_pass):
         point = HomologyPoint(u, {x: 0})
         if lattice.membership(m, basis, f, (x,), x, {x: copaths[x]}, point) is not None:
             continue
-        ell = solve(m, basis, f, u, S, x, copaths, spec.m, r)
+        ell = residue_solve(m, basis, f, u, S, x, copaths, spec.m, r)
         if ell is not None:
             target = HomologyTarget(u, S, x, copaths, ell)
             return circulation.circulation_or_certificate(m, basis, f, target), tested
@@ -267,9 +270,9 @@ def reference_search(m, basis, f0, spec, S, x, copaths, solve=fresh_pass):
 
 
 def test_search_gives_the_same_results_as_with_the_two_step_solver(monkeypatch):
-    def two_step_search(m, basis, f0, spec, S, x, copaths, stats):
-        res, tested = reference_search(m, basis, f0, spec, S, x, copaths, two_step)
-        stats.points_tested += tested
+    def two_step_search(solve, f0, spec):
+        res, tested = reference_search(solve, f0, spec, two_step)
+        solve.points_tested += tested
         return res
 
     verdicts = set()
@@ -325,8 +328,8 @@ def test_wrong_labels_raise_under_optimization(flags):
         "    ell = real(search, a)\n"
         "    if ell is not None:\n"
         "        for y in ell:\n"
-        "            if y != search.x:\n"
-        "                search.ell[y] += 100 * search.mod\n"
+        "            if y != search.solve.x:\n"
+        "                search.ell[y] += 100 * search.solve.mod\n"
         "    return ell\n"
         "lattice.layered_residue_solve = wrong\n"
         "extend_precoloring(gen_grid(4, 4), Precoloring(3, {0: 0, 5: 2}))\n"

@@ -1,8 +1,9 @@
 """The per-search state of the lattice search: patched repair networks,
 the layered network built once, the kept cuts of failed layered passes,
-the circulation of the accepting pass, and the counts the benchmark's
-traced run relies on; and the dominance check of a returned circulation,
-which reads both orientations of each edge."""
+the circulation of the accepting pass, the one per-solve record that
+every search of a solve reads, and the counts the benchmark's traced run
+relies on; and the dominance check of a returned circulation, which
+reads both orientations of each edge."""
 
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from surfcolor.lattice import (
 from surfcolor.solver import Precoloring, extend_precoloring
 from surfcolor.surface_map import CombinatorialMap
 
-from conftest import CORPUS, DIFFERENTIAL_MAPS, random_map, random_nowhere_zero
+from conftest import CORPUS, DIFFERENTIAL_MAPS, random_map, random_nowhere_zero, solve_record
 from residue_reference import AnchorOutsidePolytope
 from test_layered_residue import (
     fresh_pass,
@@ -67,7 +68,7 @@ def test_patched_network_equals_the_full_build():
             S = tuple(sorted({x} | {rng.randrange(m.num_faces) for _ in range(rng.randint(0, 2))}))
             cps = homology.copaths_from(m, x, S)
             spec = ResidueSpec(3, (0,) * len(basis.Y), {})
-            state = SearchState(m, basis, f, spec, S, x, cps, lattice.SearchStats())
+            state = SearchState(solve_record(m, basis, S, x, cps, 3), f, spec)
             target = random_target(rng, m, basis, f, S, x, cps)
             b = circulation.prescribed_cycle(m, basis, target)
             lengths = circulation.patched_network(m, state.base, b)
@@ -108,9 +109,10 @@ def test_every_kept_cut_holds_where_the_stateless_pass_succeeds(monkeypatch):
         before = len(search.cuts)
         ell = real(search, a)
         if len(search.cuts) > before:
-            x = search.x
+            solve = search.solve
+            x = solve.x
             point = HomologyPoint(a, {x: 0})
-            alone = lattice.membership(search.map, search.basis, search.f, (x,), x, {x: search.copaths[x]}, point)
+            alone = lattice.membership(solve.g, solve.basis, search.f, (x,), x, {x: solve.copaths[x]}, point)
             kept_at["inside" if alone is None else "outside"] += 1
         return ell
 
@@ -120,8 +122,9 @@ def test_every_kept_cut_holds_where_the_stateless_pass_succeeds(monkeypatch):
     for g, pre in small_instances(300):
         cut_points += extend_precoloring(g, pre).points_cut
     for state, (first, step) in first_point.items():
-        m, basis, f = state.map, state.basis, state.f
-        S, x, cps, mod, r = state.S, state.x, state.copaths, state.mod, state.r
+        solve = state.solve
+        m, basis, f = solve.g, solve.basis, state.f
+        S, x, cps, mod, r = solve.S, solve.x, solve.copaths, solve.mod, state.r
         # the search's box points are those congruent to its first one
         # mod its step m; its passes run over mod residue copies, 1 when
         # S = (x,)
@@ -144,10 +147,10 @@ def test_search_gives_the_same_results_without_its_state(monkeypatch):
     searches = []
     real = lattice.find_constrained_circulation
 
-    def recorded(m, basis, f0, spec, S, x, copaths, stats=None):
-        before = stats.points_tested
-        res = real(m, basis, f0, spec, S, x, copaths, stats=stats)
-        searches.append(((m, basis, f0, spec, S, x, copaths), res, stats.points_tested - before))
+    def recorded(solve, f0, spec):
+        before = solve.points_tested
+        res = real(solve, f0, spec)
+        searches.append(((solve, f0, spec), res, solve.points_tested - before))
         return res
 
     monkeypatch.setattr(lattice, "find_constrained_circulation", recorded)
@@ -181,7 +184,8 @@ def test_the_layered_network_is_the_same_at_every_box_point_of_a_search(monkeypa
     real = lattice.layered_residue_solve
 
     def recorded(search, a):
-        args = (search.map, search.basis, search.f, a, search.S, search.x, search.copaths, search.mod, search.r)
+        solve = search.solve
+        args = (solve.g, solve.basis, search.f, a, solve.S, solve.x, solve.copaths, solve.mod, search.r)
         arcs, lengths, kept = layered_network(*args)
         assert (arcs, kept) == (search.layers, search.kept)
         searches.setdefault(search, (args, lengths))
@@ -220,9 +224,9 @@ def one_copy_searches(monkeypatch):
     real = lattice.find_constrained_circulation
     found = []
 
-    def recorded(m, basis, f0, spec, S, x, copaths, stats):
-        found.append((m, basis, f0.chain, spec, x))
-        return real(m, basis, f0, spec, S, x, copaths, stats)
+    def recorded(solve, f0, spec):
+        found.append((solve.g, solve.basis, f0.chain, spec, solve.x))
+        return real(solve, f0, spec)
 
     with monkeypatch.context() as mp:
         mp.setattr(lattice, "find_constrained_circulation", recorded)
@@ -236,9 +240,10 @@ def general_build(state, anchor):
     """The state's kept and layers rebuilt as a search with m copies
     builds them: from the repair network at the anchor, for the state's
     own number of copies."""
+    solve = state.solve
     b, lengths = state.network(anchor)
-    state.kept = {y: (state.r[y] - pair(b, state.copaths[y])) % state.mod for y in state.S}
-    state.layers = lattice._layered_arcs(state.map, lengths, state.mod, state.kept)
+    state.kept = {y: (state.r[y] - pair(b, solve.copaths[y])) % solve.mod for y in solve.S}
+    state.layers = lattice._layered_arcs(solve.g, lengths, solve.mod, state.kept)
 
 
 def test_a_one_copy_search_runs_on_the_dual_as_it_stands(monkeypatch):
@@ -254,10 +259,10 @@ def test_a_one_copy_search_runs_on_the_dual_as_it_stands(monkeypatch):
     for m, basis, f, spec, x in one_copy_searches(monkeypatch):
         cps = homology.copaths_from(m, x, (x,))
         del builds[:]
-        one = SearchState(m, basis, f, spec, (x,), x, cps, lattice.SearchStats())
+        one = SearchState(solve_record(m, basis, (x,), x, cps, spec.m), f, spec)
         assert not builds
-        assert (one.mod, one.kept) == (1, {x: 0}) and one.layers is m.dual_arcs()
-        general = SearchState(m, basis, f, spec, (x,), x, cps, lattice.SearchStats())
+        assert (one.solve.mod, one.kept) == (1, {x: 0}) and one.layers is m.dual_arcs()
+        general = SearchState(solve_record(m, basis, (x,), x, cps, spec.m), f, spec)
         general_build(general, spec.r0)
         assert general.layers == one.layers and general.kept == one.kept
         box, _ = lattice.pairing_bounds(f, basis, {})
@@ -302,9 +307,9 @@ def test_every_point_a_residue_cut_skips_fails_the_stateless_passes(monkeypatch)
     real = lattice.membership
 
     def recording(m, basis, f, S, x, copaths, point, search=None):
-        before = search.stats.points_cut
+        before = search.solve.points_cut
         sep = real(m, basis, f, S, x, copaths, point, search)
-        if search.stats.points_cut > before:
+        if search.solve.points_cut > before:
             skipped.append((search, tuple(int(c) for c in point.u)))
         return sep
 
@@ -315,7 +320,8 @@ def test_every_point_a_residue_cut_skips_fails_the_stateless_passes(monkeypatch)
         res = extend_precoloring(g, pre)
         assert res.points_cut == len(skipped) - before
         for state, u in skipped[before:]:
-            args = (state.map, state.basis, state.f, u, state.S, state.x, state.copaths, state.mod, state.r)
+            solve = state.solve
+            args = (solve.g, solve.basis, state.f, u, solve.S, solve.x, solve.copaths, solve.mod, state.r)
             assert fresh_pass(*args) is None
             try:
                 assert two_step(*args) is None
@@ -439,15 +445,15 @@ def test_the_accepting_pass_gives_the_engines_circulation(monkeypatch):
 
     found = []
 
-    def recorded_search(m, basis, f0, spec, S, x, copaths, stats=None):
+    def recorded_search(solve, f0, spec):
         before = len(accepted)
-        res = real_search(m, basis, f0, spec, S, x, copaths, stats)
+        res = real_search(solve, f0, spec)
         # the first pass that succeeds ends the search
         assert len(accepted) - before == (res is not None)
         if res is not None:
             u, ell = accepted[-1]
-            target = HomologyTarget(u, S, x, copaths, ell)
-            engine = circulation.circulation_or_certificate(m, basis, f0.chain, target)
+            target = HomologyTarget(u, solve.S, solve.x, solve.copaths, ell)
+            engine = circulation.circulation_or_certificate(solve.g, solve.basis, f0.chain, target)
             assert isinstance(engine, Circulation) and engine.chain == res.chain
             found.append(res)
         return res
@@ -457,3 +463,63 @@ def test_the_accepting_pass_gives_the_engines_circulation(monkeypatch):
     for g, pre in [*small_instances(300), *hexagon_instances()]:
         extend_precoloring(g, pre)
     assert len(found) >= 60, len(found)
+
+
+def differential_solves():
+    """One solve of each map of the differential tests, at m = 3, 5 or 7
+    with up to two precolored vertices, then the hexagon instances."""
+    rng = random.Random(467)
+    for kind in sorted(DIFFERENTIAL_MAPS):
+        for g in DIFFERENTIAL_MAPS[kind]:
+            mod = rng.choice((3, 5, 7))
+            size = rng.randint(0, min(2, g.num_vertices))
+            yield g, Precoloring(mod, {v: rng.randrange(mod) for v in rng.sample(range(g.num_vertices), size)})
+    yield from hexagon_instances()
+
+
+def test_one_record_per_solve(monkeypatch):
+    # each solve builds one record; every search of the solve receives
+    # that object and its state reads it, no state slot holds a per-solve
+    # field of its own, and the record's counters are the result's
+    records, searches, states = [], [], []
+    real_solve, real_search, real_state = lattice.Solve, lattice.find_constrained_circulation, SearchState
+
+    def built(*args):
+        records.append(real_solve(*args))
+        return records[-1]
+
+    def searched(solve, f0, spec):
+        searches.append(solve)
+        return real_search(solve, f0, spec)
+
+    def state(solve, f, spec):
+        states.append(real_state(solve, f, spec))
+        return states[-1]
+
+    monkeypatch.setattr(lattice, "Solve", built)
+    monkeypatch.setattr(lattice, "find_constrained_circulation", searched)
+    monkeypatch.setattr(lattice, "SearchState", state)
+    per_solve = ("g", "basis", "S", "x", "copaths", "r", "m", "mod")
+    # a state's r is its own residue system, not the solve's color differences
+    assert set(SearchState.__slots__).isdisjoint({"map", "stats", *per_solve} - {"r"})
+    counts = {True: 0, False: 0, "early": 0, "shared": 0}
+    for g, pre in differential_solves():
+        del records[:], searches[:], states[:]
+        res = extend_precoloring(g, pre)
+        if res.reason is not None:
+            # a loop or a precolored non-edge answers before any record
+            assert not records and (res.boundaries_tried, res.points_tested) == (0, 0)
+            counts["early"] += 1
+            continue
+        [solve] = records
+        assert all(s is solve for s in searches) and len(states) == len(searches)
+        for st in states:
+            assert st.solve is solve
+            for slot in SearchState.__slots__:
+                if slot != "solve":
+                    assert all(getattr(st, slot) is not getattr(solve, name) for name in per_solve)
+        assert (solve.boundaries_tried, solve.points_tested, solve.points_cut) == (
+            res.boundaries_tried, res.points_tested, res.points_cut)
+        counts[res.extendable] += 1
+        counts["shared"] += len(searches) > 1
+    assert min(counts.values()) >= 5, counts

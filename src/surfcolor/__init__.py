@@ -14,7 +14,7 @@ from .chains import Chain0, Chain1, Chain2
 from .homology import CohomologyBasis, cohomology_basis, copaths_from
 from .flows import Flow
 from .circulation import Certificate, Circulation, HomologyTarget
-from .lattice import HomologyPoint, ResidueSpec, Separator
+from .lattice import HomologyPoint, Separator
 from .solver import ColoringResult, Precoloring, extend_precoloring, verify_homomorphism
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "Circulation",
     "HomologyTarget",
     "HomologyPoint",
-    "ResidueSpec",
     "Separator",
     "ColoringResult",
     "Precoloring",

@@ -5,12 +5,13 @@ A 1-chain stores coefficients on canonical half-edges only and is
 antisymmetric: K[opp(h)] = -K[h].  All coefficients are plain Python
 integers, so arithmetic is exact at any magnitude.
 
-One base class carries the algebra of all three chain types; Chain1
-only canonicalises its keys, and Chain0 only checks that its keys are
-vertices.  Each operator and its dual read the same kernel through a
-different map array: boundary2 and coboundary2 (and the walk chains)
-sum signed face orbits or vertex rotations, while boundary1 and
-coboundary1 take head minus tail through m.tgt or m.left.
+One base class carries the algebra of all three chain types; each
+constructor checks that its keys are vertices, half-edges or faces of
+the map, and Chain1 also canonicalises them.  Each operator and its
+dual read the same kernel through a different map array: boundary2 and
+coboundary2 (and the walk chains) sum signed face orbits or vertex
+rotations, while boundary1 and coboundary1 take head minus tail through
+m.tgt or m.left.
 boundary2 of a chain on at least half the faces is read edge by edge
 instead, through m.left, which is cheaper there.
 """
@@ -23,6 +24,14 @@ from .errors import MapMismatch
 def _check_same_map(a, b):
     if a.map is not b.map:
         raise MapMismatch("chains live on different maps")
+
+
+def _check_keys(coeffs, n, what):
+    """Raise ValueError unless every key is an int (not a bool) in 0..n-1;
+    a negative key would otherwise index from the end of a map array."""
+    for k in coeffs or ():
+        if type(k) is not int or not 0 <= k < n:
+            raise ValueError("%s %r not in the map" % (what, k))
 
 
 class _SparseChain:
@@ -109,29 +118,33 @@ class Chain0(_SparseChain):
     __slots__ = ()
 
     def __init__(self, m, coeffs=None):
-        for v in coeffs or ():
-            if type(v) is not int or not 0 <= v < m.num_vertices:
-                raise ValueError("vertex %r not in the map" % (v,))
+        _check_keys(coeffs, m.num_vertices, "vertex")
         super().__init__(m, coeffs)
 
 
 class Chain2(_SparseChain):
-    """Formal integer sum of faces."""
+    """Formal integer sum of faces, each an int (not a bool) in 0..F-1."""
 
     __slots__ = ()
+
+    def __init__(self, m, coeffs=None):
+        _check_keys(coeffs, m.num_faces, "face")
+        super().__init__(m, coeffs)
 
 
 class Chain1(_SparseChain):
     """Formal integer sum of half-edges with K[opp(h)] = -K[h].
 
     Coefficients are keyed by canonical half-edges; reading a
-    non-canonical half-edge returns the negated stored value.
+    non-canonical half-edge returns the negated stored value.  The
+    constructor takes any half-edge, an int (not a bool) in 0..H-1.
     """
 
     __slots__ = ()
     _key_format = "h%d"
 
     def __init__(self, m, coeffs=None):
+        _check_keys(coeffs, m.half_edge_count, "half-edge")
         out = {}
         if coeffs:
             for h, c in coeffs.items():

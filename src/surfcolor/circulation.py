@@ -99,7 +99,7 @@ def prescribed_cycle(m, basis, target):
     the cocycle pairings.
     """
     b = Chain1(m)
-    for ai, f_e in zip(target.a, basis.cycles):
+    for ai, f_e in zip(target.a, basis.cycles, strict=True):
         if ai:
             b = b + ai * f_e
     for y in target.S:
@@ -107,7 +107,7 @@ def prescribed_cycle(m, basis, target):
             continue
         gamma = target.a_prime[y] - sum(
             ai * pair(f_e, target.copaths[y])
-            for ai, f_e in zip(target.a, basis.cycles)
+            for ai, f_e in zip(target.a, basis.cycles, strict=True)
         )
         if gamma:
             b = b + gamma * chains.face_boundary(m, y)
@@ -204,7 +204,7 @@ def validate_circulation(m, basis, f, target, c):
             raise AssertionError("dominance violated at half-edge %d" % h)
         if fh <= 0 and not fh <= ch <= 0:
             raise AssertionError("dominance violated at half-edge %d" % m.opp[h])
-    for ai, k in zip(target.a, basis.cocycles):
+    for ai, k in zip(target.a, basis.cocycles, strict=True):
         if pair(chain, k) != ai:
             raise AssertionError("cocycle pairing mismatch")
     for y in target.S:

@@ -26,18 +26,17 @@ dual cycle, which may be another cycle than m copies would return, and
 so may answer other points than theirs.
 
 One solve builds one ``Solve`` record, which all its searches read: the
-dual g, its basis, S, x, the copaths from x, the color differences r on
-S, the modulus m, the number mod of residue copies of each layered
-network, and the solve's three counters.  One search keeps one
-``SearchState`` for its fixed f and residue system, built once: the
-f-part of the repair lengths, patched at each box point, the k(y) and
-arcs of the layered network, built at the anchor, and one list of
-integer cuts (z, rhs), each answering the pass at every box point u'
-with <z, u'> > rhs.  When the pass at a box point u finds a negative
-cycle W, W gives the cut (z, P + D):
+dual g, its basis, S, x, the copaths from x, the modulus m, the number
+mod of residue copies of each layered network, and the solve's three
+counters.  One search keeps one ``SearchState`` for its fixed f and
+residue system, built once: the f-part of the repair lengths, patched at
+each box point, the k(y) and arcs of the layered network, built at the
+anchor, and one list of integer cuts (z, rhs), each answering the pass
+at every box point u' with <z, u'> > rhs.  When the pass at a box point
+u finds a negative cycle W, W gives the cut (z, P + D):
 - every box point of one search is congruent to u mod m, because
-  ``lex_box_points`` steps by m, and the layered pass uses the same
-  modulus;
+  ``lex_box_points`` steps by the record's m, and the layered pass reads
+  the same record;
 - at a box point the repair network of the one-face target is f+ - b with
   b = sum of u_i C_i over the basis cycles, so going from u to u' changes
   each arc length f+[h] - b[h] by a multiple of m; it leaves
@@ -103,20 +102,6 @@ class Separator:
 
     def __repr__(self):
         return "Separator(z=%r, z_prime=%r, rhs=%r)" % (self.z, self.z_prime, self.rhs)
-
-
-class ResidueSpec:
-    """Prescribed residues modulo an odd m for the lattice search."""
-
-    __slots__ = ("m", "r0", "r0_prime")
-
-    def __init__(self, m, r0, r0_prime):
-        self.m = m
-        self.r0 = tuple(c % m for c in r0)
-        self.r0_prime = {y: c % m for y, c in r0_prime.items()}
-
-    def __repr__(self):
-        return "ResidueSpec(m=%d, r0=%r, r0_prime=%r)" % (self.m, self.r0, self.r0_prime)
 
 
 def pairing_bounds(f, basis, copaths):
@@ -289,7 +274,7 @@ def lex_box_points(box, r0, m):
     """Integer vectors of the box congruent to r0 (componentwise, mod m),
     in lexicographic order."""
     axes = []
-    for (lo, hi), res in zip(box, r0):
+    for (lo, hi), res in zip(box, r0, strict=True):
         start = lo + ((res - lo) % m)
         axes.append(range(start, hi + 1, m))
     return itertools.product(*axes)
@@ -297,21 +282,21 @@ def lex_box_points(box, r0, m):
 
 class Solve:
     """The record of one solve that each of its lattice searches reads
-    (see the module docstring): mod is m, or 1 when S = (x,), and
-    points_cut counts the tested points a kept cut answered without a pass."""
+    (see the module docstring): m steps the box of every search, mod is
+    m, or 1 when S = (x,), and points_cut counts the tested points a kept
+    cut answered without a pass."""
 
     __slots__ = (
-        "g", "basis", "S", "x", "copaths", "r", "m", "mod",
+        "g", "basis", "S", "x", "copaths", "m", "mod",
         "boundaries_tried", "points_tested", "points_cut",
     )
 
-    def __init__(self, g, basis, S, x, copaths, r, m):
+    def __init__(self, g, basis, S, x, copaths, m):
         self.g = g
         self.basis = basis
         self.S = S
         self.x = x
         self.copaths = copaths
-        self.r = r
         self.m = m
         self.mod = 1 if len(S) == 1 else m
         self.boundaries_tried = self.points_tested = self.points_cut = 0
@@ -319,14 +304,15 @@ class Solve:
 
 class SearchState:
     """What one lattice search of a solve keeps for its fixed f and
-    residue system r: spec.r0_prime, 0 at x.  The box points step by
-    spec.m; the layered network has solve.mod copies of each face.
+    residue system r: the given r on S, 0 where it has no entry and at x.
+    The box points are congruent to r0 mod solve.m; the layered network
+    has solve.mod copies of each face.  Neither r0 nor r need be reduced.
 
     - base: the f-part of every repair network's lengths
       (``circulation.base_network``); each target patches a copy of it.
     - kept, layers: the k(y) and the arcs of the layered network of
-      ``layered_residue_solve``, built at the anchor spec.r0.  Every box
-      point of the search is congruent to spec.r0 mod m, so both are the
+      ``layered_residue_solve``, built at the anchor r0.  Every box
+      point of the search is congruent to r0 mod m, so both are the
       same at each of them (see the module docstring).  With one copy
       they are {x: 0} and the map's ``dual_arcs``, and nothing is built.
     - cuts: the pairs (z, rhs) that the failed passes kept.  Each answers
@@ -338,18 +324,18 @@ class SearchState:
 
     __slots__ = ("solve", "f", "r", "base", "kept", "layers", "cuts", "ell", "chain")
 
-    def __init__(self, solve, f, spec):
+    def __init__(self, solve, f, r0, r):
         g, S, x, mod = solve.g, solve.S, solve.x, solve.mod
         self.solve = solve
         self.f = f
-        self.r = {y: 0 if y == x else spec.r0_prime.get(y, 0) for y in S}
+        self.r = {y: 0 if y == x else r.get(y, 0) for y in S}
         self.base = circulation.base_network(g, f)
         if mod == 1:
             # one copy of each face: the network is the dual as it stands
             self.kept = {x: 0}
             self.layers = g.dual_arcs()
         else:
-            b, lengths = self.network(spec.r0)
+            b, lengths = self.network(r0)
             self.kept = {y: (self.r[y] - pair(b, solve.copaths[y])) % mod for y in S}
             self.layers = _layered_arcs(g, lengths, mod, self.kept)
         self.cuts = []
@@ -366,9 +352,10 @@ class SearchState:
         return b, circulation.patched_network(solve.g, self.base, b)
 
 
-def find_constrained_circulation(solve, f0, spec):
+def find_constrained_circulation(solve, f0, r0, r):
     """Search the bounded homology lattice for an f0-circulation whose
-    pairings match the prescribed residues (componentwise mod m).
+    pairings match the prescribed residues mod solve.m: r0 over the basis
+    and r(y) at each y in S, 0 where r has no entry and at x.
 
     Iterates the residue-aligned integer vectors of the coordinate box in
     lexicographic order and asks ``membership`` with the search's state
@@ -381,8 +368,8 @@ def find_constrained_circulation(solve, f0, spec):
     g, basis, S, x, copaths = solve.g, solve.basis, solve.S, solve.x, solve.copaths
     fchain = f0.chain
     box, _ = pairing_bounds(fchain, basis, {})
-    search = SearchState(solve, fchain, spec)
-    for u in lex_box_points(box, spec.r0, spec.m):
+    search = SearchState(solve, fchain, r0, r)
+    for u in lex_box_points(box, r0, solve.m):
         solve.points_tested += 1
         point = HomologyPoint(u, {x: 0})
         if membership(g, basis, fchain, S, x, copaths, point, search) is not None:

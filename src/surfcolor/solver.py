@@ -186,7 +186,8 @@ def extend_precoloring(h_map, pre):
     S = tuple(sorted(psi))
     basis = homology.cohomology_basis(g)
     copaths = homology.copaths_from(g, x, S)
-    solve = lattice.Solve(g, basis, S, x, copaths, {y: (psi[y] - psi[x]) % m for y in S}, m)
+    solve = lattice.Solve(g, basis, S, x, copaths, m)
+    diff = {y: psi[y] - psi[x] for y in S}
     half = (m + 1) // 2
 
     tried = 0
@@ -195,12 +196,8 @@ def extend_precoloring(h_map, pre):
         if f0 is None:
             continue
         r0 = [half * pair(f0.chain, k) for k in basis.cocycles]
-        r0_prime = {
-            y: half * (pair(f0.chain, copaths[y]) - solve.r[y])
-            for y in S
-            if y != x
-        }
-        c = lattice.find_constrained_circulation(solve, f0, lattice.ResidueSpec(m, r0, r0_prime))
+        r = {y: half * (pair(f0.chain, copaths[y]) - diff[y]) for y in S}
+        c = lattice.find_constrained_circulation(solve, f0, r0, r)
         if c is None:
             continue
         f = flows.Flow(f0.chain - 2 * c.chain)

@@ -142,5 +142,5 @@ def brute_feasible(m, basis, f, target):
 
 def solve_record(m, basis, S, x, copaths, mod):
     """A per-solve record for lattice searches at modulus mod outside a
-    solve.  The searches read no color differences, so r is 0 on S."""
-    return lattice.Solve(m, basis, S, x, copaths, dict.fromkeys(S, 0), mod)
+    solve."""
+    return lattice.Solve(m, basis, S, x, copaths, mod)

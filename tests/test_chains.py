@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from surfcolor import chains, errors
+from surfcolor import chains, errors, surface_map
 from surfcolor.chains import (
     Chain0,
     Chain1,
@@ -217,6 +217,18 @@ def test_chain0_refuses_keys_outside_the_vertices():
         with pytest.raises(ValueError, match="not in the map"):
             Chain0(m, coeffs)
     assert Chain0(m, {0: 1, 8: -1}).coeffs == {0: 1, 8: -1}
+
+
+def test_chain1_and_chain2_refuse_keys_outside_the_map():
+    # on the dual of the 3x3 grid, Chain1 once stored the key -1, Chain2
+    # took it and boundary2 read it as the last face, and Chain2 took the
+    # key 99 to a bare IndexError later
+    g = surface_map.dual(gen_grid(3, 3))
+    for cls, n in ((Chain1, g.half_edge_count), (Chain2, g.num_faces)):
+        for coeffs in ({-1: 1}, {99: 1}, {n: 1}, {True: 1}, {0: 1, n: 0}, {"0": 1}):
+            with pytest.raises(ValueError, match="not in the map"):
+                cls(g, coeffs)
+        assert cls(g, {0: 1, n - 1: -1})[n - 1] == -1
 
 
 def test_chain0_and_chain2_with_equal_coefficients_differ():

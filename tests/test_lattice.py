@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from surfcolor import chains, errors, flows, homology, lattice
+from surfcolor import chains, circulation, errors, flows, homology, lattice, surface_map
+from surfcolor.circulation import Circulation, HomologyTarget
 from surfcolor.chains import Chain1, pair
 from surfcolor.cli import gen_bouquet, gen_grid
 from surfcolor.lattice import (
     HomologyPoint,
-    ResidueSpec,
     integer_points_bruteforce,
     membership,
     pairing_bounds,
@@ -320,8 +320,7 @@ def test_find_constrained_circulation_bouquet_none():
     half = (3 + 1) // 2
     r0 = [(half * pair(f0.chain, k)) % 3 for k in basis.cocycles]
     assert r0 == [2, 2]
-    spec = ResidueSpec(3, r0, {})
-    res = lattice.find_constrained_circulation(solve_record(m, basis, S, 0, cps, 3), f0, spec)
+    res = lattice.find_constrained_circulation(solve_record(m, basis, S, 0, cps, 3), f0, r0, {})
     assert res is None
 
 
@@ -329,8 +328,8 @@ def test_find_constrained_circulation_zero_residues():
     m = gen_grid(3, 3)
     basis, S, cps = _setup(m)
     f0 = flows.nowhere_zero_flow_with_boundary(m, chains.Chain0(m))
-    spec = ResidueSpec(3, (0,) * len(basis), {})
-    res = lattice.find_constrained_circulation(solve_record(m, basis, S, 0, cps, 3), f0, spec)
+    r0 = (0,) * len(basis)
+    res = lattice.find_constrained_circulation(solve_record(m, basis, S, 0, cps, 3), f0, r0, {})
     assert res is not None
 
 
@@ -349,9 +348,8 @@ def test_find_constrained_circulation_matches_bruteforce():
         cps = homology.copaths_from(m, x, S)
         r0 = tuple(rng.randrange(mod) for _ in basis.Y)
         r0p = {y: rng.randrange(mod) for y in S if y != x}
-        spec = ResidueSpec(mod, r0, r0p)
         solve = solve_record(m, basis, S, x, cps, mod)
-        got = lattice.find_constrained_circulation(solve, f0, spec)
+        got = lattice.find_constrained_circulation(solve, f0, r0, r0p)
         pts = integer_points_bruteforce(m, basis, f0, S, x, cps)
         s_order = sorted(S)
         want = any(
@@ -371,6 +369,85 @@ def test_find_constrained_circulation_matches_bruteforce():
                 if y != x:
                     assert (pair(got.chain, cps[y]) - r0p.get(y, 0)) % mod == 0
         done += 1
+
+
+def test_a_search_reads_its_residues_mod_m(monkeypatch):
+    # the search reduces no residue it is given: r0 and r shifted by
+    # multiples of m give the same circulation, test the same box points,
+    # each congruent to r0 mod solve.m, and keep the same cuts
+    calls = []
+    real = lattice.membership
+
+    def recorded(*args):
+        calls.append((args[6].u, args[7]))
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "membership", recorded)
+    rng = random.Random(503)
+    counts = {"found": 0, "none": 0, "cut": 0, "layers": 0}
+    searches = 0
+    while searches < 80:
+        # every other map a torus grid, whose boxes are large enough for
+        # kept cuts to answer points
+        if searches % 2:
+            m = gen_grid(rng.randint(3, 6), rng.randint(3, 6))
+        else:
+            m = random_map(rng, max_edges=10, max_vertices=4)
+        if m.num_edges == 0:
+            continue
+        searches += 1
+        basis = homology.cohomology_basis(m)
+        f0 = flows.Flow(random_nowhere_zero(rng, m))
+        mod = rng.choice((3, 5))
+        x = rng.randrange(m.num_faces)
+        S = tuple(sorted({x} | {rng.randrange(m.num_faces) for _ in range(rng.randint(0, 2))}))
+        cps = homology.copaths_from(m, x, S)
+        r0 = [rng.randrange(mod) for _ in basis.Y]
+        r = {y: rng.randrange(mod) for y in S if y != x}
+        shifted_r0 = [c + mod * rng.randint(-9, 9) for c in r0]
+        shifted_r = {y: r.get(y, 0) + mod * rng.randint(-9, 9) for y in S}
+        runs = []
+        for residues in ((r0, r), (shifted_r0, shifted_r)):
+            del calls[:]
+            solve = solve_record(m, basis, S, x, cps, mod)
+            res = lattice.find_constrained_circulation(solve, f0, *residues)
+            points = [u for u, _ in calls]
+            assert all((ui - ri) % solve.m == 0 for u in points for ui, ri in zip(u, r0))
+            cuts = calls[0][1].cuts if calls else []
+            runs.append((res and res.chain, points, cuts, solve.points_tested, solve.points_cut))
+        assert runs[0] == runs[1]
+        counts["found" if runs[0][0] is not None else "none"] += 1
+        counts["cut"] += runs[0][4] > 0
+        counts["layers"] += len(S) > 1
+    assert min(counts.values()) >= 5, counts
+
+
+def test_basis_coordinates_of_the_wrong_length_are_refused():
+    # zip once cut the longer of a coordinate vector and the basis to the
+    # other's length: on the dual of the 3x3 grid, with two basis
+    # coordinates, the engine built a circulation for a = (), membership
+    # found the point u = () inside, and a search given one residue
+    # returned a circulation validated on one coordinate only
+    g = surface_map.dual(gen_grid(3, 3))
+    basis = homology.cohomology_basis(g)
+    assert len(basis.cocycles) == 2
+    cps = homology.copaths_from(g, 0, (0,))
+    f0 = flows.nowhere_zero_flow_with_boundary(g, chains.Chain0(g))
+    for a in ((), (0,), (0, 0, 0)):
+        target = HomologyTarget(a, (0,), 0, cps, {0: 0})
+        with pytest.raises(ValueError):
+            circulation.circulation_or_certificate(g, basis, f0.chain, target)
+        with pytest.raises(ValueError):
+            membership(g, basis, f0.chain, (0,), 0, cps, HomologyPoint(a, {0: 0}))
+        with pytest.raises(ValueError):
+            lattice.find_constrained_circulation(solve_record(g, basis, (0,), 0, cps, 3), f0, a, {})
+        with pytest.raises(ValueError):
+            circulation.validate_circulation(g, basis, f0.chain, target, Circulation(Chain1(g)))
+        with pytest.raises(ValueError):
+            list(lattice.lex_box_points([(0, 3), (0, 3)], a, 3))
+    # the zero circulation of the right length still validates
+    target = HomologyTarget((0, 0), (0,), 0, cps, {0: 0})
+    circulation.validate_circulation(g, basis, f0.chain, target, Circulation(Chain1(g)))
 
 
 def test_translation_property_between_flows():

@@ -15,7 +15,6 @@ from surfcolor.circulation import HomologyTarget
 from surfcolor.cli import gen_bouquet, gen_grid, gen_q13
 from surfcolor.lattice import (
     HomologyPoint,
-    ResidueSpec,
     SearchState,
     integer_points_bruteforce,
     layered_residue_solve,
@@ -37,7 +36,7 @@ def two_step(m, basis, f, a, S, x, copaths, mod, r):
 def fresh_pass(m, basis, f, a, S, x, copaths, mod, r):
     """The layered pass at a on a fresh search state: the search's own
     computation, without reuse across points."""
-    state = SearchState(solve_record(m, basis, S, x, copaths, mod), f, ResidueSpec(mod, a, r))
+    state = SearchState(solve_record(m, basis, S, x, copaths, mod), f, a, r)
     return layered_residue_solve(state, a)
 
 
@@ -85,8 +84,7 @@ def test_layered_solve_returns_the_largest_brute_force_labels():
         for mod in (3, 5):
             r = {y: 0 if y == x else rng.randrange(mod) for y in S}
             r0 = [rng.randrange(mod) for _ in basis.Y]
-            spec = ResidueSpec(mod, r0, r)
-            state = SearchState(solve_record(m, basis, S, x, cps, mod), f, spec)
+            state = SearchState(solve_record(m, basis, S, x, cps, mod), f, r0, r)
             for u in lattice.lex_box_points(box, r0, mod):
                 labels = [dict(zip(sorted(S), ap)) for a, ap in points if a == u]
                 labels = [ell for ell in labels if all((ell[y] - r[y]) % mod == 0 for y in S)]
@@ -113,7 +111,7 @@ def test_layered_solve_rejects_outside_anchor():
     f = Chain1(m, {0: 1, 2: 1})
     a = (5, 0)
     assert lattice.membership(m, basis, f, (0,), 0, cps, HomologyPoint(a, {0: 0})) is not None
-    state = SearchState(solve_record(m, basis, (0,), 0, cps, 3), f, ResidueSpec(3, a, {}))
+    state = SearchState(solve_record(m, basis, (0,), 0, cps, 3), f, a, {})
     assert layered_residue_solve(state, a) is None
     [(z, rhs)] = state.cuts
     assert sum(zi * ai for zi, ai in zip(z, a)) > rhs
@@ -208,22 +206,22 @@ def test_one_residue_layer_when_S_is_x_alone(monkeypatch):
     searches = []
     real = lattice.find_constrained_circulation
 
-    def recorded(solve, f0, spec):
-        res = real(solve, f0, spec)
-        searches.append(((solve, f0.chain, spec), res))
+    def recorded(solve, f0, r0, r):
+        res = real(solve, f0, r0, r)
+        searches.append(((solve, f0.chain, r0, r), res))
         return res
 
     monkeypatch.setattr(lattice, "find_constrained_circulation", recorded)
     verdicts = [extend_precoloring(g, pre).extendable for g, pre in one_layer_instances()]
     assert verdicts == [True, True, True, False, False, True, True, True, True, False]
     counts = {1: [0, 0], 3: [0, 0], 5: [0, 0]}
-    for (solve, f, spec), res in searches:
-        state = SearchState(solve, f, spec)
-        assert state.solve.mod == (1 if solve.S == (solve.x,) else spec.m)
+    for (solve, f, r0, r), res in searches:
+        state = SearchState(solve, f, r0, r)
+        assert state.solve.mod == (1 if solve.S == (solve.x,) else solve.m)
         box, _ = lattice.pairing_bounds(f, solve.basis, solve.copaths)
         accepted = None
-        for u in lattice.lex_box_points(box, spec.r0, spec.m):
-            ell, chain = layered_pass(state, spec.m, u)
+        for u in lattice.lex_box_points(box, r0, solve.m):
+            ell, chain = layered_pass(state, solve.m, u)
             assert layered_residue_solve(state, u) == ell
             if ell is not None:
                 assert state.chain == chain
@@ -245,7 +243,7 @@ def outcome(res):
     )
 
 
-def reference_search(solve, f0, spec, residue_solve=fresh_pass):
+def reference_search(solve, f0, r0, r, residue_solve=fresh_pass):
     """The lattice search without its state, point by point: the stateless
     membership oracle, then a residue solve on a fresh state at the points
     inside.  Returns the circulation, or None, and the number of points
@@ -253,16 +251,14 @@ def reference_search(solve, f0, spec, residue_solve=fresh_pass):
     m, basis, S, x, copaths = solve.g, solve.basis, solve.S, solve.x, solve.copaths
     f = f0.chain
     box, _ = lattice.pairing_bounds(f, basis, copaths)
-    r = {y: 0 for y in S}
-    r.update(spec.r0_prime)
-    r[x] = 0
+    r = {y: 0 if y == x else r.get(y, 0) for y in S}
     tested = 0
-    for u in lattice.lex_box_points(box, spec.r0, spec.m):
+    for u in lattice.lex_box_points(box, r0, solve.m):
         tested += 1
         point = HomologyPoint(u, {x: 0})
         if lattice.membership(m, basis, f, (x,), x, {x: copaths[x]}, point) is not None:
             continue
-        ell = residue_solve(m, basis, f, u, S, x, copaths, spec.m, r)
+        ell = residue_solve(m, basis, f, u, S, x, copaths, solve.m, r)
         if ell is not None:
             target = HomologyTarget(u, S, x, copaths, ell)
             return circulation.circulation_or_certificate(m, basis, f, target), tested
@@ -270,8 +266,8 @@ def reference_search(solve, f0, spec, residue_solve=fresh_pass):
 
 
 def test_search_gives_the_same_results_as_with_the_two_step_solver(monkeypatch):
-    def two_step_search(solve, f0, spec):
-        res, tested = reference_search(solve, f0, spec, two_step)
+    def two_step_search(solve, f0, r0, r):
+        res, tested = reference_search(solve, f0, r0, r, two_step)
         solve.points_tested += tested
         return res
 

@@ -16,7 +16,6 @@ from surfcolor.circulation import Circulation, HomologyTarget
 from surfcolor.cli import brute_force_extendable, gen_bouquet, gen_grid
 from surfcolor.lattice import (
     HomologyPoint,
-    ResidueSpec,
     SearchState,
     integer_points_bruteforce,
 )
@@ -67,8 +66,7 @@ def test_patched_network_equals_the_full_build():
             x = rng.randrange(m.num_faces)
             S = tuple(sorted({x} | {rng.randrange(m.num_faces) for _ in range(rng.randint(0, 2))}))
             cps = homology.copaths_from(m, x, S)
-            spec = ResidueSpec(3, (0,) * len(basis.Y), {})
-            state = SearchState(solve_record(m, basis, S, x, cps, 3), f, spec)
+            state = SearchState(solve_record(m, basis, S, x, cps, 3), f, (0,) * len(basis.Y), {})
             target = random_target(rng, m, basis, f, S, x, cps)
             b = circulation.prescribed_cycle(m, basis, target)
             lengths = circulation.patched_network(m, state.base, b)
@@ -147,10 +145,10 @@ def test_search_gives_the_same_results_without_its_state(monkeypatch):
     searches = []
     real = lattice.find_constrained_circulation
 
-    def recorded(solve, f0, spec):
+    def recorded(solve, f0, r0, r):
         before = solve.points_tested
-        res = real(solve, f0, spec)
-        searches.append(((solve, f0, spec), res, solve.points_tested - before))
+        res = real(solve, f0, r0, r)
+        searches.append(((solve, f0, r0, r), res, solve.points_tested - before))
         return res
 
     monkeypatch.setattr(lattice, "find_constrained_circulation", recorded)
@@ -210,7 +208,7 @@ def test_the_layered_network_is_the_same_at_every_box_point_of_a_search(monkeypa
 
 
 def one_copy_searches(monkeypatch):
-    """(m, basis, f, spec, x) of searches with S = (x,): each random map
+    """(m, basis, f, mod, r0, x) of searches with S = (x,): each random map
     of the differential tests with a random f of values +-1 and +-2, face
     x and anchor at m = 3, 5 or 7, then the searches of the unprecolored
     16x16 torus grid at m = 3 and 5."""
@@ -218,15 +216,15 @@ def one_copy_searches(monkeypatch):
     for m in DIFFERENTIAL_MAPS["random"]:
         basis = homology.cohomology_basis(m)
         mod = rng.choice((3, 5, 7))
-        spec = ResidueSpec(mod, [rng.randrange(mod) for _ in basis.Y], {})
+        r0 = [rng.randrange(mod) for _ in basis.Y]
         f = Chain1(m, {h: rng.choice((-2, -1, 1, 2)) for h in m.canonical_half_edges()})
-        yield m, basis, f, spec, rng.randrange(m.num_faces)
+        yield m, basis, f, mod, r0, rng.randrange(m.num_faces)
     real = lattice.find_constrained_circulation
     found = []
 
-    def recorded(solve, f0, spec):
-        found.append((solve.g, solve.basis, f0.chain, spec, solve.x))
-        return real(solve, f0, spec)
+    def recorded(solve, f0, r0, r):
+        found.append((solve.g, solve.basis, f0.chain, solve.m, r0, solve.x))
+        return real(solve, f0, r0, r)
 
     with monkeypatch.context() as mp:
         mp.setattr(lattice, "find_constrained_circulation", recorded)
@@ -256,17 +254,17 @@ def test_a_one_copy_search_runs_on_the_dual_as_it_stands(monkeypatch):
     count_calls(monkeypatch, lattice, "_layered_arcs", builds)
     count_calls(monkeypatch, SearchState, "network", builds)
     points = cuts = 0
-    for m, basis, f, spec, x in one_copy_searches(monkeypatch):
+    for m, basis, f, mod, r0, x in one_copy_searches(monkeypatch):
         cps = homology.copaths_from(m, x, (x,))
         del builds[:]
-        one = SearchState(solve_record(m, basis, (x,), x, cps, spec.m), f, spec)
+        one = SearchState(solve_record(m, basis, (x,), x, cps, mod), f, r0, {})
         assert not builds
         assert (one.solve.mod, one.kept) == (1, {x: 0}) and one.layers is m.dual_arcs()
-        general = SearchState(solve_record(m, basis, (x,), x, cps, spec.m), f, spec)
-        general_build(general, spec.r0)
+        general = SearchState(solve_record(m, basis, (x,), x, cps, mod), f, r0, {})
+        general_build(general, r0)
         assert general.layers == one.layers and general.kept == one.kept
         box, _ = lattice.pairing_bounds(f, basis, {})
-        for u in lattice.lex_box_points(box, spec.r0, spec.m):
+        for u in lattice.lex_box_points(box, r0, mod):
             ell = lattice.layered_residue_solve(one, u)
             assert lattice.layered_residue_solve(general, u) == ell
             assert one.cuts == general.cuts
@@ -445,9 +443,9 @@ def test_the_accepting_pass_gives_the_engines_circulation(monkeypatch):
 
     found = []
 
-    def recorded_search(solve, f0, spec):
+    def recorded_search(solve, f0, r0, r):
         before = len(accepted)
-        res = real_search(solve, f0, spec)
+        res = real_search(solve, f0, r0, r)
         # the first pass that succeeds ends the search
         assert len(accepted) - before == (res is not None)
         if res is not None:
@@ -488,20 +486,19 @@ def test_one_record_per_solve(monkeypatch):
         records.append(real_solve(*args))
         return records[-1]
 
-    def searched(solve, f0, spec):
+    def searched(solve, f0, r0, r):
         searches.append(solve)
-        return real_search(solve, f0, spec)
+        return real_search(solve, f0, r0, r)
 
-    def state(solve, f, spec):
-        states.append(real_state(solve, f, spec))
+    def state(solve, f, r0, r):
+        states.append(real_state(solve, f, r0, r))
         return states[-1]
 
     monkeypatch.setattr(lattice, "Solve", built)
     monkeypatch.setattr(lattice, "find_constrained_circulation", searched)
     monkeypatch.setattr(lattice, "SearchState", state)
-    per_solve = ("g", "basis", "S", "x", "copaths", "r", "m", "mod")
-    # a state's r is its own residue system, not the solve's color differences
-    assert set(SearchState.__slots__).isdisjoint({"map", "stats", *per_solve} - {"r"})
+    per_solve = ("g", "basis", "S", "x", "copaths", "m", "mod")
+    assert set(SearchState.__slots__).isdisjoint({"map", "stats", *per_solve})
     counts = {True: 0, False: 0, "early": 0, "shared": 0}
     for g, pre in differential_solves():
         del records[:], searches[:], states[:]

@@ -35,7 +35,8 @@ class HomologyTarget:
     """Prescribed pairings: a over the basis, a_prime over a face set S.
 
     copaths maps each y in S to a copath from the distinguished face x
-    (the copath at x is the zero chain), and a_prime[x] must be 0.
+    (the copath at x is the zero chain), a_prime[x] must be 0, and
+    a_prime has no entry outside S, where no pairing would read it.
     """
 
     __slots__ = ("a", "S", "x", "copaths", "a_prime")
@@ -48,6 +49,9 @@ class HomologyTarget:
         self.a_prime = dict(a_prime)
         if x not in self.S:
             raise ValueError("x must belong to S")
+        for y in self.a_prime:
+            if y not in self.S:
+                raise ValueError("a_prime at face %r, which is not in S" % (y,))
         if self.a_prime.get(x, 0) != 0:
             raise ValueError("a_prime must vanish at x")
         self.a_prime[x] = 0
@@ -147,7 +151,10 @@ def repair_network(m, basis, f, target):
 
 def circulation_or_certificate(m, basis, f, target):
     """Find an f-circulation realizing the target pairings, or a
-    certificate that none exists.  The two outcomes are exhaustive."""
+    certificate that none exists.  The two outcomes are exhaustive.
+    Raises ValueError for a face of S outside the map."""
+    for y in target.S:
+        homology.check_face(m, y)
     b, lengths = repair_network(m, basis, f, target)
 
     # every edge gives dual arcs both ways, so the sources reach every

@@ -61,6 +61,8 @@ system only.
 
 All arithmetic is exact: without a state, ``membership`` scales a query
 to integers by the lcm of its denominators for the circulation engine.
+With a state, a box point stays the int tuple of ``lex_box_points``,
+and a refused one gets its kept cut: no HomologyPoint or Separator.
 """
 
 from __future__ import annotations
@@ -136,28 +138,27 @@ def membership(m, basis, f, S, x, copaths, point, search=None):
     tested by running the circulation engine against mu * f.
 
     With the SearchState of a lattice search, the call is instead the
-    search's decision at the integral box point point.u, for the state's
-    f and residue system: a kept cut (z, rhs) with <z, u> > rhs answers
-    first (counted in the solve's points_cut), else one
-    ``layered_residue_solve`` pass.  It returns None, and leaves the
-    pass's labels and circulation on the state, when the pass succeeds;
-    otherwise it returns the cut that answered, or the one the failed
-    pass kept, as a Separator without copath terms.  A point
-    outside the polytope is never accepted, but an inside point whose
-    residue system fails is refused too.  The name stays until the
-    benchmark counts box points from the search instead of from calls
-    of this function (ROADMAP item 1).
+    search's decision at the box point u, the int tuple point that
+    ``lex_box_points`` made, for the state's f and residue system: a kept
+    cut (z, rhs) with <z, u> > rhs answers first (counted in the solve's
+    points_cut), else one ``layered_residue_solve`` pass.  It returns
+    None, and leaves the pass's labels and circulation on the state, when
+    the pass succeeds; otherwise the pair (z, rhs) of search.cuts that
+    answered, or the one the failed pass kept.  A point outside the
+    polytope is never accepted, but an inside point whose residue system
+    fails is refused too.  The name stays until the benchmark counts box
+    points from the search instead of from calls of this function
+    (ROADMAP items 1 and 6).
     """
     if search is not None:
-        u = tuple(int(c) for c in point.u)
-        for z, rhs in search.cuts:
-            if sum(zi * ui for zi, ui in zip(z, u)) > rhs:
+        for cut in search.cuts:
+            z, rhs = cut
+            if sum(zi * ui for zi, ui in zip(z, point)) > rhs:
                 search.solve.points_cut += 1
-                return Separator(z, {}, rhs)
-        if layered_residue_solve(search, u) is not None:
+                return cut
+        if layered_residue_solve(search, point) is not None:
             return None
-        z, rhs = search.cuts[-1]
-        return Separator(z, {}, rhs)
+        return search.cuts[-1]
     up_x = point.u_prime.get(x, 0)
     if up_x != 0:
         sign = 1 if up_x > 0 else -1
@@ -359,11 +360,11 @@ def find_constrained_circulation(solve, f0, r0, r):
 
     Iterates the residue-aligned integer vectors of the coordinate box in
     lexicographic order and asks ``membership`` with the search's state
-    at each: a kept cut or one ``layered_residue_solve`` pass decides the
-    point.  Each tested point is counted on the solve record.  The first
-    pass that succeeds also gives the circulation, which is returned once
-    ``circulation.validate_circulation`` accepts it for the full target.
-    Returns None when the box is exhausted.
+    at each, an int tuple: a kept cut or one ``layered_residue_solve``
+    pass decides the point.  Each tested point is counted on the solve
+    record.  The first pass that succeeds also gives the circulation,
+    which is returned once ``circulation.validate_circulation`` accepts
+    it for the full target.  Returns None when the box is exhausted.
     """
     g, basis, S, x, copaths = solve.g, solve.basis, solve.S, solve.x, solve.copaths
     fchain = f0.chain
@@ -371,8 +372,7 @@ def find_constrained_circulation(solve, f0, r0, r):
     search = SearchState(solve, fchain, r0, r)
     for u in lex_box_points(box, r0, solve.m):
         solve.points_tested += 1
-        point = HomologyPoint(u, {x: 0})
-        if membership(g, basis, fchain, S, x, copaths, point, search) is not None:
+        if membership(g, basis, fchain, S, x, copaths, u, search) is not None:
             continue
         res = Circulation(search.chain)
         # checked under python -O too: wrong labels must not pass silently

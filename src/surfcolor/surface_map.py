@@ -17,8 +17,8 @@ lists of the map (``out_arcs``) and of its dual (``dual_arcs``) and the
 canonical half-edges (``canonical_half_edges``) are kept, each built on
 its first use.  Both out lists are built by one builder, with the heads
 tgt and left: each lists (head, arc) pairs in ascending arc id.
-``dual`` swaps the roles of the arrays, building only its face orbits
-anew.
+``dual`` swaps the roles of the arrays and builds none anew: it shares
+every array of m, and m's canonical half-edges too.
 """
 
 from __future__ import annotations
@@ -223,21 +223,18 @@ def dual(m):
     """The dual map: vertices are the faces of m, sharing half-edge ids.
 
     The dual is m with the roles of vertices and faces swapped: its tgt
-    and rot are m.left and m.faces, and its left is m.tgt.  Its face
+    and rot are m.left and m.faces, its left is m.tgt, and its face
     orbits are m's vertex rotations, because the dual's face tracing
-    sends h to its successor in its rotation in m; face v starts at its
-    smallest half-edge, where build_map's tracing would start it.  So
-    dual(dual(m)) reproduces m, each rotation starting at its smallest
-    half-edge.  Maps are immutable, so the arrays are shared with m, and
-    so is each rotation that already starts at its smallest half-edge.
+    sends h to its successor in its rotation in m.  Nothing reads where
+    a face orbit starts.  The dual has m's opp, so its canonical
+    half-edges are m's too.  Maps are immutable, so every list is shared
+    with m, and dual(dual(m)) has m's own lists.
     """
-    faces = []
-    for cyc in m.rot:
-        i = cyc.index(min(cyc)) if cyc else 0
-        faces.append(cyc[i:] + cyc[:i] if i else cyc)
-    return CombinatorialMap(
-        m.half_edge_count, m.opp, m.left, m.faces, m.tgt, faces, m.euler_genus
+    d = CombinatorialMap(
+        m.half_edge_count, m.opp, m.left, m.faces, m.tgt, m.rot, m.euler_genus
     )
+    d._canonical_half_edges = m.canonical_half_edges()
+    return d
 
 
 class FaceProfile:

@@ -379,7 +379,7 @@ def test_a_search_reads_its_residues_mod_m(monkeypatch):
     real = lattice.membership
 
     def recorded(*args):
-        calls.append((args[6].u, args[7]))
+        calls.append((args[6], args[7]))
         return real(*args)
 
     monkeypatch.setattr(lattice, "membership", recorded)
@@ -420,6 +420,67 @@ def test_a_search_reads_its_residues_mod_m(monkeypatch):
         counts["cut"] += runs[0][4] > 0
         counts["layers"] += len(S) > 1
     assert min(counts.values()) >= 5, counts
+
+
+def test_searches_that_kept_cuts_answer_match_bruteforce():
+    # whole searches in which kept cuts answer box points, each verdict
+    # held against the brute-force integer points with its residues: maps
+    # of 12 to 14 edges give boxes wide enough for cuts to answer
+    rng = random.Random(563)
+    cut_searches = 0
+    verdicts = set()
+    for _ in range(200):
+        m = random_map(rng, max_edges=14, min_edges=12, max_vertices=5)
+        basis = homology.cohomology_basis(m)
+        f0 = flows.Flow(random_nowhere_zero(rng, m))
+        x = rng.randrange(m.num_faces)
+        S = tuple(sorted({x} | {rng.randrange(m.num_faces) for _ in range(rng.randint(0, 2))}))
+        cps = homology.copaths_from(m, x, S)
+        searches = []
+        for _ in range(8):
+            mod = rng.choice((3, 5))
+            r0 = tuple(rng.randrange(mod) for _ in basis.Y)
+            r = {y: rng.randrange(mod) for y in S if y != x}
+            solve = solve_record(m, basis, S, x, cps, mod)
+            got = lattice.find_constrained_circulation(solve, f0, r0, r)
+            searches.append((mod, r0, r, got, solve.points_cut))
+        # the brute force walks up to 2^14 edge choices, so it runs only
+        # on the maps where a kept cut answered a point
+        if not any(cut for *_, cut in searches):
+            continue
+        pts = integer_points_bruteforce(m, basis, f0, S, x, cps)
+        s_order = sorted(S)
+        for mod, r0, r, got, cut in searches:
+            want = any(
+                all((ai - ri) % mod == 0 for ai, ri in zip(a, r0))
+                and all((ay - r.get(y, 0)) % mod == 0 for y, ay in zip(s_order, ap))
+                for a, ap in pts
+            )
+            assert (got is not None) == want
+            cut_searches += cut > 0
+            verdicts.add(want)
+    assert cut_searches >= 15 and verdicts == {True, False}, (cut_searches, verdicts)
+
+
+def test_prescribed_faces_outside_s_or_the_map_are_refused():
+    # a copath value at a face outside S was once dropped unread, so the
+    # point below was found inside with S = (0,) and refused with
+    # S = (0, 4); a face of S outside the map once raised a bare
+    # IndexError from the kernel, or indexed from the end of a list
+    g = surface_map.dual(gen_grid(3, 3))
+    basis = homology.cohomology_basis(g)
+    f0 = flows.nowhere_zero_flow_with_boundary(g, chains.Chain0(g))
+    point = HomologyPoint((0, 0), {0: 0, 4: 99})
+    cps = homology.copaths_from(g, 0, (0, 4))
+    assert membership(g, basis, f0.chain, (0, 4), 0, cps, point) is not None
+    with pytest.raises(ValueError, match="not in S"):
+        membership(g, basis, f0.chain, (0,), 0, cps, point)
+    with pytest.raises(ValueError, match="not in S"):
+        HomologyTarget((0, 0), (0,), 0, cps, {0: 0, 4: 0})
+    for y in (g.num_faces, -1):
+        target = HomologyTarget((0, 0), (0, y), 0, {**cps, y: cps[0]}, {0: 0, y: 0})
+        with pytest.raises(ValueError, match="not in the map"):
+            circulation.circulation_or_certificate(g, basis, f0.chain, target)
 
 
 def test_basis_coordinates_of_the_wrong_length_are_refused():

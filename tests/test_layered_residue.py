@@ -284,7 +284,7 @@ def test_search_gives_the_same_results_as_with_the_two_step_solver(monkeypatch):
 def test_points_cut_counts_the_points_a_kept_cut_answers(monkeypatch):
     # membership with the search's state answers each point with a kept
     # cut, or with a layered pass that fails and keeps a new cut, or
-    # accepts it
+    # accepts it; a refused point gets the pair (z, rhs) of search.cuts
     g, pre = next(hexagon_instances())
     answers = []
     real = lattice.membership
@@ -292,13 +292,13 @@ def test_points_cut_counts_the_points_a_kept_cut_answers(monkeypatch):
     def counted(*args):
         search = args[-1]
         before = len(search.cuts)
-        sep = real(*args)
-        if sep is None:
+        cut = real(*args)
+        if cut is None:
             answers.append("accepted")
         else:
             answers.append("new cut" if len(search.cuts) > before else "kept cut")
-            assert (sep.z, sep.rhs) in search.cuts and not sep.z_prime
-        return sep
+            assert cut in search.cuts
+        return cut
 
     monkeypatch.setattr(lattice, "membership", counted)
     res = extend_precoloring(g, pre)

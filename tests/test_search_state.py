@@ -17,6 +17,7 @@ from surfcolor.cli import brute_force_extendable, gen_bouquet, gen_grid
 from surfcolor.lattice import (
     HomologyPoint,
     SearchState,
+    Separator,
     integer_points_bruteforce,
 )
 from surfcolor.solver import Precoloring, extend_precoloring
@@ -306,10 +307,10 @@ def test_every_point_a_residue_cut_skips_fails_the_stateless_passes(monkeypatch)
 
     def recording(m, basis, f, S, x, copaths, point, search=None):
         before = search.solve.points_cut
-        sep = real(m, basis, f, S, x, copaths, point, search)
+        cut = real(m, basis, f, S, x, copaths, point, search)
         if search.solve.points_cut > before:
-            skipped.append((search, tuple(int(c) for c in point.u)))
-        return sep
+            skipped.append((search, point))
+        return cut
 
     monkeypatch.setattr(lattice, "membership", recording)
     small = 0
@@ -350,6 +351,34 @@ def test_one_membership_call_per_point_and_one_realization_per_boundary(monkeypa
             res = extend_precoloring(g, pre)
         assert log.count("membership") == res.points_tested
         assert log.count("nowhere_zero_flow_with_boundary") == res.boundaries_tried
+
+
+def test_a_solve_builds_no_homology_point_or_separator(monkeypatch):
+    # a box point stays the int tuple that lex_box_points made, and a
+    # refused one is answered by its kept cut: no solve builds either
+    # wrapper, and membership is still called once per tested point
+    built = []
+    for cls in (HomologyPoint, Separator):
+        def init(self, *args, real=cls.__init__):
+            built.append(type(self).__name__)
+            real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    counts = {"tested": 0, "cut": 0}
+    for g, pre in differential_solves():
+        log = []
+        with monkeypatch.context() as mp:
+            count_calls(mp, lattice, "membership", log)
+            res = extend_precoloring(g, pre)
+        assert len(log) == res.points_tested
+        counts["tested"] += res.points_tested
+        counts["cut"] += res.points_cut
+    assert built == []
+    assert counts["tested"] >= 400 and counts["cut"] >= 200, counts
+    # the patched constructors still count where the wrappers are built
+    HomologyPoint((0,), {})
+    Separator((0,), {}, 0)
+    assert built == ["HomologyPoint", "Separator"]
 
 
 def test_each_tested_point_is_a_layered_pass_or_a_cut(monkeypatch):

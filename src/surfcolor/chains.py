@@ -7,9 +7,11 @@ integers, so arithmetic is exact at any magnitude.
 
 One base class carries the algebra of all three chain types; each
 constructor checks that its keys are vertices, half-edges or faces of
-the map, and Chain1 also canonicalises them.  Each operator and its
-dual read the same kernel through a different map array: boundary2 and
-coboundary2 (and the walk chains) sum signed face orbits or vertex
+the map, and Chain1 also canonicalises them.  ``check_ids`` is the
+package's one id check: the chain constructors, the copaths, the decode
+anchor, the engine's S and the precoloring call it.  Each operator and
+its dual read the same kernel through a different map array: boundary2
+and coboundary2 (and the walk chains) sum signed face orbits or vertex
 rotations, while boundary1 and coboundary1 take head minus tail through
 m.tgt or m.left.
 boundary2 of a chain on at least half the faces is read edge by edge
@@ -26,10 +28,10 @@ def _check_same_map(a, b):
         raise MapMismatch("chains live on different maps")
 
 
-def _check_keys(coeffs, n, what):
-    """Raise ValueError unless every key is an int (not a bool) in 0..n-1;
-    a negative key would otherwise index from the end of a map array."""
-    for k in coeffs or ():
+def check_ids(ids, n, what):
+    """Raise ValueError unless every id is an int (not a bool) in 0..n-1;
+    a negative id would otherwise index from the end of a map array."""
+    for k in ids or ():
         if type(k) is not int or not 0 <= k < n:
             raise ValueError("%s %r not in the map" % (what, k))
 
@@ -118,7 +120,7 @@ class Chain0(_SparseChain):
     __slots__ = ()
 
     def __init__(self, m, coeffs=None):
-        _check_keys(coeffs, m.num_vertices, "vertex")
+        check_ids(coeffs, m.num_vertices, "vertex")
         super().__init__(m, coeffs)
 
 
@@ -128,7 +130,7 @@ class Chain2(_SparseChain):
     __slots__ = ()
 
     def __init__(self, m, coeffs=None):
-        _check_keys(coeffs, m.num_faces, "face")
+        check_ids(coeffs, m.num_faces, "face")
         super().__init__(m, coeffs)
 
 
@@ -144,7 +146,7 @@ class Chain1(_SparseChain):
     _key_format = "h%d"
 
     def __init__(self, m, coeffs=None):
-        _check_keys(coeffs, m.half_edge_count, "half-edge")
+        check_ids(coeffs, m.half_edge_count, "half-edge")
         out = {}
         if coeffs:
             for h, c in coeffs.items():

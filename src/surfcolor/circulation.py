@@ -37,6 +37,7 @@ class HomologyTarget:
     copaths maps each y in S to a copath from the distinguished face x
     (the copath at x is the zero chain), a_prime[x] must be 0, and
     a_prime has no entry outside S, where no pairing would read it.
+    Raises ValueError for a face of S with no copath or no a_prime entry.
     """
 
     __slots__ = ("a", "S", "x", "copaths", "a_prime")
@@ -55,6 +56,11 @@ class HomologyTarget:
         if self.a_prime.get(x, 0) != 0:
             raise ValueError("a_prime must vanish at x")
         self.a_prime[x] = 0
+        for y in self.S:
+            if y not in copaths:
+                raise ValueError("no copath to face %r of S" % (y,))
+            if y not in self.a_prime:
+                raise ValueError("no a_prime at face %r of S" % (y,))
         if not copaths[x].is_zero():
             raise ValueError("the copath at x must be the zero chain")
 
@@ -140,22 +146,13 @@ def patched_network(m, base, b):
     return lengths
 
 
-def repair_network(m, basis, f, target):
-    """The prescribed cycle b and the lengths of the dual network that
-    repairs it into an f-circulation, as (b, lengths): over the arcs
-    ``m.dual_arcs()``, half-edge h has length f[h] - b[h] where f[h] > 0,
-    else -b[h]."""
-    b = prescribed_cycle(m, basis, target)
-    return b, patched_network(m, base_network(m, f), b)
-
-
 def circulation_or_certificate(m, basis, f, target):
     """Find an f-circulation realizing the target pairings, or a
     certificate that none exists.  The two outcomes are exhaustive.
     Raises ValueError for a face of S outside the map."""
-    for y in target.S:
-        homology.check_face(m, y)
-    b, lengths = repair_network(m, basis, f, target)
+    chains.check_ids(target.S, m.num_faces, "face")
+    b = prescribed_cycle(m, basis, target)
+    lengths = patched_network(m, base_network(m, f), b)
 
     # every edge gives dual arcs both ways, so the sources reach every
     # negative cycle

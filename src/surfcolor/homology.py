@@ -117,13 +117,6 @@ def cohomology_basis(m):
     return CohomologyBasis(m, Y, cycles, cocycles, cotree)
 
 
-def check_face(m, x):
-    """Raise ValueError unless x is a face id of m, an int in 0..F-1; a
-    negative id would otherwise index from the end of a face list."""
-    if not (type(x) is int and 0 <= x < len(m.faces)):
-        raise ValueError("face %r not in the map" % (x,))
-
-
 def homology_class(k, basis):
     """Coordinates of a cocycle over the basis: z[i] = pair(f_i, K)."""
     if not chains.is_cocycle(k):
@@ -141,11 +134,11 @@ def copaths_from(m, x, targets):
     built at the first target other than x, so a call whose targets are
     all x builds none.  Raises ValueError for a face outside the map.
     """
-    check_face(m, x)
+    chains.check_ids((x,), m.num_faces, "face")
     parent_f = None
     out = {}
     for y in targets:
-        check_face(m, y)
+        chains.check_ids((y,), m.num_faces, "face")
         if y == x:
             out[y] = Chain1(m)
             continue

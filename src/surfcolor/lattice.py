@@ -27,7 +27,7 @@ so may answer other points than theirs.
 
 One solve builds one ``Solve`` record, which all its searches read: the
 dual g, its basis, S, x, the copaths from x, the modulus m, the number
-mod of residue copies of each layered network, and the solve's three
+mod of residue copies of each layered network, and the solve's two
 counters.  One search keeps one ``SearchState`` for its fixed f and
 residue system, built once: the f-part of the repair lengths, patched at
 each box point, the k(y) and arcs of the layered network, built at the
@@ -261,11 +261,7 @@ def layered_residue_solve(search, a):
         assert ell[x] == 0
         for y in S:
             assert (ell[y] - search.r[y]) % mod == 0
-    if mod == 1:
-        # the dual is connected, so every face is reached
-        least = dist
-    else:
-        least = [min(d for d in dist[i:i + mod] if d is not None) for i in range(0, len(dist), mod)]
+    least = [min(d for d in dist[i:i + mod] if d is not None) for i in range(0, len(dist), mod)]
     search.ell = ell
     search.chain = b + chains.boundary2(Chain2(g, dict(enumerate(least))))
     return ell
@@ -284,12 +280,12 @@ def lex_box_points(box, r0, m):
 class Solve:
     """The record of one solve that each of its lattice searches reads
     (see the module docstring): m steps the box of every search, mod is
-    m, or 1 when S = (x,), and points_cut counts the tested points a kept
-    cut answered without a pass."""
+    m, or 1 when S = (x,), and points_tested and points_cut count its box
+    points and those a kept cut answered without a pass."""
 
     __slots__ = (
         "g", "basis", "S", "x", "copaths", "m", "mod",
-        "boundaries_tried", "points_tested", "points_cut",
+        "points_tested", "points_cut",
     )
 
     def __init__(self, g, basis, S, x, copaths, m):
@@ -300,7 +296,7 @@ class Solve:
         self.copaths = copaths
         self.m = m
         self.mod = 1 if len(S) == 1 else m
-        self.boundaries_tried = self.points_tested = self.points_cut = 0
+        self.points_tested = self.points_cut = 0
 
 
 class SearchState:
@@ -309,8 +305,8 @@ class SearchState:
     The box points are congruent to r0 mod solve.m; the layered network
     has solve.mod copies of each face.  Neither r0 nor r need be reduced.
 
-    - base: the f-part of every repair network's lengths
-      (``circulation.base_network``); each target patches a copy of it.
+    - base: all it keeps of f, the f-part of every repair network's
+      lengths (``circulation.base_network``); each target patches a copy.
     - kept, layers: the k(y) and the arcs of the layered network of
       ``layered_residue_solve``, built at the anchor r0.  Every box
       point of the search is congruent to r0 mod m, so both are the
@@ -323,12 +319,11 @@ class SearchState:
       succeeded.
     """
 
-    __slots__ = ("solve", "f", "r", "base", "kept", "layers", "cuts", "ell", "chain")
+    __slots__ = ("solve", "r", "base", "kept", "layers", "cuts", "ell", "chain")
 
     def __init__(self, solve, f, r0, r):
         g, S, x, mod = solve.g, solve.S, solve.x, solve.mod
         self.solve = solve
-        self.f = f
         self.r = {y: 0 if y == x else r.get(y, 0) for y in S}
         self.base = circulation.base_network(g, f)
         if mod == 1:
@@ -344,8 +339,8 @@ class SearchState:
         self.chain = None
 
     def network(self, a):
-        """The (b, lengths) of ``circulation.repair_network`` for this f and
-        the one-face target (S = (x,)) at anchor a, length for length."""
+        """The prescribed cycle b of the one-face target (S = (x,)) at
+        anchor a and the base patched with b, as the engine builds them."""
         solve = self.solve
         x = solve.x
         target = HomologyTarget(a, (x,), x, {x: solve.copaths[x]}, {x: 0})

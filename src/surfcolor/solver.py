@@ -98,8 +98,9 @@ def coloring_to_flow(h_map, phi, m, dual_map):
     On each dual half-edge the flow is the unique value in {-1, 1}
     congruent to the color difference across the edge.  The returned
     flow has boundary divisible by m and pairs to 0 mod m with every
-    cocycle.
+    cocycle.  Raises for a modulus that is not an odd integer >= 3.
     """
+    surface_map.check_modulus(m)
     g = dual_map
     coeffs = {}
     for h in g.canonical_half_edges():
@@ -118,7 +119,8 @@ def coloring_to_flow(h_map, phi, m, dual_map):
 def flow_to_coloring(g, f, m, anchor, basis=None):
     """Decode a nowhere-zero flow on g into a coloring of its faces.
 
-    anchor is a pair (face, color); a face outside g raises ValueError.
+    anchor is a pair (face, color); a face outside g raises ValueError,
+    and so does a modulus that is not an odd integer >= 3.
     Requires the flow boundary and all basis pairings to vanish mod m;
     the color of face y is then anchor color + pair(f, P(y)) mod m,
     independent of the copaths, so any spanning tree of the dual decodes
@@ -128,8 +130,9 @@ def flow_to_coloring(g, f, m, anchor, basis=None):
     with.  The potentials are then shifted so the anchor face takes the
     anchor color.
     """
+    surface_map.check_modulus(m)
     x, c0 = anchor
-    homology.check_face(g, x)
+    chains.check_ids((x,), g.num_faces, "face")
     fchain = f.chain
     d = chains.boundary1(fchain)
     for v, c in d.items():
@@ -162,9 +165,7 @@ def extend_precoloring(h_map, pre):
     if h_map.num_vertices == 0:
         raise Disconnected("empty map")
     m = pre.m
-    for v in pre.psi:
-        if not (type(v) is int and 0 <= v < h_map.num_vertices):
-            raise ValueError("precolored vertex %r not in the map" % (v,))
+    chains.check_ids(pre.psi, h_map.num_vertices, "precolored vertex")
 
     # loops are never homomorphic to a cycle; adjacent precolored vertices
     # must already be C_m-adjacent
@@ -206,7 +207,5 @@ def extend_precoloring(h_map, pre):
         # soundness is checked unconditionally, not only in test builds
         if not verify_homomorphism(h_map, m, phi, pre.psi):
             raise AssertionError("produced coloring failed verification")
-        solve.boundaries_tried = tried
         return ColoringResult(True, phi, d, tried, solve.points_tested, solve.points_cut)
-    solve.boundaries_tried = tried
     return ColoringResult(False, None, None, tried, solve.points_tested, solve.points_cut)

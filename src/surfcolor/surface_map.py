@@ -315,7 +315,7 @@ def load_surfmap(text):
             lines.append(line)
     if not lines or lines[0].split() != ["surfmap", "1"]:
         raise errors.SurfMapFormatError("missing 'surfmap 1' header")
-    if len(lines) < 2 or not lines[1].startswith("halfedges"):
+    if len(lines) < 2 or lines[1].split()[0] != "halfedges":
         raise errors.SurfMapFormatError("missing 'halfedges' line")
     parts = lines[1].split()
     if len(parts) != 2:
@@ -329,10 +329,10 @@ def load_surfmap(text):
 
     rotations = {}
     for line in lines[2:]:
-        if not line.startswith("vertex"):
-            raise errors.SurfMapFormatError("unexpected line: %r" % line)
         head, _, tail = line.partition(":")
         head_parts = head.split()
+        if not head_parts or head_parts[0] != "vertex":
+            raise errors.SurfMapFormatError("unexpected line: %r" % line)
         if len(head_parts) != 2:
             raise errors.SurfMapFormatError("malformed vertex line: %r" % line)
         try:

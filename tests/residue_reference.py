@@ -27,7 +27,8 @@ def rhs_table(m, basis, f, a, S, x, copaths):
     Reference for tests: the search calls ``layered_residue_solve``.
     """
     target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
-    b, lengths = circulation.repair_network(m, basis, f, target)
+    b = circulation.prescribed_cycle(m, basis, target)
+    lengths = circulation.patched_network(m, circulation.base_network(m, f), b)
     pairings = {y: pair(b, copaths[y]) for y in S}
     ys = sorted(S)
     beta = {}

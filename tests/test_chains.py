@@ -231,6 +231,55 @@ def test_chain1_and_chain2_refuse_keys_outside_the_map():
         assert cls(g, {0: 1, n - 1: -1})[n - 1] == -1
 
 
+def _id_entries():
+    """(what, n, call) of every entry that takes a map id: call(k) hands k
+    to the entry as an id of a map with n of what it names."""
+    from types import SimpleNamespace
+
+    from surfcolor import circulation, homology, solver
+
+    h = gen_grid(3, 3)
+    g = surface_map.dual(h)
+    basis = homology.cohomology_basis(g)
+    phi = {v: (v % 3 + v // 3) % 3 for v in range(h.num_vertices)}
+    flow = solver.coloring_to_flow(h, phi, 3, g)
+    zero = (0,) * len(basis.Y)
+
+    def engine(k):
+        target = circulation.HomologyTarget(zero, (0, k), 0, {0: Chain1(g), k: Chain1(g)}, {0: 0, k: 0})
+        circulation.circulation_or_certificate(g, basis, Chain1(g), target)
+
+    return [
+        ("vertex", h.num_vertices, lambda k: Chain0(h, {k: 1})),
+        ("half-edge", h.half_edge_count, lambda k: Chain1(h, {k: 1})),
+        ("face", h.num_faces, lambda k: Chain2(h, {k: 1})),
+        ("face", g.num_faces, lambda k: homology.copaths_from(g, k, (0,))),
+        ("face", g.num_faces, lambda k: homology.copaths_from(g, 0, (0, k))),
+        ("face", g.num_faces, lambda k: solver.flow_to_coloring(g, flow, 3, (k, 0))),
+        ("face", g.num_faces, engine),
+        # Precoloring refuses a bool vertex itself, so the solve gets a
+        # bare record with the fields it reads
+        ("precolored vertex", h.num_vertices,
+         lambda k: solver.extend_precoloring(h, SimpleNamespace(m=3, psi={k: 0}))),
+    ]
+
+
+def test_every_id_taking_entry_prints_the_same_refusal():
+    # the chains' keys, the copaths' x and targets, the decode anchor,
+    # the engine's S and the precoloring all refuse -1, the id one past
+    # the end and True with "<what> <id> not in the map", word for word
+    got = []
+    for _, n, call in _id_entries():
+        for k in (-1, n, True):
+            with pytest.raises(ValueError) as info:
+                call(k)
+            got.append(str(info.value))
+    want = []
+    for what, n in [("vertex", 9), ("half-edge", 36)] + [("face", 9)] * 5 + [("precolored vertex", 9)]:
+        want += ["%s -1 not in the map" % what, "%s %d not in the map" % (what, n), "%s True not in the map" % what]
+    assert got == want
+
+
 def test_chain0_and_chain2_with_equal_coefficients_differ():
     m = gen_grid(3, 3)
     assert Chain0(m, {0: 1, 4: -2}) != Chain2(m, {0: 1, 4: -2})

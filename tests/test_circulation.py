@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from surfcolor import chains, circulation, homology
+from surfcolor import chains, circulation, homology, surface_map
 from surfcolor.chains import Chain1, pair, pair_plus
 from surfcolor.circulation import Certificate, Circulation, HomologyTarget
 from surfcolor.cli import gen_bouquet, gen_grid
@@ -15,6 +15,22 @@ from conftest import brute_feasible, random_map, random_nowhere_zero
 def _target(m, basis, a, S, x, a_prime):
     cps = homology.copaths_from(m, x, S)
     return HomologyTarget(a, S, x, cps, a_prime)
+
+
+def test_a_target_refuses_a_face_of_s_without_a_copath_or_a_label():
+    # on the dual of the 3x3 grid, a target whose copaths miss face 4 of S
+    # once reached the engine and ended in a bare KeyError, and copaths
+    # without x in a KeyError of the constructor
+    g = surface_map.dual(gen_grid(3, 3))
+    cps = homology.copaths_from(g, 0, (0, 4))
+    with pytest.raises(ValueError, match="^no copath to face 4 of S$"):
+        HomologyTarget((0, 0), (0, 4), 0, homology.copaths_from(g, 0, (0,)), {0: 0})
+    with pytest.raises(ValueError, match="^no copath to face 0 of S$"):
+        HomologyTarget((0, 0), (0, 4), 0, {4: cps[4]}, {0: 0, 4: 0})
+    with pytest.raises(ValueError, match="^no a_prime at face 4 of S$"):
+        HomologyTarget((0, 0), (0, 4), 0, cps, {0: 0})
+    target = HomologyTarget((0, 0), (0, 4), 0, cps, {4: 0})
+    assert target.a_prime == {0: 0, 4: 0}
 
 
 def test_prescribed_cycle_zero():

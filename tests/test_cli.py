@@ -180,6 +180,14 @@ def test_bad_map_file(capsys, tmp_path):
     assert "error" in err
 
 
+def test_misspelt_map_keyword_is_invalid_input(capsys, tmp_path):
+    bad = tmp_path / "bad.surfmap"
+    bad.write_text("surfmap 1\nhalfedges 2\nvertexX 0: 0 1\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "solve", "--map", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected line: 'vertexX 0: 0 1'\n"
+
+
 @pytest.mark.parametrize("option", ["--map", "--precolor"])
 def test_non_ascii_input_file_is_invalid_input(capsys, tmp_path, option):
     # the byte sits in a comment, which the parser would skip; the file

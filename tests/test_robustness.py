@@ -70,8 +70,12 @@ def test_repair_network_carries_every_half_edge_once():
         a = tuple(rng.randint(-2, 2) for _ in basis.cocycles)
         ap = {y: (0 if y == x else rng.randint(-2, 2)) for y in S}
         target = HomologyTarget(a, S, x, cps, ap)
-        b, lengths = circulation.repair_network(m, basis, f, target)
-        assert b == circulation.prescribed_cycle(m, basis, target)
+        # the engine's network: the prescribed cycle, patched into the
+        # f-part of the lengths
+        b = circulation.prescribed_cycle(m, basis, target)
+        lengths = circulation.patched_network(m, circulation.base_network(m, f), b)
+        assert [pair(b, k) for k in basis.cocycles] == list(a)
+        assert {y: pair(b, cps[y]) for y in S} == ap
         out = m.dual_arcs()
         for arcs in out:
             assert [h for _, h in arcs] == sorted(h for _, h in arcs)

@@ -46,6 +46,28 @@ def full_build(m, f, b):
     return arcs, lengths
 
 
+def engine_network(m, basis, f, target):
+    """The repair network of the circulation engine for the target, as
+    (b, lengths): the prescribed cycle, patched into a fresh f-part."""
+    b = circulation.prescribed_cycle(m, basis, target)
+    return b, circulation.patched_network(m, circulation.base_network(m, f), b)
+
+
+def states_with_f(monkeypatch):
+    """A dict that maps each SearchState built from now on to the f that
+    its search passed in."""
+    fs = {}
+    real = SearchState
+
+    def built(solve, f, r0, r):
+        state = real(solve, f, r0, r)
+        fs[state] = f
+        return state
+
+    monkeypatch.setattr(lattice, "SearchState", built)
+    return fs
+
+
 def random_target(rng, m, basis, f, S, x, cps):
     box, box_s = lattice.pairing_bounds(f, basis, cps)
     a = tuple(rng.randint(lo - 2, hi + 2) for lo, hi in box)
@@ -72,13 +94,13 @@ def test_patched_network_equals_the_full_build():
             b = circulation.prescribed_cycle(m, basis, target)
             lengths = circulation.patched_network(m, state.base, b)
             assert (m.dual_arcs(), lengths) == full_build(m, f, b)
-            assert circulation.repair_network(m, basis, f, target) == (b, lengths)
+            assert engine_network(m, basis, f, target) == (b, lengths)
             # the state's network is the one-face target's at the anchor,
             # and asking again gives the same network
             one_face = HomologyTarget(target.a, (x,), x, {x: cps[x]}, {x: 0})
             b1, lengths1 = state.network(target.a)
             assert (m.dual_arcs(), lengths1) == full_build(m, f, b1)
-            assert circulation.repair_network(m, basis, f, one_face) == (b1, lengths1)
+            assert engine_network(m, basis, f, one_face) == (b1, lengths1)
             assert state.network(target.a) == (b1, lengths1)
             # patching never writes into the shared base list
             assert state.base == base
@@ -95,6 +117,7 @@ def test_every_kept_cut_holds_where_the_stateless_pass_succeeds(monkeypatch):
     real = lattice.layered_residue_solve
     real_points = lattice.lex_box_points
     steps = []
+    fs = states_with_f(monkeypatch)
 
     def stepped(box, r0, m):
         # a search asks for its box points before its first pass
@@ -111,7 +134,7 @@ def test_every_kept_cut_holds_where_the_stateless_pass_succeeds(monkeypatch):
             solve = search.solve
             x = solve.x
             point = HomologyPoint(a, {x: 0})
-            alone = lattice.membership(solve.g, solve.basis, search.f, (x,), x, {x: solve.copaths[x]}, point)
+            alone = lattice.membership(solve.g, solve.basis, fs[search], (x,), x, {x: solve.copaths[x]}, point)
             kept_at["inside" if alone is None else "outside"] += 1
         return ell
 
@@ -122,7 +145,7 @@ def test_every_kept_cut_holds_where_the_stateless_pass_succeeds(monkeypatch):
         cut_points += extend_precoloring(g, pre).points_cut
     for state, (first, step) in first_point.items():
         solve = state.solve
-        m, basis, f = solve.g, solve.basis, state.f
+        m, basis, f = solve.g, solve.basis, fs[state]
         S, x, cps, mod, r = solve.S, solve.x, solve.copaths, solve.mod, state.r
         # the search's box points are those congruent to its first one
         # mod its step m; its passes run over mod residue copies, 1 when
@@ -169,7 +192,7 @@ def layered_network(m, basis, f, a, S, x, copaths, mod, r):
     """The layered network of the pass at anchor a, as its arcs, node by
     node, the lengths of its base arcs, and its k(y)."""
     target = HomologyTarget(a, (x,), x, {x: copaths[x]}, {x: 0})
-    b, lengths = circulation.repair_network(m, basis, f, target)
+    b, lengths = engine_network(m, basis, f, target)
     kept = {y: (r[y] - pair(b, copaths[y])) % mod for y in S}
     return lattice._layered_arcs(m, lengths, mod, kept), lengths, kept
 
@@ -181,10 +204,11 @@ def test_the_layered_network_is_the_same_at_every_box_point_of_a_search(monkeypa
     # built at its anchor is the one of every pass
     searches = {}
     real = lattice.layered_residue_solve
+    fs = states_with_f(monkeypatch)
 
     def recorded(search, a):
         solve = search.solve
-        args = (solve.g, solve.basis, search.f, a, solve.S, solve.x, solve.copaths, solve.mod, search.r)
+        args = (solve.g, solve.basis, fs[search], a, solve.S, solve.x, solve.copaths, solve.mod, search.r)
         arcs, lengths, kept = layered_network(*args)
         assert (arcs, kept) == (search.layers, search.kept)
         searches.setdefault(search, (args, lengths))
@@ -304,6 +328,7 @@ def test_every_point_a_residue_cut_skips_fails_the_stateless_passes(monkeypatch)
     # answers, the stateless pass and the two-step reference fail too
     skipped = []
     real = lattice.membership
+    fs = states_with_f(monkeypatch)
 
     def recording(m, basis, f, S, x, copaths, point, search=None):
         before = search.solve.points_cut
@@ -320,7 +345,7 @@ def test_every_point_a_residue_cut_skips_fails_the_stateless_passes(monkeypatch)
         assert res.points_cut == len(skipped) - before
         for state, u in skipped[before:]:
             solve = state.solve
-            args = (solve.g, solve.basis, state.f, u, solve.S, solve.x, solve.copaths, solve.mod, state.r)
+            args = (solve.g, solve.basis, fs[state], u, solve.S, solve.x, solve.copaths, solve.mod, state.r)
             assert fresh_pass(*args) is None
             try:
                 assert two_step(*args) is None
@@ -415,12 +440,17 @@ def test_dominance_is_checked_on_both_orientations(f, c, bad):
 
 
 def test_a_search_builds_no_full_repair_network(monkeypatch):
-    # the engine runs, the residue passes and the final extraction all
-    # patch the search's one base network
+    # each search builds the f-part of its networks once, and its residue
+    # passes and its final extraction all patch that one base; the engine,
+    # which builds a base of its own, never runs
     builds = []
-    count_calls(monkeypatch, circulation, "repair_network", builds)
+    count_calls(monkeypatch, lattice, "find_constrained_circulation", builds)
+    count_calls(monkeypatch, circulation, "base_network", builds)
+    count_calls(monkeypatch, circulation, "circulation_or_certificate", builds)
     found = sum(extend_precoloring(g, pre).extendable for g, pre in hexagon_instances())
-    assert found > 0 and not builds
+    searches = builds.count("find_constrained_circulation")
+    assert found > 0 and searches > found
+    assert builds == ["find_constrained_circulation", "base_network"] * searches
 
 
 def test_one_layered_network_per_search_and_one_dual_arc_list_per_map(monkeypatch):
@@ -544,8 +574,7 @@ def test_one_record_per_solve(monkeypatch):
             for slot in SearchState.__slots__:
                 if slot != "solve":
                     assert all(getattr(st, slot) is not getattr(solve, name) for name in per_solve)
-        assert (solve.boundaries_tried, solve.points_tested, solve.points_cut) == (
-            res.boundaries_tried, res.points_tested, res.points_cut)
+        assert (solve.points_tested, solve.points_cut) == (res.points_tested, res.points_cut)
         counts[res.extendable] += 1
         counts["shared"] += len(searches) > 1
     assert min(counts.values()) >= 5, counts

@@ -106,6 +106,20 @@ def test_flow_to_coloring_walk_matches_the_copath_pairings():
     assert checked >= 30
 
 
+@pytest.mark.parametrize("m, error", [(0, errors.EvenModulus), (1, errors.ModulusTooSmall),
+                                      (4, errors.EvenModulus), (True, errors.SurfcolorError)])
+def test_the_decode_and_the_encode_check_their_modulus(m, error):
+    # the decode divided by 0 at m = 0, and at m = 1 the encode turned the
+    # all-0 coloring into a "flow" of all -1
+    h = gen_grid(3, 3)
+    g = dual(h)
+    f = coloring_to_flow(h, grid_coloring(3, 3), 3, g)
+    with pytest.raises(error):
+        flow_to_coloring(g, f, m, (0, 0))
+    with pytest.raises(error):
+        coloring_to_flow(h, {v: 0 for v in range(9)}, m, g)
+
+
 def test_flow_to_coloring_rejects_bad_pairings():
     m = gen_bouquet(2)
     f = Flow(Chain1(m, {0: 1, 2: 1}))

@@ -290,6 +290,22 @@ def test_surfmap_rejects_garbage():
         load_surfmap("surfmap 1\nhalfedges 4\nvertex 0: 0 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("surfmap 1\nhalfedgesX 2\nvertex 0: 0\nvertex 1: 1\n", "missing 'halfedges' line"),
+        ("surfmap 1\nhalfedges2\nvertex 0: 0\nvertex 1: 1\n", "missing 'halfedges' line"),
+        ("surfmap 1\nhalfedges 2\nvertexX 0: 0 1\n", "unexpected line: 'vertexX 0: 0 1'"),
+    ],
+)
+def test_surfmap_keywords_are_whole_tokens(text, message):
+    # the keywords were read as prefixes: halfedgesX was the half-edge
+    # line and vertexX 0: 0 1 a vertex line
+    with pytest.raises(errors.SurfMapFormatError) as info:
+        load_surfmap(text)
+    assert str(info.value) == message
+
+
 def test_surfmap_comments_and_blank_lines():
     text = "# a comment\nsurfmap 1\n\nhalfedges 2\nvertex 0: 0 # inline\nvertex 1: 1\n"
     m = load_surfmap(text)

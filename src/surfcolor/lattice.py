@@ -25,15 +25,32 @@ m copies would give.  A failed pass keeps the cut (z, P) of a negative
 dual cycle, which may be another cycle than m copies would return, and
 so may answer other points than theirs.
 
+A negative closed walk of the layered network proves that the pass
+fails, whether or not the pass reaches it from (x, 0).  Let ell solve
+the residue system at a box point a inside the polytope (outside it the
+pass fails anyway), put L(y) = ell(y) - pair(b, P(y)) and D(v) = min over
+y in S of L(y) + dist(y, v), and let pi(v, c) be the least integer
+>= D(v) that is congruent to c mod m.  The inequalities ell(y') - ell(y)
+<= beta(y, y') give D(y) = L(y), and L(y) = k(y) (mod m).  Then pi is a
+feasible potential on every arc:
+- a base arc (v, c) -> (w, c + l) of length l: pi(v, c) + l is at least
+  D(v) + l >= D(w) and congruent to c + l, so it is at least pi(w, c + l);
+- a drop (y, c) -> (y, k(y)): pi(y, k(y)) = D(y) = pi(y, c) - ((c -
+  k(y)) mod m), with equality.
+So every closed walk of the network has length >= 0 where the system
+has a solution, and a closed walk negative at a box point is a sound cut
+there.
+
 One solve builds one ``Solve`` record, which all its searches read: the
 dual g, its basis, S, x, the copaths from x, the modulus m, the number
-mod of residue copies of each layered network, and the solve's two
-counters.  One search keeps one ``SearchState`` for its fixed f and
-residue system, built once: the f-part of the repair lengths, patched at
-each box point, the k(y) and arcs of the layered network, built at the
-anchor, and one list of integer cuts (z, rhs), each answering the pass
-at every box point u' with <z, u'> > rhs.  When the pass at a box point
-u finds a negative cycle W, W gives the cut (z, P + D):
+mod of residue copies of each layered network, the pool of the walks of
+its failed passes, and the solve's two counters.  One search keeps one
+``SearchState`` for its fixed f and residue system: the f-part of the
+repair lengths, patched at each box point, the k(y) and base lengths of
+the layered network at the anchor, its arcs, built on the search's first
+pass, and one list of integer cuts (z, rhs), each answering the pass at
+every box point u' with <z, u'> > rhs.  When the pass at a box point u
+finds a negative cycle W, W gives the cut (z, P + D):
 - every box point of one search is congruent to u mod m, because
   ``lex_box_points`` steps by the record's m, and the layered pass reads
   the same record;
@@ -47,8 +64,7 @@ u finds a negative cycle W, W gives the cut (z, P + D):
 - the length of W at u' is P + D - <z, u'>, where P is the sum of the
   f+-parts of W's base arcs, D the sum of its drops and z_i the sum of
   C_i[h] over the base arcs h of W;
-- so W stays negative at u' whenever <z, u'> > P + D, and stays
-  reachable from (x, 0), because the graph is unchanged: the pass at u'
+- so W stays negative at u' whenever <z, u'> > P + D: the pass at u'
   fails too.
 The argument never asks whether u is inside the polytope, so a pass at
 an outside point keeps a cut like any other.  A cycle free of drops
@@ -56,8 +72,30 @@ an outside point keeps a cut like any other.  A cycle free of drops
 certificate inequality <z, a> <= P of the whole polytope: every
 circulation c of f pairs with the walk to <z, a(c)>, and to at most P
 since c lies between 0 and f.  A cut depends on S, x, the copaths, the
-modulus and the residues r as well as f, so it is kept for one residue
-system only.
+modulus and the residues r as well as f, so a search keeps its cuts to
+itself; the solve keeps their walks.
+
+The walk of W (its base half-edges in order) and z go to the front of
+the solve's pool, as in the cut pool of branch-and-cut (Padberg and
+Rinaldi 1991).  Before its first box point, each later search lifts
+every pooled walk into its own layered network, with the base lengths
+l(h) at its anchor and no network built:
+- it starts at a face y of S on the walk, at the copy k(y);
+- a base arc h takes the copy c to (c + l(h)) mod m;
+- at a face y of S whose copy c is not k(y), it first takes the drop,
+  of length -((c - k(y)) mod m), and is then at (y, k(y)), the only copy
+  of y with arcs;
+- after the last arc, a final drop closes the walk at its start.
+The lift is a closed walk of the network, which is the same at every
+box point of the search, so it gives the cut (z, P' + D'): P' sums the
+new f-part over the walk and D' its drops.  By the potential argument
+that cut answers only points where the pass fails, so the first point
+where a pass succeeds, and that pass, are the ones the search would
+reach without the pool.  A walk that meets no face of S, and every walk
+when mod = 1, gives the drop-free cut (z, P'): it is a closed dual walk,
+which m times over returns to its copy, and (z, P') is its certificate
+inequality.  A search keeps a lifted cut only if some point of its box
+can break it.
 
 All arithmetic is exact: without a state, ``membership`` scales a query
 to integers by the lcm of its denominators for the circulation engine.
@@ -239,10 +277,19 @@ def layered_residue_solve(search, a):
     kernel returns projects to a closed dual walk of homology class z; P
     sums the f+-parts of its half-edges and D the drops of W.  W stays
     negative at every box point u of the search with <z, u> > P + D (see
-    the module docstring).
+    the module docstring).  It also puts that walk and z at the front of
+    the solve's pool, for the later searches to lift.  The argument above
+    needs a negative cycle reachable from (x, 0); the feasible potential
+    of the module docstring rules out every negative closed walk, which
+    is what a lifted walk needs.
+
+    The search's first pass builds the layered arcs, from the state's
+    anchor lengths and k(y); its later passes read them.
     """
     solve = search.solve
     g, S, x, copaths, mod = solve.g, solve.S, solve.x, solve.copaths, solve.mod
+    if search.layers is None:
+        search.layers = _layered_arcs(g, search.anchor_lengths, mod, search.kept)
     b, lengths = search.network(a)
     H = len(lengths)
     lengths.extend(range(0, -mod, -1))
@@ -255,6 +302,7 @@ def layered_residue_solve(search, a):
         if sum(zi * ai for zi, ai in zip(z, a)) <= rhs:
             raise AssertionError("layered cycle is not negative")
         search.cuts.append((z, rhs))
+        solve.pool.insert(0, (walk, z))
         return None
     ell = {y: dist[y * mod + search.kept[y]] + pair(b, copaths[y]) for y in S}
     if __debug__:
@@ -280,11 +328,12 @@ def lex_box_points(box, r0, m):
 class Solve:
     """The record of one solve that each of its lattice searches reads
     (see the module docstring): m steps the box of every search, mod is
-    m, or 1 when S = (x,), and points_tested and points_cut count its box
-    points and those a kept cut answered without a pass."""
+    m, or 1 when S = (x,), pool lists a (walk, z) for each failed pass of
+    the solve, newest first, and points_tested and points_cut count its
+    box points and those a kept cut answered without a pass."""
 
     __slots__ = (
-        "g", "basis", "S", "x", "copaths", "m", "mod",
+        "g", "basis", "S", "x", "copaths", "m", "mod", "pool",
         "points_tested", "points_cut",
     )
 
@@ -296,6 +345,7 @@ class Solve:
         self.copaths = copaths
         self.m = m
         self.mod = 1 if len(S) == 1 else m
+        self.pool = []
         self.points_tested = self.points_cut = 0
 
 
@@ -307,19 +357,23 @@ class SearchState:
 
     - base: all it keeps of f, the f-part of every repair network's
       lengths (``circulation.base_network``); each target patches a copy.
-    - kept, layers: the k(y) and the arcs of the layered network of
-      ``layered_residue_solve``, built at the anchor r0.  Every box
-      point of the search is congruent to r0 mod m, so both are the
-      same at each of them (see the module docstring).  With one copy
-      they are {x: 0} and the map's ``dual_arcs``, and nothing is built.
-    - cuts: the pairs (z, rhs) that the failed passes kept.  Each answers
-      the pass at every later box point u with <z, u> > rhs: that pass
-      fails too (see the module docstring).
+    - anchor_lengths, kept: the base lengths of the layered network of
+      ``layered_residue_solve`` at the anchor r0, and its k(y).  Every
+      box point of the search is congruent to r0 mod m, so the network's
+      heads and k(y) are the same at each of them (see the module
+      docstring).  With one copy they are None and {x: 0}.
+    - layers: the arcs of that network, built on the search's first pass
+      (None until then), so a search whose every box point a cut answers
+      builds none.  With one copy they are the map's ``dual_arcs``.
+    - cuts: the pairs (z, rhs) lifted from the solve's pool, then those
+      the search's failed passes kept.  Each answers the pass at every
+      later box point u with <z, u> > rhs: that pass fails too (see the
+      module docstring).
     - ell, chain: the labels and circulation of the last pass that
       succeeded.
     """
 
-    __slots__ = ("solve", "r", "base", "kept", "layers", "cuts", "ell", "chain")
+    __slots__ = ("solve", "r", "base", "anchor_lengths", "kept", "layers", "cuts", "ell", "chain")
 
     def __init__(self, solve, f, r0, r):
         g, S, x, mod = solve.g, solve.S, solve.x, solve.mod
@@ -328,12 +382,13 @@ class SearchState:
         self.base = circulation.base_network(g, f)
         if mod == 1:
             # one copy of each face: the network is the dual as it stands
+            self.anchor_lengths = None
             self.kept = {x: 0}
             self.layers = g.dual_arcs()
         else:
-            b, lengths = self.network(r0)
+            b, self.anchor_lengths = self.network(r0)
             self.kept = {y: (self.r[y] - pair(b, solve.copaths[y])) % mod for y in S}
-            self.layers = _layered_arcs(g, lengths, mod, self.kept)
+            self.layers = None
         self.cuts = []
         self.ell = None
         self.chain = None
@@ -347,24 +402,54 @@ class SearchState:
         b = circulation.prescribed_cycle(solve.g, solve.basis, target)
         return b, circulation.patched_network(solve.g, self.base, b)
 
+    def lift(self, walk):
+        """The rhs P' + D' of the cut of a pooled walk, lifted into this
+        search's layered network (see the module docstring): P' sums base
+        over the walk and D' the drops the lift takes."""
+        rhs = sum(self.base[h] for h in walk)
+        mod = self.solve.mod
+        if mod == 1:
+            return rhs
+        g, kept, lengths = self.solve.g, self.kept, self.anchor_lengths
+        left, opp = g.left, g.opp
+        start = next((i for i, h in enumerate(walk) if left[opp[h]] in kept), None)
+        if start is None:
+            return rhs
+        c = k0 = kept[left[opp[walk[start]]]]
+        for h in itertools.chain(walk[start:], walk[:start]):
+            k = kept.get(left[opp[h]])
+            if k is not None:
+                rhs -= (c - k) % mod
+                c = k
+            c = (c + lengths[h]) % mod
+        return rhs - (c - k0) % mod
+
 
 def find_constrained_circulation(solve, f0, r0, r):
     """Search the bounded homology lattice for an f0-circulation whose
     pairings match the prescribed residues mod solve.m: r0 over the basis
     and r(y) at each y in S, 0 where r has no entry and at x.
 
-    Iterates the residue-aligned integer vectors of the coordinate box in
-    lexicographic order and asks ``membership`` with the search's state
-    at each, an int tuple: a kept cut or one ``layered_residue_solve``
-    pass decides the point.  Each tested point is counted on the solve
-    record.  The first pass that succeeds also gives the circulation,
-    which is returned once ``circulation.validate_circulation`` accepts
-    it for the full target.  Returns None when the box is exhausted.
+    First lifts every walk of the solve's pool into the search's layered
+    network (``SearchState.lift``) and keeps each cut that some point of
+    the box can break.  Then iterates the residue-aligned integer vectors
+    of the coordinate box in lexicographic order and asks ``membership``
+    with the search's state at each, an int tuple: a kept cut or one
+    ``layered_residue_solve`` pass decides the point.  Each tested point
+    is counted on the solve record.  The first pass that succeeds also
+    gives the circulation, which is returned once
+    ``circulation.validate_circulation`` accepts it for the full target.
+    Returns None when the box is exhausted.
     """
     g, basis, S, x, copaths = solve.g, solve.basis, solve.S, solve.x, solve.copaths
     fchain = f0.chain
     box, _ = pairing_bounds(fchain, basis, {})
     search = SearchState(solve, fchain, r0, r)
+    for walk, z in solve.pool:
+        rhs = search.lift(walk)
+        # keep the cut only if some point of the box can break it
+        if sum(zi * (hi if zi > 0 else lo) for zi, (lo, hi) in zip(z, box)) > rhs:
+            search.cuts.append((z, rhs))
     for u in lex_box_points(box, r0, solve.m):
         solve.points_tested += 1
         if membership(g, basis, fchain, S, x, copaths, u, search) is not None:

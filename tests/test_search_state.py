@@ -1,6 +1,7 @@
 """The per-search state of the lattice search: patched repair networks,
-the layered network built once, the kept cuts of failed layered passes,
-the circulation of the accepting pass, the one per-solve record that
+the layered network built on a search's first pass, the kept cuts of
+failed layered passes and the cuts lifted from the solve's pool of their
+walks, the circulation of the accepting pass, the one per-solve record that
 every search of a solve reads, and the counts the benchmark's traced run
 relies on; and the dominance check of a returned circulation, which
 reads both orientations of each edge."""
@@ -23,12 +24,21 @@ from surfcolor.lattice import (
 from surfcolor.solver import Precoloring, extend_precoloring
 from surfcolor.surface_map import CombinatorialMap
 
-from conftest import CORPUS, DIFFERENTIAL_MAPS, random_map, random_nowhere_zero, solve_record
+from conftest import (
+    CORPUS,
+    DIFFERENTIAL_MAPS,
+    backtrack_extendable,
+    random_map,
+    random_nowhere_zero,
+    solve_record,
+)
 from residue_reference import AnchorOutsidePolytope
 from test_layered_residue import (
     fresh_pass,
+    hexagon_grid,
     hexagon_instances,
     layered_pass,
+    nonadjacent_precoloring,
     reference_search,
     two_step,
 )
@@ -210,9 +220,11 @@ def test_the_layered_network_is_the_same_at_every_box_point_of_a_search(monkeypa
         solve = search.solve
         args = (solve.g, solve.basis, fs[search], a, solve.S, solve.x, solve.copaths, solve.mod, search.r)
         arcs, lengths, kept = layered_network(*args)
+        # the state builds its layers on its first pass
+        ell = real(search, a)
         assert (arcs, kept) == (search.layers, search.kept)
         searches.setdefault(search, (args, lengths))
-        return real(search, a)
+        return ell
 
     monkeypatch.setattr(lattice, "layered_residue_solve", recorded)
     for g, pre in hexagon_instances():
@@ -416,7 +428,7 @@ def test_each_tested_point_is_a_layered_pass_or_a_cut(monkeypatch):
     assert res.points_tested == passes + res.points_cut
     # the engine runs only to extract a found circulation, and none is
     assert log.count("circulation_or_certificate") == 0
-    assert (res.extendable, res.points_tested, passes, res.points_cut) == (False, 255, 58, 197)
+    assert (res.extendable, res.points_tested, passes, res.points_cut) == (False, 255, 3, 252)
 
 
 @pytest.mark.parametrize(
@@ -454,18 +466,21 @@ def test_a_search_builds_no_full_repair_network(monkeypatch):
 
 
 def test_one_layered_network_per_search_and_one_dual_arc_list_per_map(monkeypatch):
-    # each search builds its layered arcs once, at construction, and the
-    # passes read them; every network of a map reads that map's one set
-    # of dual arcs
+    # a search that runs a pass builds its layered arcs once, on its first
+    # pass, and its later passes read them; a search whose every box point
+    # a cut answers builds none; every network of a map reads that map's
+    # one set of dual arcs
     builds = []
     count_calls(monkeypatch, lattice, "_layered_arcs", builds)
     count_calls(monkeypatch, lattice, "find_constrained_circulation", builds)
-    searches = set()
+    searches = {}
     real = lattice.layered_residue_solve
 
     def recorded(search, a):
-        searches.add(search)
-        return real(search, a)
+        before = len(builds)
+        ell = real(search, a)
+        searches[search] = searches.get(search, 0) + len(builds) - before
+        return ell
 
     monkeypatch.setattr(lattice, "layered_residue_solve", recorded)
     arcs = {}
@@ -481,8 +496,9 @@ def test_one_layered_network_per_search_and_one_dual_arc_list_per_map(monkeypatc
     for g, pre in hexagon_instances():
         res = extend_precoloring(g, pre)
         passes += res.points_tested - res.points_cut
-    assert len(searches) > 1
-    assert builds.count("_layered_arcs") == builds.count("find_constrained_circulation") < passes
+    assert len(searches) > 1 and all(n == 1 for n in searches.values())
+    assert builds.count("_layered_arcs") == len(searches) < builds.count("find_constrained_circulation")
+    assert len(searches) < passes
     assert arcs and all(len(ids) == 1 for ids in arcs.values())
 
 
@@ -577,4 +593,94 @@ def test_one_record_per_solve(monkeypatch):
         assert (solve.points_tested, solve.points_cut) == (res.points_tested, res.points_cut)
         counts[res.extendable] += 1
         counts["shared"] += len(searches) > 1
+    assert min(counts.values()) >= 5, counts
+
+
+def planted_precoloring(n, m, size, rng):
+    """Colors on size vertices of the n x n torus grid (vertex n * i + j
+    at (i, j)) from phi(i, j) = s_i + t_j (mod m), s and t closed walks of
+    +-1 steps in C_m: phi colors the grid, and every map it loses edges
+    from, so the precoloring extends.  Unlike the balanced walks of
+    ``test_paths.planted_precoloring``, n may be odd."""
+    def closed_walk():
+        while True:
+            steps = [rng.choice((1, -1)) for _ in range(n)]
+            if sum(steps) % m == 0:
+                return [sum(steps[:i]) for i in range(n)]
+
+    s, t = closed_walk(), closed_walk()
+    return {v: (s[v // n] + t[v % n]) % m for v in rng.sample(range(n * n), size)}
+
+
+def hexagon_tori():
+    """(map, precoloring, planted): 5x5 and 6x6 torus grids with 2 to 4
+    hexagons, each at m = 3 and 5 with 7 precolored vertices, planted or
+    random.  At m = 5 a hexagon, like a square, allows only excess 0, so
+    those solves stream one boundary and run one search."""
+    rng = random.Random(587)
+    for _ in range(2):
+        for n in (5, 6):
+            for k in (2, 3, 4):
+                g = hexagon_grid(n, k, rng)
+                for mod in (3, 5):
+                    yield g, Precoloring(mod, planted_precoloring(n, mod, 7, rng)), True
+                    yield g, Precoloring(mod, nonadjacent_precoloring(g, mod, 7, rng)), False
+
+
+def pooled_cut_answers(monkeypatch):
+    """A list that gets (search, point) for each box point from now on
+    that a cut lifted from the solve's pool answers: the cuts a search
+    holds at its first box point are the lifted ones."""
+    answered = []
+    lifted = {}
+    real = lattice.membership
+
+    def recording(m, basis, f, S, x, copaths, point, search=None):
+        n = lifted.setdefault(search, len(search.cuts))
+        before = search.solve.points_cut
+        cut = real(m, basis, f, S, x, copaths, point, search)
+        if search.solve.points_cut > before and any(cut is c for c in search.cuts[:n]):
+            answered.append((search, point))
+        return cut
+
+    monkeypatch.setattr(lattice, "membership", recording)
+    return answered
+
+
+def test_every_point_a_pooled_cut_answers_fails_a_fresh_pass(monkeypatch):
+    # a failed pass's walk, lifted into a later search's layered network,
+    # is a closed walk of that network, so at each point its cut answers,
+    # the pass on a fresh state, with an empty pool, fails too.  At m = 5
+    # the hexagon tori run one search per solve, so the pooled cuts there
+    # come from the small random maps
+    fs = states_with_f(monkeypatch)
+    answered = pooled_cut_answers(monkeypatch)
+    counts = {3: 0, 5: 0, 7: 0}
+    instances = [(g, pre) for g, pre, _ in hexagon_tori()] + list(small_instances(1000))
+    for g, pre in instances:
+        before = len(answered)
+        extend_precoloring(g, pre)
+        for state, u in answered[before:]:
+            solve = state.solve
+            args = (solve.g, solve.basis, fs[state], u, solve.S, solve.x, solve.copaths, solve.mod, state.r)
+            assert fresh_pass(*args) is None
+        counts[pre.m] += len(answered) - before
+    assert counts[3] >= 500 and counts[5] >= 10, counts
+
+
+def test_solves_that_pooled_cuts_answer_match_backtracking(monkeypatch):
+    # whole solves in which cuts lifted from the pool answer box points,
+    # and the searches' own kept cuts answer others, each verdict held
+    # against backtracking; a planted precoloring must extend
+    answered = pooled_cut_answers(monkeypatch)
+    counts = {True: 0, False: 0, "own cuts": 0}
+    for g, pre, planted in hexagon_tori():
+        before = len(answered)
+        res = extend_precoloring(g, pre)
+        assert res.extendable == backtrack_extendable(g, pre.m, pre.psi)
+        assert res.extendable or not planted
+        pooled = len(answered) - before
+        if pooled:
+            counts[res.extendable] += 1
+            counts["own cuts"] += res.points_cut > pooled
     assert min(counts.values()) >= 5, counts
